@@ -16,7 +16,6 @@ from .numerics import ContractError, Rng
 
 __all__ = [
     "Dataset",
-    "SplitSpec",
     "binarize_by_sampling",
     "empirical_mean",
     "load_text_matrix",
@@ -43,17 +42,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.samples.shape[0]
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    train_count: int
-    valid_count: int
-    test_count: int
-
-    def check(self, total: int) -> None:
-        if self.train_count + self.valid_count + self.test_count != total:
-            raise ContractError("split counts do not sum to the dataset size")
 
 
 def _open_text(path: str, mode: str):

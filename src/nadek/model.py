@@ -13,16 +13,20 @@ clamped to their input values at every step.  With ``n=3`` a second
 encoder layer ``h2_t = phi(W2 h1_t + c2)`` feeds the decoder instead.
 The output ``v_k`` is read as the factorial conditional distribution over
 the missing components.
+
+The pass runs on one row (shape ``(D,)``) or on a block of rows (shape
+``(B, D)``) with a mask per row; every product is written ``act @ W.T``,
+which for a single row gives the same bits as the matrix-vector ``W @ v``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ContractError, Rng, clamp_prob, matvec, sigmoid_vec, tanh_vec
+from .numerics import ContractError, Rng, clamp_prob, sigmoid_vec
 
 __all__ = [
     "ModelParams",
@@ -90,15 +94,12 @@ class ModelParams:
         out["b"] = self.b
         return out
 
+    def zeros_like(self) -> "ModelParams":
+        """Zero tensors of the same shapes, e.g. a gradient accumulator."""
+        return ModelParams(**{n: np.zeros_like(t) for n, t in self.tensors().items()})
+
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            W=self.W.copy(),
-            c=self.c.copy(),
-            V=self.V.copy(),
-            b=self.b.copy(),
-            W2=None if self.W2 is None else self.W2.copy(),
-            c2=None if self.c2 is None else self.c2.copy(),
-        )
+        return ModelParams(**{n: t.copy() for n, t in self.tensors().items()})
 
     def check_shapes(self, config: StructureConfig) -> None:
         want = expected_shapes(config)
@@ -122,21 +123,22 @@ def expected_shapes(config: StructureConfig) -> dict[str, tuple[int, ...]]:
 class Trajectory:
     """Full unrolled state of one inference run, kept for backprop.
 
-    ``v_states`` holds v_0 .. v_k (k+1 vectors of length D); ``h_states``
-    holds one tuple of hidden activations per step (one array for n=2, two
-    for n=3).  Observed coordinates of every v_t for t >= 1 equal the input
-    bit exactly; missing coordinates are sigmoid outputs in (0, 1).
+    ``v_states`` holds v_0 .. v_k (k+1 arrays shaped like the input: one
+    row of length D or a B x D block); ``h_states`` holds one tuple of
+    hidden activations per step (one array for n=2, two for n=3).
+    Observed coordinates of every v_t for t >= 1 equal the input bit
+    exactly; missing coordinates are sigmoid outputs in (0, 1).
     """
 
     v_states: list[np.ndarray]
     h_states: list[tuple[np.ndarray, ...]]
     mask: np.ndarray
     input: np.ndarray
-    k_used: int = field(default=0)
 
-    def __post_init__(self):
-        if self.k_used == 0:
-            self.k_used = len(self.h_states)
+    @property
+    def k_used(self) -> int:
+        """Number of inference steps the run took."""
+        return len(self.h_states)
 
 
 def init_params(config: StructureConfig, rng: Rng) -> ModelParams:
@@ -167,11 +169,15 @@ def _check_binary(v: np.ndarray, name: str) -> None:
 
 
 def build_input(x: np.ndarray, m: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Initial state v_0: empirical mean at missing slots, x elsewhere."""
+    """Initial state v_0: empirical mean at missing slots, x elsewhere.
+
+    ``x`` and ``m`` are one row or a block of rows of the same shape;
+    ``mean`` is one row of length D, shared by every row.
+    """
     x = np.asarray(x, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
-    if not (x.shape == m.shape == mean.shape) or x.ndim != 1:
+    if x.shape != m.shape or x.ndim not in (1, 2) or mean.shape != x.shape[-1:]:
         raise ContractError(
             f"build_input length mismatch: x{x.shape} m{m.shape} mean{mean.shape}"
         )
@@ -190,34 +196,36 @@ def forward(
 ) -> Trajectory:
     """Run the k-step inference iteration and record the full trajectory.
 
-    ``k_override`` replaces the trained step count at inference time; the
-    training loop never sets it.
+    ``x`` is one row of length D or a B x D block, and ``m`` its mask of
+    the same shape (1 marks a missing component).  ``k_override`` replaces
+    the trained step count at inference time; the training loop never sets
+    it.
     """
     k = config.k if k_override is None else k_override
     if k < 1:
         raise ContractError("k_override must be >= 1")
     params.check_shapes(config)
-    phi = tanh_vec if config.activation == "tanh" else sigmoid_vec
+    phi = np.tanh if config.activation == "tanh" else sigmoid_vec
 
     x = np.asarray(x, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     v = build_input(x, m, mean)
-    keep = 1.0 - m
+    keep_x = (1.0 - m) * x
     v_states = [v]
     h_states: list[tuple[np.ndarray, ...]] = []
     for _ in range(k):
-        h1 = phi(matvec(params.W, v) + params.c)
+        h1 = phi(v @ params.W.T + params.c)
         if config.n == 3:
-            h2 = phi(matvec(params.W2, h1) + params.c2)
+            h2 = phi(h1 @ params.W2.T + params.c2)
             h_states.append((h1, h2))
             top = h2
         else:
             h_states.append((h1,))
             top = h1
-        s = sigmoid_vec(matvec(params.V, top) + params.b)
-        v = m * s + keep * x
+        s = sigmoid_vec(top @ params.V.T + params.b)
+        v = m * s + keep_x
         v_states.append(v)
-    return Trajectory(v_states=v_states, h_states=h_states, mask=m, input=x, k_used=k)
+    return Trajectory(v_states=v_states, h_states=h_states, mask=m, input=x)
 
 
 def conditional_probs(traj: Trajectory) -> np.ndarray:

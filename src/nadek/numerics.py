@@ -1,9 +1,8 @@
 """Low-level numeric kernels and the deterministic RNG.
 
-Everything here is 64-bit floating point. Matrices are 2-D and vectors 1-D
-numpy float64 arrays in row-major (C) order; the functions below validate
-shapes at the boundary and are pure, so values can be shared read-only
-across threads.
+Everything here is 64-bit floating point, in numpy float64 arrays of
+row-major (C) order.  The kernels below are pure, so values can be shared
+read-only across threads.
 
 Reproducibility rules observed by this module:
 
@@ -13,11 +12,19 @@ Reproducibility rules observed by this module:
   xoshiro256** generator implemented here from scratch.  Identical seeds
   give identical streams on any platform, and named child streams are
   derived from the seed alone so consumers cannot perturb each other.
+* A matrix-matrix product (GEMM) can give different bits at different BLAS
+  thread counts; a matrix-vector product does not.  Training, which
+  multiplies blocks of rows, runs inside :func:`single_threaded_blas`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
 
 import numpy as np
 
@@ -25,13 +32,10 @@ __all__ = [
     "ContractError",
     "PROB_EPS",
     "Rng",
-    "as_matrix",
-    "as_vector",
     "clamp_prob",
     "log_sum_exp",
-    "matvec",
     "sigmoid_vec",
-    "tanh_vec",
+    "single_threaded_blas",
 ]
 
 
@@ -41,40 +45,6 @@ class ContractError(ValueError):
 
 #: Probabilities are clipped to [PROB_EPS, 1 - PROB_EPS] before any log.
 PROB_EPS = 1e-12
-
-
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    """Coerce to a 1-D float64 array, rejecting non-finite entries."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ContractError(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ContractError(f"{name} contains non-finite entries")
-    return v
-
-
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting non-finite entries."""
-    m = np.ascontiguousarray(x, dtype=np.float64)
-    if m.ndim != 2:
-        raise ContractError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ContractError(f"{name} contains non-finite entries")
-    return m
-
-
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dense matrix-vector product with an explicit dimension check."""
-    if m.ndim != 2 or v.ndim != 1:
-        raise ContractError(f"matvec expects (2-D, 1-D), got {m.ndim}-D and {v.ndim}-D")
-    if m.shape[1] != v.shape[0]:
-        raise ContractError(f"matvec dimension mismatch: {m.shape} x {v.shape}")
-    return m @ v
-
-
-def tanh_vec(v: np.ndarray) -> np.ndarray:
-    """Elementwise hyperbolic tangent."""
-    return np.tanh(v)
 
 
 def sigmoid_vec(v: np.ndarray) -> np.ndarray:
@@ -116,6 +86,64 @@ def log_sum_exp(values) -> float:
     for t in shifted:
         total += math.exp(t)
     return hi + math.log(total)
+
+
+# Setter and getter names in the OpenBLAS that numpy wheels bundle: the
+# scipy-openblas build of numpy 2, then the 64-bit-integer build of numpy 1.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """(set, get) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    The wheel keeps the library next to the package (``numpy.libs`` on
+    Linux, ``numpy/.dylibs`` on macOS); loading it again by path returns the
+    copy numpy already uses.
+    """
+    root = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+    paths += glob.glob(os.path.join(root, ".dylibs", "*openblas*"))
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter = getattr(lib, set_name)
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                getter = getattr(lib, get_name)
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Run the body with BLAS on one thread; restore the old count after.
+
+    Pins numpy's bundled OpenBLAS through ctypes, whatever
+    ``OPENBLAS_NUM_THREADS`` said when numpy loaded.  With any other BLAS
+    this does nothing, and the thread count must be fixed through that
+    library's own environment variable instead.
+    """
+    controls = _openblas_threads()
+    if controls is None:
+        yield
+        return
+    setter, getter = controls
+    before = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ intermediate state v_1 .. v_k instead of only the last.  Gradients are
 exact: backpropagation walks the k unrolled steps in reverse and
 accumulates into the shared tensors.  Updates use AdaDelta with optional
 L2 weight decay on the weight matrices.
+
+A minibatch is one B x D block with one mask per row: the forward pass,
+the loss and the gradient each run over the whole block at once, and the
+gradient is a sum of matrix-matrix products over the rows.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import minibatches
 from .model import ModelParams, StructureConfig, Trajectory, forward, init_params
-from .numerics import PROB_EPS, ContractError, Rng, clamp_prob, matvec
+from .numerics import PROB_EPS, ContractError, Rng, clamp_prob, single_threaded_blas
 
 __all__ = [
     "AdaDeltaState",
-    "Gradients",
     "MaskSample",
     "TrainConfig",
     "TrainResult",
@@ -42,67 +46,32 @@ __all__ = [
 OBJECTIVES = ("finetune", "pretrain")
 MODES = ("pretrain_then_finetune", "finetune_only")
 
+#: Validation scores the set in chunks of this many rows, in canonical
+#: order, whatever the training minibatch size.
+VALID_CHUNK = 100
+
 
 @dataclass
 class MaskSample:
     """One draw of the (ordering position, observed subset) pair.
 
-    mask marks missing components with 1.  observed_count = d-1 and
-    missing_count = D-d+1 partition the D indices.
+    mask marks the D-d+1 missing components with 1; the other d-1 are
+    observed.
     """
 
     mask: np.ndarray
     d: int
-    observed_count: int
-    missing_count: int
 
     def __post_init__(self):
-        D = self.mask.shape[0]
-        ones = int(np.sum(self.mask))
-        if self.observed_count != self.d - 1 or self.missing_count != D - self.d + 1:
-            raise ContractError("mask sample counts inconsistent with d")
-        if ones != self.missing_count:
-            raise ContractError("mask cardinality does not match missing_count")
+        if int(np.sum(self.mask)) != self.mask.shape[0] - self.d + 1:
+            raise ContractError("mask cardinality does not match d")
 
 
-@dataclass
-class Gradients:
-    """Partial derivatives, one tensor per parameter tensor."""
-
-    W: np.ndarray
-    c: np.ndarray
-    V: np.ndarray
-    b: np.ndarray
-    W2: np.ndarray | None = None
-    c2: np.ndarray | None = None
-
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "Gradients":
-        return cls(
-            W=np.zeros_like(params.W),
-            c=np.zeros_like(params.c),
-            V=np.zeros_like(params.V),
-            b=np.zeros_like(params.b),
-            W2=None if params.W2 is None else np.zeros_like(params.W2),
-            c2=None if params.c2 is None else np.zeros_like(params.c2),
-        )
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        out = {"W": self.W, "c": self.c}
-        if self.W2 is not None:
-            out["W2"] = self.W2
-            out["c2"] = self.c2
-        out["V"] = self.V
-        out["b"] = self.b
-        return out
-
-    def add_(self, other: "Gradients") -> None:
-        for name, t in other.tensors().items():
-            self.tensors()[name] += t
-
-    def scale_(self, a: float) -> None:
-        for t in self.tensors().values():
-            t *= a
+def _check_adadelta(rho: float, epsilon: float) -> None:
+    if not 0.0 < rho < 1.0:
+        raise ContractError("rho must lie in (0, 1)")
+    if epsilon <= 0.0:
+        raise ContractError("epsilon must be positive")
 
 
 @dataclass
@@ -115,10 +84,7 @@ class AdaDeltaState:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ContractError("rho must lie in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise ContractError("epsilon must be positive")
+        _check_adadelta(self.rho, self.epsilon)
 
     @classmethod
     def zeros_like(
@@ -148,8 +114,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.minibatch_size < 1:
             raise ContractError("minibatch_size must be >= 1")
-        if not 0.0 < self.rho < 1.0:
-            raise ContractError("rho must lie in (0, 1)")
+        _check_adadelta(self.rho, self.epsilon)
         if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
             raise ContractError("epoch counts must be >= 0")
         if self.weight_decay < 0.0:
@@ -182,34 +147,51 @@ def sample_mask(rng: Rng, D: int) -> MaskSample:
     mask = np.ones(D)
     for i in idx[: d - 1]:
         mask[i] = 0.0
-    return MaskSample(mask=mask, d=d, observed_count=d - 1, missing_count=D - d + 1)
+    return MaskSample(mask=mask, d=d)
 
 
-def _masked_ce(v: np.ndarray, x: np.ndarray, mask: np.ndarray) -> float:
-    p = clamp_prob(v[mask == 1.0])
-    t = x[mask == 1.0]
-    return float(np.sum(-t * np.log(p) - (1.0 - t) * np.log(1.0 - p)))
+def _mask_block(rng: Rng, rows: int, D: int) -> np.ndarray:
+    """A rows x D mask matrix: one sample_mask draw per row, in row order."""
+    return np.stack([sample_mask(rng, D).mask for _ in range(rows)])
 
 
-def stochastic_loss(traj: Trajectory, x: np.ndarray, ms: MaskSample) -> float:
-    """Scaled cross-entropy on the final state over missing components."""
-    x = np.asarray(x, dtype=np.float64)
-    gamma = traj.mask.shape[0] / ms.missing_count
-    return gamma * _masked_ce(traj.v_states[-1], x, traj.mask)
+def _row_ce(v: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # cross-entropy over the missing components of each row (last axis);
+    # observed slots hold the exact input bit, which the clamp keeps finite
+    p = clamp_prob(v)
+    return np.sum(m * (-x * np.log(p) - (1.0 - x) * np.log(1.0 - p)), axis=-1)
 
 
-def pretrain_loss(traj: Trajectory, x: np.ndarray, ms: MaskSample) -> float:
+def _gamma(m: np.ndarray) -> np.ndarray:
+    """Per-row estimator scale D / (number of missing components)."""
+    return m.shape[-1] / np.sum(m, axis=-1)
+
+
+def _row_losses(traj: Trajectory, x: np.ndarray, objective: str) -> np.ndarray:
+    """Scaled loss of each row of the trajectory under the objective."""
+    m = traj.mask
+    if objective == "pretrain":
+        k = traj.k_used
+        total = sum(_row_ce(traj.v_states[t], x, m) for t in range(1, k + 1))
+        return _gamma(m) * total / k
+    return _gamma(m) * _row_ce(traj.v_states[-1], x, m)
+
+
+def stochastic_loss(traj: Trajectory, x: np.ndarray) -> float:
+    """Scaled cross-entropy on the final state over missing components.
+
+    The mask is the trajectory's; for a block, the sum over its rows.
+    """
+    return float(np.sum(_row_losses(traj, np.asarray(x, dtype=np.float64), "finetune")))
+
+
+def pretrain_loss(traj: Trajectory, x: np.ndarray) -> float:
     """Mean of the scaled cross-entropy over every step's reconstruction.
 
-    At k=1 this is a single-term average and equals stochastic_loss.
+    At k=1 this is a single-term average and equals stochastic_loss.  For
+    a block, the sum over its rows.
     """
-    x = np.asarray(x, dtype=np.float64)
-    k = traj.k_used
-    gamma = traj.mask.shape[0] / ms.missing_count
-    total = 0.0
-    for t in range(1, k + 1):
-        total += _masked_ce(traj.v_states[t], x, traj.mask)
-    return gamma * total / k
+    return float(np.sum(_row_losses(traj, np.asarray(x, dtype=np.float64), "pretrain")))
 
 
 def _phi_prime(h: np.ndarray, activation: str) -> np.ndarray:
@@ -224,60 +206,61 @@ def backward(
     config: StructureConfig,
     traj: Trajectory,
     x: np.ndarray,
-    ms: MaskSample,
+    m: np.ndarray,
     objective: str,
-) -> Gradients:
-    """Exact gradient of the chosen loss by reverse traversal of the steps.
+) -> ModelParams:
+    """Exact gradient of the chosen loss, summed over the rows of the block.
 
-    All k steps accumulate into the shared tensors.  Observed coordinates
-    carry no gradient: the clamp replaces them with constants at every
-    step.  Coordinates whose output probability left the clamp range
-    contribute zero loss gradient, matching the clamped loss exactly.
+    ``x`` and ``m`` are the block and mask the trajectory was run on (a
+    single row counts as a block of one).  All k steps accumulate into the
+    shared tensors, one matrix-matrix product per tensor and step.
+    Observed coordinates carry no gradient: the clamp replaces them with
+    constants at every step.  Coordinates whose output probability left
+    the clamp range contribute zero loss gradient, matching the clamped
+    loss exactly.
     """
     if objective not in OBJECTIVES:
         raise ContractError(f"objective must be one of {OBJECTIVES}")
-    x = np.asarray(x, dtype=np.float64)
-    m = traj.mask
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
     k = traj.k_used
-    gamma = m.shape[0] / ms.missing_count
-    grads = Gradients.zeros_like(params)
+    # per-row loss weight of each scored step's reconstruction
+    gamma = _gamma(m)[:, None]
+    coeff = gamma / k if objective == "pretrain" else gamma
+    grads = params.zeros_like()
     act = config.activation
     dv = np.zeros_like(x)
     for t in range(k, 0, -1):
-        s = traj.v_states[t]
-        # loss weight of this step's reconstruction
-        if objective == "pretrain":
-            coeff = gamma / k
-        else:
-            coeff = gamma if t == k else 0.0
+        s = np.atleast_2d(traj.v_states[t])
         dz = m * dv * s * (1.0 - s)
-        if coeff != 0.0:
+        if objective == "pretrain" or t == k:
             inclamp = ((s > PROB_EPS) & (s < 1.0 - PROB_EPS)).astype(np.float64)
             dz = dz + coeff * m * (s - x) * inclamp
-        hidden = traj.h_states[t - 1]
+        hidden = [np.atleast_2d(h) for h in traj.h_states[t - 1]]
         if config.n == 3:
             h1, h2 = hidden
             top = h2
         else:
             (h1,) = hidden
             top = h1
-        grads.V += np.outer(dz, top)
-        grads.b += dz
-        dtop = matvec(params.V.T, dz)
+        grads.V += dz.T @ top
+        grads.b += dz.sum(axis=0)
+        dtop = dz @ params.V
         if config.n == 3:
             da2 = dtop * _phi_prime(h2, act)
-            grads.W2 += np.outer(da2, h1)
-            grads.c2 += da2
-            da1 = matvec(params.W2.T, da2) * _phi_prime(h1, act)
+            grads.W2 += da2.T @ h1
+            grads.c2 += da2.sum(axis=0)
+            da1 = (da2 @ params.W2) * _phi_prime(h1, act)
         else:
             da1 = dtop * _phi_prime(h1, act)
-        grads.W += np.outer(da1, traj.v_states[t - 1])
-        grads.c += da1
-        dv = matvec(params.W.T, da1)
+        grads.W += da1.T @ np.atleast_2d(traj.v_states[t - 1])
+        grads.c += da1.sum(axis=0)
+        if t > 1:
+            dv = da1 @ params.W
     return grads
 
 
-def add_weight_decay(grads: Gradients, params: ModelParams, lam: float) -> Gradients:
+def add_weight_decay(grads: ModelParams, params: ModelParams, lam: float) -> ModelParams:
     """L2 penalty gradient 2*lam*w on weight matrices; biases untouched."""
     if lam < 0.0:
         raise ContractError("weight decay must be >= 0")
@@ -290,13 +273,15 @@ def add_weight_decay(grads: Gradients, params: ModelParams, lam: float) -> Gradi
 
 
 def adadelta_step(
-    state: AdaDeltaState, params: ModelParams, grads: Gradients
+    state: AdaDeltaState, params: ModelParams, grads: ModelParams
 ) -> tuple[ModelParams, AdaDeltaState]:
     """One in-place update of every parameter tensor.
 
     Per scalar: E[g2] <- rho E[g2] + (1-rho) g^2,
     dx = -sqrt(E[dx2]+eps)/sqrt(E[g2]+eps) * g, then the dx average and
-    the parameter advance.
+    the parameter advance.  Works in place with two temporary arrays per
+    tensor, applying the operations in the order the formula is written,
+    so the values match the plain expression bit for bit.
     """
     rho = state.rho
     eps = state.epsilon
@@ -305,11 +290,21 @@ def adadelta_step(
         g = gtensors[name]
         eg2 = state.eg2[name]
         edx2 = state.edx2[name]
+        tmp = (1.0 - rho) * g
+        tmp *= g
         eg2 *= rho
-        eg2 += (1.0 - rho) * g * g
-        delta = -np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps) * g
+        eg2 += tmp
+        delta = np.add(edx2, eps)
+        np.sqrt(delta, out=delta)
+        np.negative(delta, out=delta)
+        np.add(eg2, eps, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        delta /= tmp
+        delta *= g
         edx2 *= rho
-        edx2 += (1.0 - rho) * delta * delta
+        np.multiply(1.0 - rho, delta, out=tmp)
+        tmp *= delta
+        edx2 += tmp
         p += delta
     return params, state
 
@@ -325,15 +320,35 @@ def validation_score(
 
     The mask stream restarts from the seed on every call, so successive
     epochs score against identical masks and the curve is noise-free
-    across epochs.
+    across epochs.  Rows are scored in chunks of VALID_CHUNK in canonical
+    order, drawing one mask per row in that order.
     """
     rng = Rng(seed).stream("valid-masks")
+    data = np.asarray(data, dtype=np.float64)
     total = 0.0
-    for x in data:
-        ms = sample_mask(rng, structure.D)
-        traj = forward(params, structure, x, ms.mask, mean)
-        total += stochastic_loss(traj, x, ms)
+    for start in range(0, data.shape[0], VALID_CHUNK):
+        x = data[start : start + VALID_CHUNK]
+        traj = forward(params, structure, x, _mask_block(rng, x.shape[0], structure.D), mean)
+        total += stochastic_loss(traj, x)
     return total / len(data)
+
+
+def _block_step(
+    params: ModelParams,
+    structure: StructureConfig,
+    x: np.ndarray,
+    m: np.ndarray,
+    mean: np.ndarray,
+    objective: str,
+) -> tuple[ModelParams, float]:
+    """Gradient and loss of one minibatch, both summed over its rows.
+
+    The trajectory lives only in this frame, so it is freed before the
+    caller updates the parameters.
+    """
+    traj = forward(params, structure, x, m, mean)
+    loss = float(np.sum(_row_losses(traj, x, objective)))
+    return backward(params, structure, traj, x, m, objective), loss
 
 
 def _check_split(data: np.ndarray, D: int, name: str) -> np.ndarray:
@@ -352,12 +367,15 @@ def train(
 ) -> TrainResult:
     """Minibatch epochs with per-example masks and AdaDelta updates.
 
-    Fine-tuning tracks the validation score each epoch and the result
-    carries the best-epoch parameters; patience > 0 stops the phase after
-    that many consecutive epochs without strict improvement.  The
-    pretraining phase runs its full budget with no early stopping and
-    resets the optimizer state at the handoff.  History lines are
-    `epoch <n> phase <p> train <loss> valid <loss>` with global epoch
+    Each minibatch is one block: its masks are drawn row by row in block
+    order, and its gradient is the block sum divided by the row count.
+    BLAS runs on one thread throughout, so the result does not depend on
+    the BLAS thread setting.  Fine-tuning tracks the validation score each
+    epoch and the result carries the best-epoch parameters; patience > 0
+    stops the phase after that many consecutive epochs without strict
+    improvement.  The pretraining phase runs its full budget with no early
+    stopping and resets the optimizer state at the handoff.  History lines
+    are `epoch <n> phase <p> train <loss> valid <loss>` with global epoch
     numbers across phases.
     """
     if mode not in MODES:
@@ -381,46 +399,41 @@ def train(
     best_valid: float | None = None
     epoch = 0
     n_train = train_data.shape[0]
-    for phase, objective, budget in phases:
-        state = AdaDeltaState.zeros_like(params, rho=config.rho, epsilon=config.epsilon)
-        phase_best = np.inf
-        stale = 0
-        for _ in range(budget):
-            epoch += 1
-            order = shuffle_rng.permutation(n_train)
-            total = 0.0
-            for start in range(0, n_train, config.minibatch_size):
-                block = order[start : start + config.minibatch_size]
-                grads = Gradients.zeros_like(params)
-                # summed in sample order, then averaged: reruns are bit-identical
-                for idx in block:
-                    x = train_data[idx]
-                    ms = sample_mask(mask_rng, structure.D)
-                    traj = forward(params, structure, x, ms.mask, mean)
-                    if objective == "pretrain":
-                        total += pretrain_loss(traj, x, ms)
+    with single_threaded_blas():
+        for phase, objective, budget in phases:
+            state = AdaDeltaState.zeros_like(params, rho=config.rho, epsilon=config.epsilon)
+            phase_best = np.inf
+            stale = 0
+            for _ in range(budget):
+                epoch += 1
+                total = 0.0
+                for block in minibatches(n_train, config.minibatch_size, shuffle_rng):
+                    x = train_data[block]
+                    m = _mask_block(mask_rng, len(block), structure.D)
+                    grads, loss = _block_step(params, structure, x, m, mean, objective)
+                    total += loss
+                    scale = 1.0 / len(block)
+                    for g in grads.tensors().values():
+                        g *= scale
+                    add_weight_decay(grads, params, config.weight_decay)
+                    adadelta_step(state, params, grads)
+                    del grads  # not kept alive through the next block's backward
+                train_loss = total / n_train
+                valid_loss = validation_score(params, structure, valid_data, mean, config.seed)
+                history.append(
+                    f"epoch {epoch} phase {phase} train {train_loss:.6f} valid {valid_loss:.6f}"
+                )
+                if phase == "finetune":
+                    if best_valid is None or valid_loss < best_valid:
+                        best_valid = valid_loss
+                        best_params = params.copy()
+                    if valid_loss < phase_best:
+                        phase_best = valid_loss
+                        stale = 0
                     else:
-                        total += stochastic_loss(traj, x, ms)
-                    grads.add_(backward(params, structure, traj, x, ms, objective))
-                grads.scale_(1.0 / len(block))
-                add_weight_decay(grads, params, config.weight_decay)
-                adadelta_step(state, params, grads)
-            train_loss = total / n_train
-            valid_loss = validation_score(params, structure, valid_data, mean, config.seed)
-            history.append(
-                f"epoch {epoch} phase {phase} train {train_loss:.6f} valid {valid_loss:.6f}"
-            )
-            if phase == "finetune":
-                if best_valid is None or valid_loss < best_valid:
-                    best_valid = valid_loss
-                    best_params = params.copy()
-                if valid_loss < phase_best:
-                    phase_best = valid_loss
-                    stale = 0
-                else:
-                    stale += 1
-                    if config.patience > 0 and stale >= config.patience:
-                        break
+                        stale += 1
+                        if config.patience > 0 and stale >= config.patience:
+                            break
     return TrainResult(
         params=best_params if best_params is not None else params,
         history=history,

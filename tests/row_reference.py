@@ -1,0 +1,106 @@
+"""Per-row reference of the model's maths, written from the definitions.
+
+One row at a time: matrix-vector products forward, outer products
+backward, a loop over the minibatch's rows in training.  The package
+computes the same quantities over whole blocks with matrix-matrix
+products; tests require the two to agree to 1e-12 after summing over rows.
+"""
+
+import numpy as np
+
+PROB_EPS = 1e-12
+
+
+def sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _phi(activation):
+    return np.tanh if activation == "tanh" else sigmoid
+
+
+def _phi_prime(h, activation):
+    return 1.0 - h * h if activation == "tanh" else h * (1.0 - h)
+
+
+def forward_row(params, config, x, m, mean):
+    """States v_0..v_k and hidden tuples of one row."""
+    phi = _phi(config.activation)
+    v = m * mean + (1.0 - m) * x
+    vs, hs = [v], []
+    for _ in range(config.k):
+        h1 = phi(params.W @ v + params.c)
+        if config.n == 3:
+            h2 = phi(params.W2 @ h1 + params.c2)
+            hs.append((h1, h2))
+            top = h2
+        else:
+            hs.append((h1,))
+            top = h1
+        v = m * sigmoid(params.V @ top + params.b) + (1.0 - m) * x
+        vs.append(v)
+    return vs, hs
+
+
+def _ce(v, x, m):
+    miss = m == 1.0
+    p = np.clip(v[miss], PROB_EPS, 1.0 - PROB_EPS)
+    t = x[miss]
+    return float(np.sum(-t * np.log(p) - (1.0 - t) * np.log(1.0 - p)))
+
+
+def loss_row(vs, x, m, objective):
+    """D/(missing count) times the cross-entropy of the scored state(s)."""
+    gamma = x.shape[0] / np.sum(m)
+    k = len(vs) - 1
+    if objective == "pretrain":
+        return gamma * sum(_ce(vs[t], x, m) for t in range(1, k + 1)) / k
+    return gamma * _ce(vs[-1], x, m)
+
+
+def gradient_row(params, config, x, m, mean, objective):
+    """Gradient of loss_row by reverse traversal, as named tensors."""
+    vs, hs = forward_row(params, config, x, m, mean)
+    k = config.k
+    gamma = x.shape[0] / np.sum(m)
+    g = {n: np.zeros_like(t) for n, t in params.tensors().items()}
+    dv = np.zeros_like(x)
+    for t in range(k, 0, -1):
+        s = vs[t]
+        dz = m * dv * s * (1.0 - s)
+        coeff = gamma / k if objective == "pretrain" else (gamma if t == k else 0.0)
+        inclamp = ((s > PROB_EPS) & (s < 1.0 - PROB_EPS)).astype(float)
+        dz = dz + coeff * m * (s - x) * inclamp
+        h1 = hs[t - 1][0]
+        top = hs[t - 1][-1]
+        g["V"] += np.outer(dz, top)
+        g["b"] += dz
+        dtop = params.V.T @ dz
+        if config.n == 3:
+            da2 = dtop * _phi_prime(top, config.activation)
+            g["W2"] += np.outer(da2, h1)
+            g["c2"] += da2
+            da1 = (params.W2.T @ da2) * _phi_prime(h1, config.activation)
+        else:
+            da1 = dtop * _phi_prime(h1, config.activation)
+        g["W"] += np.outer(da1, vs[t - 1])
+        g["c"] += da1
+        dv = params.W.T @ da1
+    return g
+
+
+def adadelta(state, params, grads, rho, eps):
+    """Textbook AdaDelta on dicts of tensors, updating params in place."""
+    for name, p in params.tensors().items():
+        g = grads[name]
+        eg2, edx2 = state[name]
+        eg2 = rho * eg2 + (1.0 - rho) * g * g
+        delta = -np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps) * g
+        edx2 = rho * edx2 + (1.0 - rho) * delta * delta
+        state[name] = (eg2, edx2)
+        p += delta

@@ -40,7 +40,7 @@ from nadek.checkpoint import (
 from nadek.cli import build_parser
 from nadek.numerics import clamp_prob
 from nadek.sampling import ancestral_sample
-from nadek.training import MaskSample, backward, pretrain_loss, sample_mask, stochastic_loss
+from nadek.training import backward, pretrain_loss, sample_mask, stochastic_loss
 
 _CACHE = {}
 
@@ -97,11 +97,8 @@ def test_criterion_2_estimator_unbiasedness():
                 mask = np.ones(D)
                 for i in perm[: d - 1]:
                     mask[i] = 0.0
-                ms = MaskSample(
-                    mask=mask, d=d, observed_count=d - 1, missing_count=D - d + 1
-                )
                 traj = forward(params, cfg, x, mask, mean)
-                total += stochastic_loss(traj, x, ms)
+                total += stochastic_loss(traj, x)
         estimate = total / (len(perms) * D)
         worst = max(worst, abs(estimate - exact))
     _report(
@@ -123,11 +120,11 @@ def _fd_worst(n: int, k: int, objective: str, seed: int) -> float:
     mean = 0.2 + 0.6 * rng.uniform_array(D)
     ms = sample_mask(rng, D)
     traj = forward(params, cfg, x, ms.mask, mean)
-    grads = backward(params, cfg, traj, x, ms, objective)
+    grads = backward(params, cfg, traj, x, ms.mask, objective)
 
     def loss() -> float:
         t = forward(params, cfg, x, ms.mask, mean)
-        return stochastic_loss(t, x, ms) if objective == "finetune" else pretrain_loss(t, x, ms)
+        return stochastic_loss(t, x) if objective == "finetune" else pretrain_loss(t, x)
 
     h = 1e-5
     worst = 0.0

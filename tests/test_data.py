@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nadek import Rng, binarize_by_sampling, empirical_mean, load_text_matrix
-from nadek.data import DataError, Dataset, SplitSpec, minibatches, save_text_matrix
+from nadek.data import DataError, Dataset, minibatches, save_text_matrix
 from nadek.numerics import ContractError
 
 
@@ -146,15 +146,6 @@ class TestMean:
         ds = Dataset(samples=np.zeros((0, 3)), D=3, name="t", is_binary=True)
         with pytest.raises(ContractError):
             empirical_mean(ds)
-
-
-class TestSplitSpec:
-    def test_counts_match(self):
-        SplitSpec(train_count=6, valid_count=2, test_count=2).check(10)
-
-    def test_counts_mismatch(self):
-        with pytest.raises(ContractError):
-            SplitSpec(train_count=6, valid_count=2, test_count=2).check(9)
 
 
 class TestMinibatches:

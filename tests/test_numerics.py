@@ -1,4 +1,4 @@
-"""Linear algebra, stable reductions, and the deterministic generator."""
+"""Nonlinearities, stable reductions, and the deterministic generator."""
 
 import math
 
@@ -14,56 +14,13 @@ from nadek.numerics import (
     Rng,
     clamp_prob,
     log_sum_exp,
-    matvec,
     sigmoid_vec,
-    tanh_vec,
 )
-
-
-class TestMatvec:
-    def test_identity(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(matvec(np.eye(3), v), v)
-
-    def test_zeros(self):
-        out = matvec(np.zeros((2, 3)), np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(out, np.zeros(2))
-
-    def test_hand_case(self):
-        out = matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
-        assert np.array_equal(out, np.array([3.0, 7.0]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractError):
-            matvec(np.ones((2, 3)), np.ones(2))
-
-    def test_non_finite_rejected_at_boundary(self):
-        from nadek.numerics import as_matrix, as_vector
-
-        with pytest.raises(ContractError):
-            as_matrix(np.array([[np.nan, 0.0]]))
-        with pytest.raises(ContractError):
-            as_vector(np.array([np.inf]))
-
-    def test_distributes_over_addition(self):
-        # relative 1e-12 on sizes up to 64
-        for seed, size in [(1, 1), (2, 7), (3, 33), (4, 64)]:
-            rng = Rng(seed).stream("case")
-            M = rng.uniform_array((size, size)) * 2.0 - 1.0
-            u = rng.uniform_array((size,)) * 2.0 - 1.0
-            v = rng.uniform_array((size,)) * 2.0 - 1.0
-            lhs = matvec(M, u + v)
-            rhs = matvec(M, u) + matvec(M, v)
-            scale = max(1.0, float(np.max(np.abs(lhs))))
-            assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
 
 
 class TestNonlinearities:
     def test_sigmoid_at_zero(self):
         assert sigmoid_vec(np.array([0.0]))[0] == 0.5
-
-    def test_tanh_at_zero(self):
-        assert tanh_vec(np.array([0.0]))[0] == 0.0
 
     def test_sigmoid_deep_negative_saturation(self):
         # exp(-1000) is below the subnormal floor, so the raw value

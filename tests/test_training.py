@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 from conftest import random_model
 
-from nadek import Rng, StructureConfig, forward, init_params, log_prob_ordering
+from nadek import ModelParams, Rng, StructureConfig, forward, init_params, log_prob_ordering
 from nadek.evaluation import Ordering
 from nadek.model import Trajectory
 from nadek.numerics import ContractError
 from nadek.training import (
     AdaDeltaState,
-    Gradients,
     MaskSample,
     TrainConfig,
     adadelta_step,
@@ -34,7 +33,7 @@ def _mask_for(D, d, observed):
     mask = np.ones(D)
     for i in observed:
         mask[i] = 0.0
-    return MaskSample(mask=mask, d=d, observed_count=d - 1, missing_count=D - d + 1)
+    return MaskSample(mask=mask, d=d)
 
 
 class TestSampleMask:
@@ -43,7 +42,7 @@ class TestSampleMask:
         for _ in range(300):
             ms = sample_mask(rng, 5)
             assert int(np.sum(ms.mask)) == 5 - ms.d + 1
-            assert ms.observed_count == ms.d - 1
+            assert int(np.sum(1.0 - ms.mask)) == ms.d - 1
             assert 1 <= ms.d <= 5
 
     def test_single_dimension(self):
@@ -73,9 +72,9 @@ class TestSampleMask:
 
     def test_inconsistent_fields_rejected(self):
         with pytest.raises(ContractError):
-            MaskSample(mask=np.ones(4), d=2, observed_count=1, missing_count=3)
+            MaskSample(mask=np.ones(4), d=2)
         with pytest.raises(ContractError):
-            MaskSample(mask=np.ones(4), d=2, observed_count=0, missing_count=3)
+            MaskSample(mask=np.array([0.0, 1.0, 1.0, 1.0]), d=3)
 
 
 def _zero_model(D, hidden1, k):
@@ -93,14 +92,14 @@ class TestLosses:
         x = np.array([1.0, 0.0, 1.0, 1.0])
         ms = _mask_for(4, d=2, observed=[1])
         traj = forward(params, cfg, x, ms.mask, np.full(4, 0.5))
-        assert abs(stochastic_loss(traj, x, ms) - 4 * LN2) < 1e-12
+        assert abs(stochastic_loss(traj, x) - 4 * LN2) < 1e-12
 
     def test_stochastic_hand_value_d1(self):
         params, cfg = _zero_model(2, 2, 1)
         x = np.array([1.0, 0.0])
         ms = _mask_for(2, d=1, observed=[])
         traj = forward(params, cfg, x, ms.mask, np.full(2, 0.5))
-        assert abs(stochastic_loss(traj, x, ms) - 2 * LN2) < 1e-12
+        assert abs(stochastic_loss(traj, x) - 2 * LN2) < 1e-12
 
     def test_perfect_reconstruction_near_zero(self):
         x = np.array([1.0, 0.0, 1.0])
@@ -111,7 +110,7 @@ class TestLosses:
             mask=ms.mask,
             input=x,
         )
-        loss = stochastic_loss(traj, x, ms)
+        loss = stochastic_loss(traj, x)
         assert 0.0 <= loss < 1e-11
 
     def test_pretrain_equals_stochastic_at_k1(self):
@@ -121,7 +120,7 @@ class TestLosses:
             x = np.array([float(rng.bernoulli(0.5)) for _ in range(5)])
             ms = sample_mask(rng, 5)
             traj = forward(params, cfg, x, ms.mask, np.full(5, 0.5))
-            assert pretrain_loss(traj, x, ms) == stochastic_loss(traj, x, ms)
+            assert pretrain_loss(traj, x) == stochastic_loss(traj, x)
 
     def test_pretrain_hand_value(self):
         # every step outputs one half on missing coords
@@ -129,7 +128,7 @@ class TestLosses:
         x = np.array([0.0, 1.0, 1.0, 0.0])
         ms = _mask_for(4, d=2, observed=[2])
         traj = forward(params, cfg, x, ms.mask, np.full(4, 0.5))
-        assert abs(pretrain_loss(traj, x, ms) - 4 * LN2) < 1e-12
+        assert abs(pretrain_loss(traj, x) - 4 * LN2) < 1e-12
 
 
 class TestBackward:
@@ -140,7 +139,7 @@ class TestBackward:
         ms = _mask_for(5, d=1, observed=[])
         mean = np.array([0.2, 0.5, 0.7, 0.4, 0.6])
         traj = forward(params, cfg, x, ms.mask, mean)
-        got = backward(params, cfg, traj, x, ms, "finetune")
+        got = backward(params, cfg, traj, x, ms.mask, "finetune")
 
         h = np.tanh(params.W @ mean + params.c)
         s = 1.0 / (1.0 + np.exp(-(params.V @ h + params.b)))
@@ -165,7 +164,7 @@ class TestBackward:
             mask=ms.mask,
             input=x,
         )
-        got = backward(params, cfg, traj, x, ms, "finetune")
+        got = backward(params, cfg, traj, x, ms.mask, "finetune")
         for t in got.tensors().values():
             assert np.all(t == 0.0)
 
@@ -178,7 +177,7 @@ class TestBackward:
         x = np.array([1.0, 1.0, 0.0, 0.0, 1.0])
         traj = forward(params, cfg, x, ms.mask, mean)
         for objective in ("finetune", "pretrain"):
-            g = backward(params, cfg, traj, x, ms, objective)
+            g = backward(params, cfg, traj, x, ms.mask, objective)
             assert np.all(g.b[[0, 2]] == 0.0)
             assert np.all(g.V[[0, 2], :] == 0.0)
             assert np.any(g.b[[1, 3, 4]] != 0.0)
@@ -189,7 +188,7 @@ class TestBackward:
         ms = _mask_for(3, d=1, observed=[])
         traj = forward(params, cfg, x, ms.mask, np.full(3, 0.5))
         with pytest.raises(ContractError):
-            backward(params, cfg, traj, x, ms, "other")
+            backward(params, cfg, traj, x, ms.mask, "other")
 
 
 def _flatten(tensors):
@@ -206,7 +205,7 @@ def finite_difference_check(n, k, objective, seed, h=1e-5):
     loss_fn = stochastic_loss if objective == "finetune" else pretrain_loss
 
     traj = forward(params, cfg, x, ms.mask, mean)
-    grads = backward(params, cfg, traj, x, ms, objective)
+    grads = backward(params, cfg, traj, x, ms.mask, objective)
     worst = 0.0
     for tensor, gtensor in zip(params.tensors().values(), grads.tensors().values()):
         flat = tensor.reshape(-1)
@@ -214,9 +213,9 @@ def finite_difference_check(n, k, objective, seed, h=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = loss_fn(forward(params, cfg, x, ms.mask, mean), x, ms)
+            up = loss_fn(forward(params, cfg, x, ms.mask, mean), x)
             flat[i] = orig - h
-            down = loss_fn(forward(params, cfg, x, ms.mask, mean), x, ms)
+            down = loss_fn(forward(params, cfg, x, ms.mask, mean), x)
             flat[i] = orig
             numeric = (up - down) / (2.0 * h)
             rel = abs(gflat[i] - numeric) / max(1e-6, abs(gflat[i]), abs(numeric))
@@ -234,23 +233,23 @@ def test_finite_differences(n, k, objective):
 class TestWeightDecay:
     def test_zero_lambda_unchanged(self):
         params, _ = random_model(4, 3, seed=91)
-        grads = Gradients.zeros_like(params)
+        grads = params.zeros_like()
         grads.W += 1.5
         before = grads.W.copy()
         add_weight_decay(grads, params, 0.0)
         assert np.array_equal(grads.W, before)
 
     def test_scalar_case(self):
-        params = __import__("nadek").ModelParams(
+        params = ModelParams(
             W=np.array([[1.0]]), c=np.zeros(1), V=np.array([[0.0]]), b=np.zeros(1)
         )
-        grads = Gradients.zeros_like(params)
+        grads = params.zeros_like()
         add_weight_decay(grads, params, 0.5)
         assert grads.W[0, 0] == 1.0
 
     def test_biases_never_touched(self):
         params, _ = random_model(4, 3, n=3, hidden2=2, seed=92)
-        grads = Gradients.zeros_like(params)
+        grads = params.zeros_like()
         add_weight_decay(grads, params, 0.37)
         assert np.all(grads.c == 0.0)
         assert np.all(grads.b == 0.0)
@@ -262,7 +261,7 @@ class TestWeightDecay:
     def test_negative_rejected(self):
         params, _ = random_model(3, 2, seed=93)
         with pytest.raises(ContractError):
-            add_weight_decay(Gradients.zeros_like(params), params, -0.1)
+            add_weight_decay(params.zeros_like(), params, -0.1)
 
 
 def _unit_params():
@@ -279,7 +278,7 @@ class TestAdaDelta:
         state = AdaDeltaState.zeros_like(params)
         for t in state.eg2.values():
             t += 0.5
-        grads = Gradients.zeros_like(params)
+        grads = params.zeros_like()
         adadelta_step(state, params, grads)
         assert np.all(params.W == 0.0)
         assert state.eg2["W"][0, 0] == 0.95 * 0.5
@@ -287,7 +286,7 @@ class TestAdaDelta:
     def test_first_step_value(self):
         params = _unit_params()
         state = AdaDeltaState.zeros_like(params)
-        grads = Gradients(
+        grads = ModelParams(
             W=np.ones((1, 1)), c=np.ones(1), V=np.ones((1, 1)), b=np.ones(1)
         )
         adadelta_step(state, params, grads)
@@ -300,8 +299,8 @@ class TestAdaDelta:
     def test_sign_symmetry(self):
         pa = _unit_params()
         pb = _unit_params()
-        ga = Gradients(W=np.full((1, 1), 0.7), c=np.full(1, 0.7), V=np.full((1, 1), 0.7), b=np.full(1, 0.7))
-        gb = Gradients(W=np.full((1, 1), -0.7), c=np.full(1, -0.7), V=np.full((1, 1), -0.7), b=np.full(1, -0.7))
+        ga = ModelParams(W=np.full((1, 1), 0.7), c=np.full(1, 0.7), V=np.full((1, 1), 0.7), b=np.full(1, 0.7))
+        gb = ModelParams(W=np.full((1, 1), -0.7), c=np.full(1, -0.7), V=np.full((1, 1), -0.7), b=np.full(1, -0.7))
         adadelta_step(AdaDeltaState.zeros_like(pa), pa, ga)
         adadelta_step(AdaDeltaState.zeros_like(pb), pb, gb)
         assert pa.W[0, 0] == -pb.W[0, 0]
@@ -309,7 +308,7 @@ class TestAdaDelta:
     def test_first_step_opposes_gradient(self):
         params, _ = random_model(4, 3, seed=94)
         before = {n: t.copy() for n, t in params.tensors().items()}
-        grads = Gradients.zeros_like(params)
+        grads = params.zeros_like()
         fill = Rng(95).stream("g")
         for t in grads.tensors().values():
             flat = t.reshape(-1)
@@ -321,6 +320,27 @@ class TestAdaDelta:
             g = grads.tensors()[name]
             nz = g != 0.0
             assert np.all(np.sign(moved[nz]) == -np.sign(g[nz]))
+
+    def test_in_place_matches_plain_expression(self):
+        # the in-place update keeps the formula's operation order: equal bits
+        params, _ = random_model(4, 3, n=3, hidden2=2, seed=97)
+        plain = params.copy()
+        state = AdaDeltaState.zeros_like(params)
+        eg2 = {n: np.zeros_like(t) for n, t in plain.tensors().items()}
+        edx2 = {n: np.zeros_like(t) for n, t in plain.tensors().items()}
+        for step in range(5):
+            grads, _ = random_model(4, 3, n=3, hidden2=2, seed=98 + step)
+            adadelta_step(state, params, grads)
+            for name, p in plain.tensors().items():
+                g = grads.tensors()[name]
+                eg2[name] = 0.95 * eg2[name] + (1.0 - 0.95) * g * g
+                delta = -np.sqrt(edx2[name] + 1e-6) / np.sqrt(eg2[name] + 1e-6) * g
+                edx2[name] = 0.95 * edx2[name] + (1.0 - 0.95) * delta * delta
+                p += delta
+        for name, t in params.tensors().items():
+            assert np.array_equal(t, plain.tensors()[name])
+            assert np.array_equal(state.eg2[name], eg2[name])
+            assert np.array_equal(state.edx2[name], edx2[name])
 
     def test_state_validation(self):
         params = _unit_params()
@@ -347,7 +367,7 @@ class TestEstimatorUnbiasedness:
             for d in range(1, 5):
                 ms = _mask_for(4, d=d, observed=list(p[: d - 1]))
                 traj = forward(params, cfg, x, ms.mask, mean)
-                total += stochastic_loss(traj, x, ms)
+                total += stochastic_loss(traj, x)
                 count += 1
         assert abs(total / count - exact) < 1e-10
 
