@@ -13,7 +13,6 @@ import dataclasses
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,18 +26,17 @@ from .checkpoint import (
 )
 from .data import DataError, Dataset, load_text_matrix, save_text_matrix
 from .evaluation import (
-    EnsembleSpec,
-    Ordering,
+    EvalReport,
+    _fmt_aggregate,
     draw_orderings,
     enumerate_distribution,
     identity_ordering,
-    log_prob_ordering,
+    ordering_stats,
     render_report,
-    stats_from_matrix,
 )
 from .model import ModelParams, StructureConfig, forward
-from .numerics import ContractError, Rng
-from .sampling import ancestral_sample, inpaint
+from .numerics import ContractError, Rng, single_threaded_blas
+from .sampling import inpaint, sample_from_mixture
 from .training import TrainConfig, train
 
 __all__ = ["main"]
@@ -115,29 +113,6 @@ def _pgm_grid(
     return grid
 
 
-def _log_prob_matrix(
-    params: ModelParams,
-    config: StructureConfig,
-    samples: np.ndarray,
-    spec: EnsembleSpec,
-    mean: np.ndarray,
-    threads: int,
-) -> np.ndarray:
-    """Rows assembled in sample order regardless of worker scheduling."""
-
-    def row(si: int) -> list[float]:
-        x = samples[si]
-        return [log_prob_ordering(params, config, x, o, mean) for o in spec.orderings]
-
-    indices = range(samples.shape[0])
-    if threads <= 1:
-        rows = [row(si) for si in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, indices))
-    return np.array(rows)
-
-
 def _structure_from_flags(args, D: int) -> StructureConfig:
     n = 3 if args.hidden2 is not None else 2
     return StructureConfig(
@@ -197,17 +172,22 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _score(args, report_path: str, k_override: int | None) -> EvalReport:
+    """Score every (row, ordering) pair of the data and write the report."""
     params, config, _, mean = _load_model(args.model)
     ds = _load_binary_dataset(args.data)
     _check_dims(config, ds, args.data)
-    if args.k_override is not None:
-        config = dataclasses.replace(config, k=args.k_override)
+    if k_override is not None:
+        config = dataclasses.replace(config, k=k_override)
     spec = draw_orderings(config.D, args.orderings, args.seed)
-    matrix = _log_prob_matrix(params, config, ds.samples, spec, mean, args.threads)
-    report = stats_from_matrix(matrix)
-    with open(args.report, "w") as fh:
+    report = ordering_stats(params, config, ds.samples, spec, mean, args.threads)
+    with open(report_path, "w") as fh:
         fh.write(render_report(report))
+    return report
+
+
+def cmd_eval(args) -> int:
+    report = _score(args, args.report, args.k_override)
     print(f"per_ordering_mean_log_prob {report.per_ordering_mean():.6f}")
     if args.ensemble:
         print(f"ensemble_mean_log_prob {report.ensemble_mean():.6f}")
@@ -232,17 +212,7 @@ def cmd_sample(args) -> int:
         save_text_matrix(args.out, np.empty((0, config.D)))
         return 0
     rng = Rng(args.seed)
-
-    def one(i: int) -> np.ndarray:
-        sub = rng.stream("sample", i)
-        o = Ordering(perm=tuple(sub.permutation(config.D)))
-        return ancestral_sample(params, config, o, mean, sub)
-
-    if args.threads <= 1:
-        vectors = np.array([one(i) for i in range(args.count)])
-    else:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            vectors = np.array(list(pool.map(one, range(args.count))))
+    vectors = sample_from_mixture(params, config, args.count, mean, rng, args.threads).vectors
     save_text_matrix(args.out, vectors)
     if args.pgm is not None:
         rows, cols = args.grid
@@ -271,53 +241,29 @@ def cmd_inpaint(args) -> int:
     ds = _load_binary_dataset(args.data)
     _check_dims(config, ds, args.data)
     obs = _read_obs_indices(args.obs_file, config.D)
-    out_rows = np.empty_like(ds.samples)
-    for i in range(len(ds)):
-        rng = Rng(args.seed).stream("inpaint", i)
-        out_rows[i] = inpaint(params, config, ds.samples[i], obs, mean, rng)
+    rngs = [Rng(args.seed).stream("inpaint", i) for i in range(len(ds))]
+    out_rows = inpaint(params, config, ds.samples, obs, mean, rngs)
     save_text_matrix(args.out, out_rows)
     if args.trace:
-        _write_trace(args.out + ".trace", params, config, ds.samples, obs, mean)
+        # every intermediate reconstruction v_0 .. v_k, one block per row
+        masks = np.ones_like(ds.samples)
+        masks[:, obs] = 0.0
+        with single_threaded_blas():
+            traj = forward(params, config, ds.samples * (1.0 - masks), masks, mean)
+        with open(args.out + ".trace", "w") as fh:
+            for si in range(len(ds)):
+                fh.write(f"# sample {si}\n")
+                for v in traj.v_states:
+                    fh.write(" ".join(f"{val:.6f}" for val in v[si]) + "\n")
     print(f"inpainted {args.out}")
     return 0
 
 
-def _write_trace(
-    path: str,
-    params: ModelParams,
-    config: StructureConfig,
-    samples: np.ndarray,
-    obs: list[int],
-    mean: np.ndarray,
-) -> None:
-    """All intermediate reconstructions v_0 .. v_k, one block per sample."""
-    mask = np.ones(config.D)
-    for i in obs:
-        mask[i] = 0.0
-    with open(path, "w") as fh:
-        for si in range(samples.shape[0]):
-            x = samples[si].copy()
-            x[mask == 1.0] = 0.0
-            traj = forward(params, config, x, mask, mean)
-            fh.write(f"# sample {si}\n")
-            for v in traj.v_states:
-                fh.write(" ".join(f"{val:.6f}" for val in v) + "\n")
-
-
 def cmd_stats(args) -> int:
-    params, config, _, mean = _load_model(args.model)
-    ds = _load_binary_dataset(args.data)
-    _check_dims(config, ds, args.data)
-    spec = draw_orderings(config.D, args.orderings, args.seed)
-    matrix = _log_prob_matrix(params, config, ds.samples, spec, mean, args.threads)
-    report = stats_from_matrix(matrix)
-    with open(args.out, "w") as fh:
-        fh.write(render_report(report))
+    report = _score(args, args.out, None)
     print(f"mean {report.mean:.6f}")
-    sd_o = report.sd_over_orderings
-    sd_x = report.sd_over_samples
-    print(f"sd_over_orderings {'absent' if sd_o is None else f'{sd_o:.6f}'}")
-    print(f"sd_over_samples {'absent' if sd_x is None else f'{sd_x:.6f}'}")
+    print(f"sd_over_orderings {_fmt_aggregate(report.sd_over_orderings)}")
+    print(f"sd_over_samples {_fmt_aggregate(report.sd_over_samples)}")
     return 0
 
 
@@ -335,6 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Iterative-inference autoregressive density model over binary vectors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def positive_int(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        return value
 
     def grid(text: str) -> tuple[int, int]:
         try:
@@ -365,11 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="exact log-likelihood under sampled orderings")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--orderings", type=int, default=8)
+    p.add_argument("--orderings", type=positive_int, default=8)
     p.add_argument("--ensemble", action="store_true", help="also print the mixture value")
-    p.add_argument("--k-override", type=int, help="inference steps at evaluation time")
+    p.add_argument("--k-override", type=positive_int, help="inference steps at evaluation time")
     p.add_argument("--report", default="eval_report.txt")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 
@@ -381,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=grid, help="tile layout RxC for --pgm")
     p.add_argument("--img-w", type=int, help="tile width for --pgm")
     p.add_argument("--img-h", type=int, help="tile height for --pgm")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sample)
 
@@ -397,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="log-prob spread over orderings and samples")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--orderings", type=int, default=8)
+    p.add_argument("--orderings", type=positive_int, default=8)
     p.add_argument("--out", default="stats_report.txt")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_stats)
 

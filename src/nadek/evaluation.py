@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, StructureConfig, forward
-from .numerics import PROB_EPS, ContractError, Rng, log_sum_exp
+from .numerics import BLOCK_ROWS, ContractError, Rng, clamp_prob, log_sum_exp, map_in_order
+from .numerics import single_threaded_blas
 
 __all__ = [
     "EnsembleSpec",
@@ -109,10 +110,6 @@ def conditional_ordering(D: int, obs_indices: list[int], rng: Rng) -> Ordering:
     return Ordering(perm=tuple(obs + mis))
 
 
-def _clamp_scalar(p: float) -> float:
-    return min(max(p, PROB_EPS), 1.0 - PROB_EPS)
-
-
 def log_prob_ordering(
     params: ModelParams,
     config: StructureConfig,
@@ -122,21 +119,28 @@ def log_prob_ordering(
 ) -> float:
     """log p(x | o) as the chain sum of per-position conditionals.
 
-    Costs D forwards of k steps each.  Each forward contributes only its
-    o_d-th output coordinate; the rest of the reconstruction is unused.
+    The D positions are scored as a staircase, BLOCK_ROWS positions per
+    block forward: row d has perm[:d] observed, and only its output at
+    perm[d] is read.  The blocks depend on (x, o) alone, so the result has
+    the same bits whatever else is being scored beside it.
     """
     D = config.D
     if len(o.perm) != D:
         raise ContractError("ordering length does not match D")
     x = np.asarray(x, dtype=np.float64)
-    mask = np.ones(D)
+    if x.shape != (D,):
+        raise ContractError("x must have length D")
+    perm = np.array(o.perm)
+    rank = np.empty(D, dtype=np.int64)
+    rank[perm] = np.arange(D)
     total = 0.0
-    for d in range(D):
-        traj = forward(params, config, x, mask, mean)
-        i = o.perm[d]
-        p = _clamp_scalar(float(traj.v_states[-1][i]))
-        total += math.log(p) if x[i] == 1.0 else math.log(1.0 - p)
-        mask[i] = 0.0
+    with single_threaded_blas():
+        for start in range(0, D, BLOCK_ROWS):
+            d = np.arange(start, min(start + BLOCK_ROWS, D))
+            mask = (rank >= d[:, None]).astype(np.float64)
+            traj = forward(params, config, np.broadcast_to(x, mask.shape), mask, mean)
+            p = clamp_prob(traj.v_states[-1][d - start, perm[d]])
+            total += float(np.sum(np.where(x[perm[d]] == 1.0, np.log(p), np.log(1.0 - p))))
     return total
 
 
@@ -147,10 +151,8 @@ def ensemble_log_prob(
     spec: EnsembleSpec,
     mean: np.ndarray,
 ) -> float:
-    logs = np.array(
-        [log_prob_ordering(params, config, x, o, mean) for o in spec.orderings]
-    )
-    return float(log_sum_exp(logs) - math.log(len(spec.orderings)))
+    """log p(x) under the uniform mixture of the ensemble's orderings."""
+    return ordering_stats(params, config, np.atleast_2d(x), spec, mean).ensemble_mean()
 
 
 @dataclass
@@ -202,21 +204,22 @@ def ordering_stats(
     samples: np.ndarray,
     spec: EnsembleSpec,
     mean: np.ndarray,
+    threads: int = 1,
 ) -> EvalReport:
     """Fill the log-prob matrix over samples x orderings and aggregate it.
 
-    Aggregates use unbiased (n-1) variances: the mean over samples of the
+    Each (sample, ordering) pair is one unit of work for ``threads``
+    workers, so the matrix is the same at any thread count.  Aggregates
+    use unbiased (n-1) variances: the mean over samples of the
     across-ordering variance, and the mean over orderings of the
     across-sample variance, each reported as a square root.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 1:
         raise ContractError("samples must be a non-empty matrix")
-    matrix = np.empty((samples.shape[0], len(spec.orderings)))
-    for si in range(samples.shape[0]):
-        for oi, o in enumerate(spec.orderings):
-            matrix[si, oi] = log_prob_ordering(params, config, samples[si], o, mean)
-    return stats_from_matrix(matrix)
+    pairs = [(x, o) for x in samples for o in spec.orderings]
+    logs = map_in_order(lambda xo: log_prob_ordering(params, config, *xo, mean), pairs, threads)
+    return stats_from_matrix(np.reshape(logs, (samples.shape[0], len(spec.orderings))))
 
 
 def _fmt_aggregate(value: float | None) -> str:
@@ -252,10 +255,5 @@ def enumerate_distribution(
         raise ContractError(
             f"enumeration over 2^{D} vectors refused (limit D <= {ENUM_MAX_D})"
         )
-    table = np.empty(2**D)
-    x = np.empty(D)
-    for j in range(2**D):
-        for i in range(D):
-            x[i] = float((j >> i) & 1)
-        table[j] = math.exp(log_prob_ordering(params, config, x, o, mean))
-    return table
+    bits = (np.arange(2**D)[:, None] >> np.arange(D)) & 1
+    return np.exp([log_prob_ordering(params, config, x, o, mean) for x in bits])

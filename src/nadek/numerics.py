@@ -13,8 +13,11 @@ Reproducibility rules observed by this module:
   give identical streams on any platform, and named child streams are
   derived from the seed alone so consumers cannot perturb each other.
 * A matrix-matrix product (GEMM) can give different bits at different BLAS
-  thread counts; a matrix-vector product does not.  Training, which
-  multiplies blocks of rows, runs inside :func:`single_threaded_blas`.
+  thread counts, and a row's result can change with the block it sits in.
+  Every block product therefore runs inside :func:`single_threaded_blas`,
+  on blocks whose rows are fixed by the inputs alone (see
+  :data:`BLOCK_ROWS`), and :func:`map_in_order` hands whole units of such
+  blocks to worker threads.
 """
 
 from __future__ import annotations
@@ -25,15 +28,18 @@ import functools
 import glob
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 __all__ = [
+    "BLOCK_ROWS",
     "ContractError",
     "PROB_EPS",
     "Rng",
     "clamp_prob",
     "log_sum_exp",
+    "map_in_order",
     "sigmoid_vec",
     "single_threaded_blas",
 ]
@@ -45,6 +51,10 @@ class ContractError(ValueError):
 
 #: Probabilities are clipped to [PROB_EPS, 1 - PROB_EPS] before any log.
 PROB_EPS = 1e-12
+
+#: Rows per block where the inputs do not fix the block (scoring staircases,
+#: draw walks, validation chunks); a seed reproduces runs at this value.
+BLOCK_ROWS = 100
 
 
 def sigmoid_vec(v: np.ndarray) -> np.ndarray:
@@ -144,6 +154,21 @@ def single_threaded_blas():
         yield
     finally:
         setter(before)
+
+
+def map_in_order(fn, items, threads: int = 1) -> list:
+    """``[fn(item) for item in items]``, on ``threads`` worker threads if > 1.
+
+    BLAS is pinned to one thread before any worker starts, so a worker that
+    pins it again restores one thread, not the caller's count, on exit.
+    Each item must be a whole unit of work whose result does not depend on
+    which worker runs it or on what runs beside it.
+    """
+    with single_threaded_blas():
+        if threads <= 1:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------

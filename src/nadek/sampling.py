@@ -5,7 +5,8 @@ inference pass with the still-unvisited coordinates masked missing,
 Bernoulli-draw the current coordinate from its conditional, then clamp
 it as observed.  Conditioning on known values only changes the ordering:
 observed indices are visited first, so the remaining draws follow
-p(x_mis | x_obs).
+p(x_mis | x_obs).  Many rows take each step together as one block, each
+along its own ordering and from its own generator.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .evaluation import Ordering, conditional_ordering
 from .model import ModelParams, StructureConfig, forward
-from .numerics import PROB_EPS, ContractError, Rng
+from .numerics import BLOCK_ROWS, ContractError, Rng, clamp_prob, map_in_order
 
 __all__ = [
     "SampleBatch",
@@ -33,6 +34,43 @@ class SampleBatch:
     orderings_used: tuple[Ordering, ...]
 
 
+def _walk(
+    params: ModelParams,
+    config: StructureConfig,
+    x: np.ndarray,
+    perms: np.ndarray,
+    start: int,
+    mean: np.ndarray,
+    rngs: list[Rng],
+    threads: int = 1,
+) -> np.ndarray:
+    """Keep x[r, perms[r, :start]] and draw the rest of each row r in place.
+
+    Row r takes one uniform per position from rngs[r] alone.  Rows walk in
+    fixed blocks of BLOCK_ROWS in index order, the unit of work for
+    ``threads`` workers.  Draws use the clamped conditional, so every
+    produced vector has finite log-probability under evaluation.
+    """
+
+    def block(lo: int) -> None:
+        span = slice(lo, lo + BLOCK_ROWS)
+        xb, pb, gens = x[span], perms[span], rngs[span]
+        rows = np.arange(xb.shape[0])
+        mask = np.zeros_like(xb)
+        mask[rows[:, None], pb[:, start:]] = 1.0
+        # unobserved entries carry no information; normalize them
+        xb[mask == 1.0] = 0.0
+        for d in range(start, config.D):
+            traj = forward(params, config, xb, mask, mean)
+            i = pb[:, d]
+            p = clamp_prob(traj.v_states[-1][rows, i])
+            xb[rows, i] = [rng.bernoulli(q) for rng, q in zip(gens, p)]
+            mask[rows, i] = 0.0
+
+    map_in_order(block, range(0, x.shape[0], BLOCK_ROWS), threads)
+    return x
+
+
 def ancestral_sample(
     params: ModelParams,
     config: StructureConfig,
@@ -40,23 +78,11 @@ def ancestral_sample(
     mean: np.ndarray,
     rng: Rng,
 ) -> np.ndarray:
-    """One binary vector drawn along the ordering; exactly D forwards.
-
-    Draws use the clamped conditional, so every produced vector has
-    finite log-probability under evaluation.
-    """
+    """One binary vector drawn along the ordering; exactly D forwards."""
     D = config.D
     if len(o.perm) != D:
         raise ContractError("ordering length does not match D")
-    x = np.zeros(D)
-    mask = np.ones(D)
-    for d in range(D):
-        traj = forward(params, config, x, mask, mean)
-        i = o.perm[d]
-        p = min(max(float(traj.v_states[-1][i]), PROB_EPS), 1.0 - PROB_EPS)
-        x[i] = float(rng.bernoulli(p))
-        mask[i] = 0.0
-    return x
+    return _walk(params, config, np.zeros((1, D)), np.array([o.perm]), 0, mean, [rng])[0]
 
 
 def sample_from_mixture(
@@ -65,23 +91,22 @@ def sample_from_mixture(
     count: int,
     mean: np.ndarray,
     rng: Rng,
+    threads: int = 1,
 ) -> SampleBatch:
     """Independent draws, each under a fresh uniform ordering.
 
     Sample i consumes its own child stream of the given generator's seed,
-    so batches are reproducible and independent of any scheduling.
+    and samples are drawn in fixed blocks of BLOCK_ROWS, so batches are
+    reproducible and independent of any scheduling.
     """
     if count < 1:
         raise ContractError("count must be >= 1")
     D = config.D
-    vectors = np.empty((count, D))
-    orderings = []
-    for i in range(count):
-        sub = rng.stream("sample", i)
-        o = Ordering(perm=tuple(sub.permutation(D)))
-        vectors[i] = ancestral_sample(params, config, o, mean, sub)
-        orderings.append(o)
-    return SampleBatch(count=count, vectors=vectors, orderings_used=tuple(orderings))
+    subs = [rng.stream("sample", i) for i in range(count)]
+    perms = np.array([sub.permutation(D) for sub in subs])
+    vectors = _walk(params, config, np.zeros((count, D)), perms, 0, mean, subs, threads)
+    orderings = tuple(Ordering(perm=tuple(perm)) for perm in perms)
+    return SampleBatch(count=count, vectors=vectors, orderings_used=orderings)
 
 
 def inpaint(
@@ -90,32 +115,24 @@ def inpaint(
     x_obs: np.ndarray,
     obs_indices: list[int],
     mean: np.ndarray,
-    rng: Rng,
+    rng: Rng | list[Rng],
 ) -> np.ndarray:
     """Fill the unobserved coordinates by conditional ancestral sampling.
 
-    Observed coordinates are returned bit-exact.  The visit order puts
-    the observed indices first (in random order), so the draws follow the
-    conditional distribution given the observations.
+    ``x_obs`` is one row of length D with one generator, or a B x D block
+    with a list of B generators, one per row.  Observed coordinates are
+    returned bit-exact.  Each row's visit order puts the observed indices
+    first (in random order, from that row's generator), so the draws
+    follow the conditional distribution given the observations.
     """
     D = config.D
     x_obs = np.asarray(x_obs, dtype=np.float64)
-    if x_obs.shape != (D,):
-        raise ContractError("x_obs must have length D")
-    obs = list(obs_indices)
-    x = x_obs.copy()
-    if len(set(obs)) == D:
-        return x
-    o = conditional_ordering(D, obs, rng)
-    mask = np.ones(D)
-    for i in obs:
-        mask[i] = 0.0
-    # unobserved entries of x_obs carry no information; normalize them
-    x[mask == 1.0] = 0.0
-    for d in range(len(obs), D):
-        traj = forward(params, config, x, mask, mean)
-        i = o.perm[d]
-        p = min(max(float(traj.v_states[-1][i]), PROB_EPS), 1.0 - PROB_EPS)
-        x[i] = float(rng.bernoulli(p))
-        mask[i] = 0.0
-    return x
+    rngs = [rng] if isinstance(rng, Rng) else list(rng)
+    if x_obs.shape[-1:] != (D,) or x_obs.size != D * len(rngs):
+        raise ContractError("x_obs must hold one row of length D per generator")
+    if len(set(obs_indices)) == D:
+        return x_obs.copy()
+    x = x_obs.reshape(len(rngs), D).copy()
+    perms = np.array([conditional_ordering(D, obs_indices, r).perm for r in rngs])
+    _walk(params, config, x, perms, len(obs_indices), mean, rngs)
+    return x.reshape(x_obs.shape)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import minibatches
 from .model import ModelParams, StructureConfig, Trajectory, forward, init_params
-from .numerics import PROB_EPS, ContractError, Rng, clamp_prob, single_threaded_blas
+from .numerics import BLOCK_ROWS, PROB_EPS, ContractError, Rng, clamp_prob, single_threaded_blas
 
 __all__ = [
     "AdaDeltaState",
@@ -45,10 +45,6 @@ __all__ = [
 
 OBJECTIVES = ("finetune", "pretrain")
 MODES = ("pretrain_then_finetune", "finetune_only")
-
-#: Validation scores the set in chunks of this many rows, in canonical
-#: order, whatever the training minibatch size.
-VALID_CHUNK = 100
 
 
 @dataclass
@@ -320,14 +316,14 @@ def validation_score(
 
     The mask stream restarts from the seed on every call, so successive
     epochs score against identical masks and the curve is noise-free
-    across epochs.  Rows are scored in chunks of VALID_CHUNK in canonical
+    across epochs.  Rows are scored in chunks of BLOCK_ROWS in canonical
     order, drawing one mask per row in that order.
     """
     rng = Rng(seed).stream("valid-masks")
     data = np.asarray(data, dtype=np.float64)
     total = 0.0
-    for start in range(0, data.shape[0], VALID_CHUNK):
-        x = data[start : start + VALID_CHUNK]
+    for start in range(0, data.shape[0], BLOCK_ROWS):
+        x = data[start : start + BLOCK_ROWS]
         traj = forward(params, structure, x, _mask_block(rng, x.shape[0], structure.D), mean)
         total += stochastic_loss(traj, x)
     return total / len(data)

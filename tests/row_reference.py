@@ -1,9 +1,10 @@
 """Per-row reference of the model's maths, written from the definitions.
 
 One row at a time: matrix-vector products forward, outer products
-backward, a loop over the minibatch's rows in training.  The package
-computes the same quantities over whole blocks with matrix-matrix
-products; tests require the two to agree to 1e-12 after summing over rows.
+backward, a loop over the minibatch's rows in training, and one forward
+per position when walking along an ordering.  The package computes the
+same quantities over whole blocks with matrix-matrix products; tests
+require the two to agree to 1e-12 after summing over rows.
 """
 
 import numpy as np
@@ -45,6 +46,35 @@ def forward_row(params, config, x, m, mean):
         v = m * sigmoid(params.V @ top + params.b) + (1.0 - m) * x
         vs.append(v)
     return vs, hs
+
+
+def _conditional(params, config, x, m, mean, i):
+    """Clamped P(x_i = 1) from the last state of one row's forward."""
+    p = float(forward_row(params, config, x, m, mean)[0][-1][i])
+    return min(max(p, PROB_EPS), 1.0 - PROB_EPS)
+
+
+def log_prob_row(params, config, x, perm, mean):
+    """log p(x | perm): one forward per position, reading one coordinate."""
+    m = np.ones_like(x)
+    total = 0.0
+    for i in perm:
+        p = _conditional(params, config, x, m, mean, i)
+        total += np.log(p) if x[i] == 1.0 else np.log(1.0 - p)
+        m[i] = 0.0
+    return total
+
+
+def draw_row(params, config, x, perm, start, mean, rng):
+    """Keep x[perm[:start]], draw the rest along perm, one forward each."""
+    x = np.array(x, dtype=np.float64)
+    m = np.zeros_like(x)
+    m[list(perm[start:])] = 1.0
+    x[m == 1.0] = 0.0
+    for i in perm[start:]:
+        x[i] = float(rng.bernoulli(_conditional(params, config, x, m, mean, i)))
+        m[i] = 0.0
+    return x
 
 
 def _ce(v, x, m):

@@ -1,9 +1,10 @@
-"""Training output does not depend on the BLAS thread count.
+"""Outputs do not depend on the BLAS thread count.
 
 A 100-row matrix-matrix product gives different bits under
-OPENBLAS_NUM_THREADS=1 and =2 at this shape, so the checkpoint is only
-byte-stable because training pins BLAS to one thread.  Each run is a
-fresh interpreter, since OpenBLAS reads the variable when numpy loads.
+OPENBLAS_NUM_THREADS=1 and =2 at this shape, so checkpoints, reports and
+samples are only byte-stable because every block product runs with BLAS
+pinned to one thread.  Each run is a fresh interpreter, since OpenBLAS
+reads the variable when numpy loads.
 """
 
 import os
@@ -12,9 +13,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from conftest import random_model
 
 import nadek
-from nadek import Rng
+from nadek import Rng, save_checkpoint
+from nadek.checkpoint import encode_mean
 
 SRC = str(Path(nadek.__file__).resolve().parents[1])
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -27,19 +30,46 @@ def _write_rows(path, count, D, seed):
     return str(path)
 
 
-def _train(tmp_path, data, valid, threads):
-    out = tmp_path / f"threads{threads}.ckpt"
+# the report prints 6 decimals, so the log-probs are also compared in full
+EXACT = """
+import sys
+import numpy as np
+import nadek
+from nadek.checkpoint import decode_mean
+params, config, meta = nadek.load_checkpoint(sys.argv[1])
+rows = nadek.load_text_matrix(sys.argv[2]).samples
+for o in nadek.draw_orderings(config.D, 2, seed=5).orderings:
+    for x in rows:
+        print(repr(nadek.log_prob_ordering(params, config, x, o, decode_mean(meta["mean"]))))
+"""
+
+
+def _python(argv, threads):
+    """Run ``python argv`` with every BLAS thread variable set."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     env.update({name: str(threads) for name in THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    argv = [
-        sys.executable, "-m", "nadek.cli", "train", "--data", data, "--valid", valid,
-        "--out", str(out), "--hidden1", "100", "--k", "2", "--epochs", "2",
-        "--batch", "100", "--seed", "4",
-    ]
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300
+    )
     assert proc.returncode == 0, proc.stderr
-    history = [line for line in proc.stdout.splitlines() if line.startswith("epoch ")]
+    return proc.stdout
+
+
+def _cli(argv, threads):
+    return _python(["-m", "nadek.cli", *argv], threads)
+
+
+def _train(tmp_path, data, valid, threads):
+    out = tmp_path / f"threads{threads}.ckpt"
+    stdout = _cli(
+        [
+            "train", "--data", data, "--valid", valid, "--out", str(out),
+            "--hidden1", "100", "--k", "2", "--epochs", "2", "--batch", "100", "--seed", "4",
+        ],
+        threads,
+    )
+    history = [line for line in stdout.splitlines() if line.startswith("epoch ")]
     return out.read_bytes(), history
 
 
@@ -50,3 +80,27 @@ def test_checkpoint_bytes_equal_at_one_and_two_blas_threads(tmp_path):
     two = _train(tmp_path, data, valid, 2)
     assert len(one[1]) == 2 and one[1] == two[1]
     assert one[0] == two[0]
+
+
+def test_report_and_sample_bytes_equal_at_one_and_two_blas_threads(tmp_path):
+    params, cfg = random_model(196, 100, k=2, seed=6)
+    model = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, params, cfg, {"mean": encode_mean(np.full(196, 0.3))})
+    data = _write_rows(tmp_path / "rows.amat", 3, 196, seed=3)
+    outputs = {}
+    for threads in (1, 2):
+        report = tmp_path / f"report{threads}.txt"
+        samples = tmp_path / f"samples{threads}.amat"
+        stdout = _cli(
+            ["eval", "--model", model, "--data", data, "--orderings", "2", "--ensemble",
+             "--report", str(report), "--seed", "5"],
+            threads,
+        )
+        _cli(
+            ["sample", "--model", model, "--count", "3", "--out", str(samples), "--seed", "5"],
+            threads,
+        )
+        exact = _python(["-c", EXACT, model, data], threads)
+        outputs[threads] = (stdout, report.read_bytes(), samples.read_bytes(), exact)
+    assert len(outputs[1][3].split()) == 6
+    assert outputs[1] == outputs[2]

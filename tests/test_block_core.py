@@ -1,11 +1,33 @@
 """The block forward/backward core against the per-row reference in row_reference.py."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import random_model
-from row_reference import PROB_EPS, adadelta, forward_row, gradient_row, loss_row
+from row_reference import (
+    PROB_EPS,
+    adadelta,
+    draw_row,
+    forward_row,
+    gradient_row,
+    log_prob_row,
+    loss_row,
+)
 
-from nadek import Rng, StructureConfig, TrainConfig, forward, init_params, train
+from nadek import (
+    Ordering,
+    Rng,
+    StructureConfig,
+    TrainConfig,
+    forward,
+    init_params,
+    inpaint,
+    log_prob_ordering,
+    sample_from_mixture,
+    train,
+)
+from nadek.evaluation import conditional_ordering
 from nadek.training import (
     backward,
     pretrain_loss,
@@ -95,6 +117,59 @@ def test_chunked_validation_matches_per_row_mean():
         want += loss_row(vs, x, m, "finetune")
     want /= len(data)
     assert _close(validation_score(params, cfg, data, mean, seed=5), want) < TOL
+
+
+def _walk_case(n, activation):
+    """D=130 (staircase blocks of 100 and 30); coordinates 0 and 1 sit past the clamp."""
+    D = 130
+    hidden2 = 4 if n == 3 else None
+    params, cfg = random_model(
+        D, 5, k=3, n=n, hidden2=hidden2, activation=activation, seed=41 + 2 * n
+    )
+    params.b[0] = 60.0
+    params.b[1] = -60.0
+    traj = forward(params, cfg, np.zeros(D), np.ones(D), np.full(D, 0.5))
+    assert traj.v_states[-1][0] > 1.0 - PROB_EPS
+    assert traj.v_states[-1][1] < PROB_EPS
+    return params, cfg, 0.2 + 0.6 * Rng(43).stream("mean").uniform_array(D)
+
+
+@pytest.mark.parametrize("k_eval", [3, 1])
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_staircase_matches_per_position_walk(n, activation, k_eval):
+    params, cfg, mean = _walk_case(n, activation)
+    # evaluating at another k is what eval --k-override does
+    cfg = dataclasses.replace(cfg, k=k_eval)
+    rng = Rng(47).stream("rows")
+    for bits in ((1.0, 0.0), (0.0, 1.0)):
+        x = np.array([float(rng.bernoulli(0.5)) for _ in range(cfg.D)])
+        x[:2] = bits
+        perm = tuple(int(i) for i in rng.permutation(cfg.D))
+        got = log_prob_ordering(params, cfg, x, Ordering(perm=perm), mean)
+        assert _close(got, log_prob_row(params, cfg, x, perm, mean)) < TOL
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_draws_match_per_position_walk(n):
+    params, cfg, mean = _walk_case(n, "tanh")
+    D = cfg.D
+    # 130 samples: draw blocks of 100 and 30
+    batch = sample_from_mixture(params, cfg, 130, mean, Rng(53))
+    for i in range(130):
+        sub = Rng(53).stream("sample", i)
+        perm = tuple(int(j) for j in sub.permutation(D))
+        assert perm == batch.orderings_used[i].perm
+        want = draw_row(params, cfg, np.zeros(D), perm, 0, mean, sub)
+        assert np.array_equal(batch.vectors[i], want)
+    rng = Rng(59).stream("rows")
+    rows = np.array([[float(rng.bernoulli(0.5)) for _ in range(D)] for _ in range(3)])
+    obs = [5, 0, 77, 1]
+    filled = inpaint(params, cfg, rows, obs, mean, [Rng(59).stream("inpaint", i) for i in range(3)])
+    for i in range(3):
+        sub = Rng(59).stream("inpaint", i)
+        perm = conditional_ordering(D, obs, sub).perm
+        assert np.array_equal(filled[i], draw_row(params, cfg, rows[i], perm, len(obs), mean, sub))
 
 
 def _reference_train(structure, train_rows, valid_rows, config, mode):

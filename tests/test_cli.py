@@ -192,6 +192,14 @@ class TestEval:
         main(base + ["--report", str(r1), "--threads", "1"])
         main(base + ["--report", str(r4), "--threads", "4"])
         assert r1.read_text() == r4.read_text()
+        # 250 samples span three draw blocks
+        s1 = tmp_path / "s1.amat"
+        s4 = tmp_path / "s4.amat"
+        base = ["sample", "--model", str(ckpt), "--count", "250", "--seed", "9"]
+        assert main(base + ["--out", str(s1), "--threads", "1"]) == 0
+        assert main(base + ["--out", str(s4), "--threads", "4"]) == 0
+        assert len(s1.read_text().splitlines()) == 250
+        assert s1.read_bytes() == s4.read_bytes()
 
     def test_dims_mismatch(self, tmp_path, capsys):
         ckpt, _, _ = _checkpoint(tmp_path, D=5, hidden1=4, seed=25)
@@ -204,6 +212,24 @@ class TestEval:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--count", "3", "--out", "s.amat", "--threads", "0"],
+        ["stats", "--data", "d.amat", "--orderings", "0"],
+        ["eval", "--data", "d.amat", "--k-override", "0"],
+    ],
+)
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
+    ckpt, _, _ = _checkpoint(tmp_path, D=5, hidden1=4, seed=38)
+    _write_data(tmp_path / "d.amat", [[1, 0, 1, 0, 1]])
+    argv = [str(tmp_path / a) if a.endswith("amat") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--model", str(ckpt)] + argv[1:])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 class TestSample:
