@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import atomic_write
 from .model import ModelParams, StructureConfig, expected_shapes
 
 __all__ = [
@@ -77,7 +78,7 @@ def save_checkpoint(
         if any(ch.isspace() for ch in key + value) or "=" in key:
             raise CheckpointShapeError(f"metadata pair {key!r}={value!r} not encodable")
     meta_line = " ".join(f"{k}={v}" for k, v in metadata.items())
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write((_header_line(config) + "\n").encode("ascii"))
         fh.write((meta_line + "\n").encode("ascii"))
         for tensor in params.tensors().values():

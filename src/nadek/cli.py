@@ -24,7 +24,7 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .data import DataError, Dataset, load_text_matrix, save_text_matrix
+from .data import DataError, Dataset, atomic_write, load_text_matrix, save_text_matrix
 from .evaluation import (
     EvalReport,
     _fmt_aggregate,
@@ -62,7 +62,7 @@ def write_manifest(path: str, command: str, flags: dict, inputs: list[str]) -> N
         "inputs": {p: _sha256(p) for p in inputs},
         "version": __version__,
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -97,7 +97,7 @@ def write_pgm(path: str, pixels: np.ndarray) -> None:
     if pixels.ndim != 2:
         raise ContractError("PGM pixels must be a 2-D array")
     h, w = pixels.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(pixels.astype(np.uint8).tobytes())
 
@@ -159,7 +159,7 @@ def cmd_train(args) -> int:
         "mean": encode_mean(result.mean),
     }
     save_checkpoint(args.out, result.params, structure, metadata)
-    with open(args.out + ".history.log", "w") as fh:
+    with atomic_write(args.out + ".history.log") as fh:
         for line in result.history:
             fh.write(line + "\n")
     flags = {
@@ -181,7 +181,7 @@ def _score(args, report_path: str, k_override: int | None) -> EvalReport:
         config = dataclasses.replace(config, k=k_override)
     spec = draw_orderings(config.D, args.orderings, args.seed)
     report = ordering_stats(params, config, ds.samples, spec, mean, args.threads)
-    with open(report_path, "w") as fh:
+    with atomic_write(report_path) as fh:
         fh.write(render_report(report))
     return report
 
@@ -250,7 +250,7 @@ def cmd_inpaint(args) -> int:
         masks[:, obs] = 0.0
         with single_threaded_blas():
             traj = forward(params, config, ds.samples * (1.0 - masks), masks, mean)
-        with open(args.out + ".trace", "w") as fh:
+        with atomic_write(args.out + ".trace") as fh:
             for si in range(len(ds)):
                 fh.write(f"# sample {si}\n")
                 for v in traj.v_states:

@@ -2,12 +2,16 @@
 
 One sample per line, values in [0, 1], optionally gzip-compressed
 (by file extension).  Real-valued data can be binarized once up front by
-per-entry Bernoulli sampling with a recorded seed.
+per-entry Bernoulli sampling with a recorded seed.  Every file the
+package writes goes through :func:`atomic_write`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
+import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +20,7 @@ from .numerics import ContractError, Rng
 
 __all__ = [
     "Dataset",
+    "atomic_write",
     "binarize_by_sampling",
     "empirical_mean",
     "load_text_matrix",
@@ -44,17 +49,34 @@ class Dataset:
         return self.samples.shape[0]
 
 
-def _open_text(path: str, mode: str):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t")
-    return open(path, mode)
+@contextlib.contextmanager
+def atomic_write(path: str, binary: bool = False):
+    """Yield a file for the new contents of ``path``; replace it in one step.
+
+    The contents go to a temporary file in the target's directory, which
+    ``os.replace`` moves over the target once the body finishes.  If the
+    body raises, the temporary file is removed and the target keeps its
+    previous bytes.  Nothing is synced to disk: this guards against a
+    failure of the writing process, not against power loss.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb" if binary else "x") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_text_matrix(path: str, name: str | None = None) -> Dataset:
     """Parse a text matrix; errors carry the 1-based offending line number."""
     rows: list[np.ndarray] = []
     width = None
-    with _open_text(path, "r") as fh:
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rt") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:
@@ -84,14 +106,22 @@ def load_text_matrix(path: str, name: str | None = None) -> Dataset:
 
 
 def save_text_matrix(path: str, samples: np.ndarray) -> None:
-    """Write one sample per line; binary values print as 0/1 exactly."""
+    """Write one sample per line; binary values print as 0/1 exactly.
+
+    The file is replaced in one step (see :func:`atomic_write`); a path
+    ending in ``.gz`` is written gzip-compressed.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise ContractError("samples must be a 2-D matrix")
-    with _open_text(path, "w") as fh:
-        for row in samples:
-            fh.write(" ".join(_fmt_value(v) for v in row))
-            fh.write("\n")
+    gz = str(path).endswith(".gz")
+    with atomic_write(path, binary=gz) as out:
+        if gz:
+            out = io.TextIOWrapper(gzip.GzipFile(filename=path, mode="wb", fileobj=out))
+        with out:
+            for row in samples:
+                out.write(" ".join(_fmt_value(v) for v in row))
+                out.write("\n")
 
 
 def _fmt_value(v: float) -> str:
@@ -105,14 +135,11 @@ def _fmt_value(v: float) -> str:
 def binarize_by_sampling(data: Dataset, rng: Rng) -> Dataset:
     """Replace each value by a Bernoulli draw with that probability.
 
-    Draws scan the matrix row-major, so a fixed seed yields one fixed
+    One bulk draw scans the matrix row-major and entry i is 1 when its
+    uniform falls below the value, so a fixed seed yields one fixed
     binarized dataset.
     """
-    out = np.empty_like(data.samples)
-    flat_in = data.samples.reshape(-1)
-    flat_out = out.reshape(-1)
-    for i in range(flat_in.size):
-        flat_out[i] = float(rng.bernoulli(flat_in[i]))
+    out = (rng.uniform_array(data.samples.shape) < data.samples).astype(np.float64)
     return Dataset(samples=out, D=data.D, name=data.name + ":binarized", is_binary=True)
 
 

@@ -141,12 +141,16 @@ class Trajectory:
         return len(self.h_states)
 
 
+#: Draws per chunk of an init fill, so no full-size temporary exists.
+_INIT_CHUNK = 1 << 16
+
+
 def init_params(config: StructureConfig, rng: Rng) -> ModelParams:
     """Draw weights uniform in [-s, s] with s = sqrt(6/(fan_in+fan_out)).
 
     Biases start at zero.  Matrices are filled row-major in canonical
-    tensor order from the given stream, so a fixed seed reproduces the
-    initialization exactly.
+    tensor order from the given stream, a chunk of whole rows at a time,
+    so a fixed seed reproduces the initialization exactly.
     """
     tensors: dict[str, np.ndarray] = {}
     for name, shape in expected_shapes(config).items():
@@ -155,10 +159,13 @@ def init_params(config: StructureConfig, rng: Rng) -> ModelParams:
             continue
         fan_out, fan_in = shape
         bound = math.sqrt(6.0 / (fan_in + fan_out))
+        low, high = -bound, bound
         mat = np.empty(shape)
-        flat = mat.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = rng.uniform(-bound, bound)
+        step = max(1, _INIT_CHUNK // fan_in)
+        for start in range(0, fan_out, step):
+            rows = mat[start : start + step]
+            # the same arithmetic as Rng.uniform, one chunk of rows at a time
+            rows[...] = low + (high - low) * rng.uniform_array(rows.shape)
         tensors[name] = mat
     return ModelParams(**tensors)
 

@@ -8,10 +8,13 @@ Reproducibility rules observed by this module:
 
 * ``log_sum_exp`` reduces its terms in a canonical (sorted) order, so its
   result is bit-identical under any permutation of the inputs.
-* All randomness in the package flows through :class:`Rng`, a small
-  xoshiro256** generator implemented here from scratch.  Identical seeds
-  give identical streams on any platform, and named child streams are
-  derived from the seed alone so consumers cannot perturb each other.
+* All randomness in the package flows through :class:`Rng`, a
+  counter-based splitmix64 generator implemented here from scratch: draw
+  c of a stream is a pure function of (key, c), so bulk draws are numpy
+  array arithmetic and equal the same number of scalar draws bit for bit.
+  Identical seeds give identical streams on any platform, and named
+  child streams are derived from the seed alone so consumers cannot
+  perturb each other.
 * A matrix-matrix product (GEMM) can give different bits at different BLAS
   thread counts, and a row's result can change with the block it sits in.
   Every block product therefore runs inside :func:`single_threaded_blas`,
@@ -64,14 +67,13 @@ def sigmoid_vec(v: np.ndarray) -> np.ndarray:
     stays positive down to the subnormal range instead of overflowing.
     Below roughly -745 the value underflows to exactly 0.0; callers that
     take logs must go through :func:`clamp_prob`, which covers that case.
+    Both branches come from one e = exp(-|x|), which is exp(-x) for
+    x >= 0 and exp(x) below, so no element is gathered or scattered.
     """
     v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
 
 
 def clamp_prob(p):
@@ -176,13 +178,22 @@ def map_in_order(fn, items, threads: int = 1) -> list:
 # ---------------------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x00000100000001B3
+#: Up to this many draws, a Python loop costs less than numpy's fixed
+#: per-call cost; both paths compute the same _splitmix64 values.
+_LOOP_DRAWS = 16
 
 
-def _splitmix64(z: int) -> int:
-    # Finalizer of the splitmix64 sequence; full 64-bit avalanche.
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+def _splitmix64(z):
+    """Finalizer of the splitmix64 sequence; full 64-bit avalanche.
+
+    Takes a Python int or a uint64 array (whose products wrap mod 2^64), so
+    scalar and bulk draws share one formula.
+    """
+    z = (z + _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -195,16 +206,41 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
+def _to_unit(u):
+    """Uniform in [0, 1) from the top 53 bits of a 64-bit draw (int or array)."""
+    if isinstance(u, int):
+        return (u >> 11) * (2.0 ** -53)
+    return (u >> 11).astype(np.float64) * (2.0 ** -53)
+
+
+def _below(u, n):
+    """Uniform integers in [0, n): the high 64 bits of u * n.
+
+    ``u`` is a 64-bit draw (Python int or uint64 array) and ``n`` an int or
+    an integer array of bounds in [1, 2^32).  The product is assembled from
+    the 32-bit halves of u, so no partial result leaves 64 bits.
+    """
+    if isinstance(n, np.ndarray):
+        lo, hi = int(n.min(initial=1)), int(n.max(initial=1))
+        n = n.astype(np.uint64)
+    else:
+        n = lo = hi = int(n)
+    if lo < 1 or hi > _MASK32:
+        raise ContractError("bounded draws need 1 <= n < 2^32")
+    return ((u >> 32) * n + (((u & _MASK32) * n) >> 32)) >> 32
 
 
 class Rng:
-    """xoshiro256** generator with named, independently seeded sub-streams.
+    """Counter-based splitmix64 generator with named, independent sub-streams.
 
-    State is seeded from a single 64-bit integer through four successive
-    splitmix64 outputs.  Child streams are derived from the *seed*, never
-    from the evolving state:
+    The state is a key (the seed) and a counter.  Draw c, counting from 0,
+    is ``_splitmix64((key + c * 0x9E3779B97F4A7C15) mod 2^64)``, which is
+    output c of the splitmix64 sequence seeded with the key (the finalizer
+    adds one more increment first), so any draw can be computed without
+    the ones before it.  Bulk methods return draws c .. c+n-1 as numpy
+    arrays and advance the counter by n; they give the same bits as n
+    scalar draws.  Child streams are derived from the *seed*, never from
+    the counter:
 
         child_seed = splitmix64(splitmix64(seed ^ fnv1a64(name)) ^ index)
 
@@ -213,20 +249,13 @@ class Rng:
     decorrelated streams.
     """
 
-    __slots__ = ("seed", "_s0", "_s1", "_s2", "_s3")
+    __slots__ = ("seed", "counter")
 
     def __init__(self, seed: int):
         if not 0 <= seed <= _MASK64:
             raise ContractError("seed must fit in an unsigned 64-bit integer")
         self.seed = seed
-        z = seed
-        state = []
-        for _ in range(4):
-            z = (z + 0x9E3779B97F4A7C15) & _MASK64
-            state.append(_splitmix64(z))
-        if not any(state):  # all-zero state is the one forbidden configuration
-            state[0] = 1
-        self._s0, self._s1, self._s2, self._s3 = state
+        self.counter = 0
 
     def stream(self, name: str, index: int = 0) -> "Rng":
         """Derive an independent child generator for (name, index)."""
@@ -234,27 +263,28 @@ class Rng:
         return Rng(child)
 
     def next_uint64(self) -> int:
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return result
+        c = self.counter
+        self.counter = c + 1
+        return _splitmix64((self.seed + c * _GAMMA) & _MASK64)
+
+    def uint64_array(self, n: int) -> np.ndarray:
+        """The next n draws as a uint64 array; the counter advances by n."""
+        if n <= _LOOP_DRAWS:
+            return np.array([self.next_uint64() for _ in range(n)], dtype=np.uint64)
+        c = np.arange(n, dtype=np.uint64)
+        c += self.counter & _MASK64
+        self.counter += n
+        c *= _GAMMA
+        c += self.seed
+        return _splitmix64(c)
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_uint64() >> 11) * (2.0 ** -53)
+        return _to_unit(self.next_uint64())
 
     def next_below(self, n: int) -> int:
-        """Uniform integer in [0, n) (multiply-shift bounding)."""
-        if n <= 0:
-            raise ContractError("next_below needs n >= 1")
-        return (self.next_uint64() * n) >> 64
+        """Uniform integer in [0, n) for 1 <= n < 2^32 (multiply-shift bounding)."""
+        return _below(self.next_uint64(), n)
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.next_float()
@@ -263,9 +293,12 @@ class Rng:
         return 1 if self.next_float() < p else 0
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
+        """In-place Fisher-Yates shuffle, from len(items) - 1 bulk draws."""
+        n = len(items)
+        if n < 2:
+            return
+        for i, u in zip(range(n - 1, 0, -1), self.uint64_array(n - 1).tolist()):
+            j = _below(u, i + 1)
             items[i], items[j] = items[j], items[i]
 
     def permutation(self, n: int) -> np.ndarray:
@@ -275,7 +308,5 @@ class Rng:
 
     def uniform_array(self, shape) -> np.ndarray:
         """Array of uniforms in [0, 1), filled in row-major order."""
-        flat = np.empty(int(np.prod(shape)), dtype=np.float64)
-        for i in range(flat.size):
-            flat[i] = self.next_float()
-        return flat.reshape(shape)
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        return _to_unit(self.uint64_array(math.prod(shape))).reshape(shape)

@@ -46,25 +46,27 @@ def _walk(
 ) -> np.ndarray:
     """Keep x[r, perms[r, :start]] and draw the rest of each row r in place.
 
-    Row r takes one uniform per position from rngs[r] alone.  Rows walk in
-    fixed blocks of BLOCK_ROWS in index order, the unit of work for
-    ``threads`` workers.  Draws use the clamped conditional, so every
-    produced vector has finite log-probability under evaluation.
+    Row r takes one uniform per position from rngs[r] alone, all drawn
+    before the walk starts, and a bit is 1 when its uniform falls below
+    the conditional (``Rng.bernoulli``).  Rows walk in fixed blocks of
+    BLOCK_ROWS in index order, the unit of work for ``threads`` workers.
+    Draws use the clamped conditional, so every produced vector has finite
+    log-probability under evaluation.
     """
 
     def block(lo: int) -> None:
         span = slice(lo, lo + BLOCK_ROWS)
-        xb, pb, gens = x[span], perms[span], rngs[span]
+        xb, pb = x[span], perms[span]
+        u = np.array([rng.uniform_array(config.D - start) for rng in rngs[span]])
         rows = np.arange(xb.shape[0])
         mask = np.zeros_like(xb)
         mask[rows[:, None], pb[:, start:]] = 1.0
         # unobserved entries carry no information; normalize them
         xb[mask == 1.0] = 0.0
-        for d in range(start, config.D):
+        for t, d in enumerate(range(start, config.D)):
             traj = forward(params, config, xb, mask, mean)
             i = pb[:, d]
-            p = clamp_prob(traj.v_states[-1][rows, i])
-            xb[rows, i] = [rng.bernoulli(q) for rng, q in zip(gens, p)]
+            xb[rows, i] = u[:, t] < clamp_prob(traj.v_states[-1][rows, i])
             mask[rows, i] = 0.0
 
     map_in_order(block, range(0, x.shape[0], BLOCK_ROWS), threads)

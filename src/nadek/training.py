@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import minibatches
 from .model import ModelParams, StructureConfig, Trajectory, forward, init_params
-from .numerics import BLOCK_ROWS, PROB_EPS, ContractError, Rng, clamp_prob, single_threaded_blas
+from .numerics import BLOCK_ROWS, PROB_EPS, ContractError, Rng, _below, clamp_prob, single_threaded_blas
 
 __all__ = [
     "AdaDeltaState",
@@ -49,17 +49,17 @@ MODES = ("pretrain_then_finetune", "finetune_only")
 
 @dataclass
 class MaskSample:
-    """One draw of the (ordering position, observed subset) pair.
+    """One draw of the (ordering position, observed subset) pair, or a block.
 
     mask marks the D-d+1 missing components with 1; the other d-1 are
-    observed.
+    observed.  A block holds a rows x D mask and one d per row.
     """
 
     mask: np.ndarray
-    d: int
+    d: int | np.ndarray
 
     def __post_init__(self):
-        if int(np.sum(self.mask)) != self.mask.shape[0] - self.d + 1:
+        if np.any(np.sum(self.mask, axis=-1) != self.mask.shape[-1] - np.asarray(self.d) + 1):
             raise ContractError("mask cardinality does not match d")
 
 
@@ -126,29 +126,36 @@ class TrainResult:
     epochs_run: int = 0
 
 
-def sample_mask(rng: Rng, D: int) -> MaskSample:
+def sample_mask(rng: Rng, D: int, rows: int | None = None) -> MaskSample:
     """Draw d uniform on {1..D}, then d-1 observed indices without bias.
 
     The observed set is the prefix of a partial Fisher-Yates shuffle, so
-    every (d-1)-subset is equally likely and the draw consumes exactly
-    d-1 bounded integers after the one for d.
+    every (d-1)-subset is equally likely.  Each row consumes exactly D
+    draws: draw 0 gives d, draws 1..d-1 give the swaps and the rest are
+    skipped.  With ``rows`` set, the result is a block of that many rows
+    from one bulk draw; row r reads draws r*D .. r*D+D-1 alone, so it
+    equals a one-row draw made with the counter at r*D.
     """
     if D < 1:
         raise ContractError("D must be >= 1")
-    d = 1 + rng.next_below(D)
-    idx = list(range(D))
-    for i in range(d - 1):
-        j = i + rng.next_below(D - i)
-        idx[i], idx[j] = idx[j], idx[i]
-    mask = np.ones(D)
-    for i in idx[: d - 1]:
-        mask[i] = 0.0
+    n = 1 if rows is None else rows
+    u = rng.uint64_array(n * D).reshape(n, D)
+    d = 1 + _below(u[:, 0], D).astype(np.int64)
+    # swap i exchanges slots i and i + below(D - i); a row past its d-1
+    # swaps only reorders slots >= i, which leaves its prefix as drawn
+    steps = np.arange(D - 1)
+    swap = steps + _below(u[:, 1:], D - steps).astype(np.int64)
+    idx = np.tile(np.arange(D), (n, 1))
+    r = np.arange(n)
+    for i in range(int(d.max()) - 1):
+        j = swap[:, i]
+        idx[r, i], idx[r, j] = idx[r, j], idx[r, i]
+    mask = np.ones((n, D))
+    observed = np.arange(D) < (d - 1)[:, None]
+    mask[np.nonzero(observed)[0], idx[observed]] = 0.0
+    if rows is None:
+        return MaskSample(mask=mask[0], d=int(d[0]))
     return MaskSample(mask=mask, d=d)
-
-
-def _mask_block(rng: Rng, rows: int, D: int) -> np.ndarray:
-    """A rows x D mask matrix: one sample_mask draw per row, in row order."""
-    return np.stack([sample_mask(rng, D).mask for _ in range(rows)])
 
 
 def _row_ce(v: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -317,14 +324,14 @@ def validation_score(
     The mask stream restarts from the seed on every call, so successive
     epochs score against identical masks and the curve is noise-free
     across epochs.  Rows are scored in chunks of BLOCK_ROWS in canonical
-    order, drawing one mask per row in that order.
+    order, with one block mask draw per chunk (D draws per row).
     """
     rng = Rng(seed).stream("valid-masks")
     data = np.asarray(data, dtype=np.float64)
     total = 0.0
     for start in range(0, data.shape[0], BLOCK_ROWS):
         x = data[start : start + BLOCK_ROWS]
-        traj = forward(params, structure, x, _mask_block(rng, x.shape[0], structure.D), mean)
+        traj = forward(params, structure, x, sample_mask(rng, structure.D, x.shape[0]).mask, mean)
         total += stochastic_loss(traj, x)
     return total / len(data)
 
@@ -363,16 +370,16 @@ def train(
 ) -> TrainResult:
     """Minibatch epochs with per-example masks and AdaDelta updates.
 
-    Each minibatch is one block: its masks are drawn row by row in block
-    order, and its gradient is the block sum divided by the row count.
-    BLAS runs on one thread throughout, so the result does not depend on
-    the BLAS thread setting.  Fine-tuning tracks the validation score each
-    epoch and the result carries the best-epoch parameters; patience > 0
-    stops the phase after that many consecutive epochs without strict
-    improvement.  The pretraining phase runs its full budget with no early
-    stopping and resets the optimizer state at the handoff.  History lines
-    are `epoch <n> phase <p> train <loss> valid <loss>` with global epoch
-    numbers across phases.
+    Each minibatch is one block: its masks are one block draw (D draws
+    per row, in block order), and its gradient is the block sum divided
+    by the row count.  BLAS runs on one thread throughout, so the result
+    does not depend on the BLAS thread setting.  Fine-tuning tracks the
+    validation score each epoch and the result carries the best-epoch
+    parameters; patience > 0 stops the phase after that many consecutive
+    epochs without strict improvement.  The pretraining phase runs its
+    full budget with no early stopping and resets the optimizer state at
+    the handoff.  History lines are `epoch <n> phase <p> train <loss>
+    valid <loss>` with global epoch numbers across phases.
     """
     if mode not in MODES:
         raise ContractError(f"mode must be one of {MODES}")
@@ -405,7 +412,7 @@ def train(
                 total = 0.0
                 for block in minibatches(n_train, config.minibatch_size, shuffle_rng):
                     x = train_data[block]
-                    m = _mask_block(mask_rng, len(block), structure.D)
+                    m = sample_mask(mask_rng, structure.D, len(block)).mask
                     grads, loss = _block_step(params, structure, x, m, mean, objective)
                     total += loss
                     scale = 1.0 / len(block)

@@ -1,12 +1,14 @@
 """Text matrix IO, binarization, and minibatch slicing."""
 
 import gzip
+import os
 
 import numpy as np
 import pytest
 
 from nadek import Rng, binarize_by_sampling, empirical_mean, load_text_matrix
-from nadek.data import DataError, Dataset, minibatches, save_text_matrix
+from nadek import data
+from nadek.data import DataError, Dataset, atomic_write, minibatches, save_text_matrix
 from nadek.numerics import ContractError
 
 
@@ -112,6 +114,47 @@ class TestSave:
     def test_non_matrix_rejected(self, tmp_path):
         with pytest.raises(ContractError):
             save_text_matrix(tmp_path / "m.amat", np.zeros(3))
+
+
+class TestAtomicWrite:
+    def test_replaces_target(self, tmp_path):
+        p = tmp_path / "out.txt"
+        p.write_text("old\n")
+        with atomic_write(p) as fh:
+            fh.write("new\n")
+        assert p.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_failure_keeps_previous_bytes(self, tmp_path, binary):
+        p = tmp_path / "out.bin"
+        p.write_bytes(b"previous contents\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(p, binary=binary) as fh:
+                fh.write(b"partial" if binary else "partial")
+                fh.flush()
+                raise RuntimeError("interrupted")
+        assert p.read_bytes() == b"previous contents\n"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    @pytest.mark.parametrize("name", ["m.amat", "m.amat.gz"])
+    def test_matrix_write_failing_mid_row_keeps_previous_file(self, tmp_path, monkeypatch, name):
+        p = tmp_path / name
+        save_text_matrix(p, np.array([[0.0, 1.0], [1.0, 1.0]]))
+        before = p.read_bytes()
+        calls = []
+
+        def failing(v):
+            calls.append(v)
+            if len(calls) == 5:
+                raise RuntimeError("interrupted")
+            return "0"
+
+        monkeypatch.setattr(data, "_fmt_value", failing)
+        with pytest.raises(RuntimeError):
+            save_text_matrix(p, np.zeros((3, 2)))
+        assert p.read_bytes() == before
+        assert os.listdir(tmp_path) == [name]
 
 
 class TestBinarize:

@@ -8,14 +8,50 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nadek import model
+from nadek.model import StructureConfig, init_params
 from nadek.numerics import (
     PROB_EPS,
     ContractError,
     Rng,
+    _below,
     clamp_prob,
     log_sum_exp,
     sigmoid_vec,
 )
+
+M64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64(z: int) -> int:
+    """One splitmix64 step from state z: add gamma, then mix."""
+    z = (z + GAMMA) & M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def draw(key: int, c: int) -> int:
+    """Draw c of the generator keyed by ``key``."""
+    return splitmix64((key + c * GAMMA) & M64)
+
+
+def fnv1a64(data: bytes) -> int:
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x00000100000001B3) & M64
+    return h
+
+
+def _masked_sigmoid(v):
+    # the two-branch form with boolean gathers, kept as the reference
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
 
 
 class TestNonlinearities:
@@ -49,6 +85,14 @@ class TestNonlinearities:
         xs = np.linspace(-50.0, 50.0, 201)
         total = sigmoid_vec(xs) + sigmoid_vec(-xs)
         assert np.max(np.abs(total - 1.0)) < 1e-15
+
+    def test_sigmoid_bits_match_masked_reference(self):
+        xs = np.concatenate([
+            np.linspace(-800.0, 800.0, 20001),
+            [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 745.2, -745.2, -746.0],
+        ]).reshape(3, -1)
+        got = sigmoid_vec(xs)
+        assert got.view(np.uint64).tolist() == _masked_sigmoid(xs).view(np.uint64).tolist()
 
     def test_clamp_prob_bounds(self):
         p = clamp_prob(np.array([-1.0, 0.0, 0.3, 1.0, 2.0]))
@@ -170,3 +214,107 @@ class TestRng:
         assert all(0.0 <= v < 1.0 for v in vals)
         again = Rng(seed)
         assert vals == [again.next_float() for _ in range(8)]
+
+    def test_known_answers(self):
+        # the first splitmix64 outputs for seed 0, and for the "init" child
+        # whose key is splitmix64(splitmix64(0 ^ fnv1a64("init")) ^ 0)
+        root = Rng(0)
+        assert [root.next_uint64() for _ in range(4)] == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+            0xF88BB8A8724C81EC,
+        ]
+        assert [draw(0, c) for c in range(4)] == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+            0xF88BB8A8724C81EC,
+        ]
+        child_key = splitmix64(splitmix64(0 ^ fnv1a64(b"init")) ^ 0)
+        child = Rng(0).stream("init")
+        assert child.seed == child_key == 0x6733282F0DDD69F7
+        assert [child.next_uint64() for _ in range(4)] == [
+            0xEAE6642B189C2FF6,
+            0x212F5AAB14ED62D7,
+            0x458DC77046B97F09,
+            0xD50200C71EB73048,
+        ]
+        assert [draw(child_key, c) for c in range(4)] == [
+            0xEAE6642B189C2FF6,
+            0x212F5AAB14ED62D7,
+            0x458DC77046B97F09,
+            0xD50200C71EB73048,
+        ]
+
+    def test_any_draw_from_its_counter(self):
+        rng = Rng(2**64 - 3)
+        assert [rng.next_uint64() for _ in range(5)] == [
+            draw(2**64 - 3, c) for c in range(5)
+        ]
+
+    # 16 | 17 straddles the switch from a Python loop to numpy arithmetic
+    @pytest.mark.parametrize("n", [0, 1, 16, 17, 1000])
+    def test_bulk_uint64_equals_scalar(self, n):
+        bulk = Rng(21).uint64_array(n)
+        scalar = Rng(21)
+        assert bulk.dtype == np.uint64
+        assert bulk.tolist() == [scalar.next_uint64() for _ in range(n)]
+
+    @pytest.mark.parametrize("shape", [1, 17, (3, 4), (40, 25)])
+    def test_bulk_floats_equal_scalar(self, shape):
+        bulk = Rng(22).uniform_array(shape)
+        scalar = Rng(22)
+        assert bulk.shape == ((shape,) if isinstance(shape, int) else shape)
+        assert bulk.reshape(-1).tolist() == [scalar.next_float() for _ in range(bulk.size)]
+
+    def test_bulk_bounded_equal_scalar(self):
+        bounds = np.array([1, 2, 3, 7, 1000, 2**31 + 1, 2**32 - 2, 2**32 - 1] * 40)
+        bulk = _below(Rng(23).uint64_array(bounds.size), bounds)
+        scalar = Rng(23)
+        assert bulk.tolist() == [scalar.next_below(int(n)) for n in bounds]
+        assert np.all(bulk < bounds)
+        # the high 64 bits of the full product, computed with Python ints
+        for u, n in zip(Rng(23).uint64_array(bounds.size).tolist(), bounds.tolist()):
+            assert _below(u, n) == (u * n) >> 64
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 30, 785])
+    def test_permutation_equals_scalar_fisher_yates(self, n):
+        scalar = Rng(24)
+        items = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = scalar.next_below(i + 1)
+            items[i], items[j] = items[j], items[i]
+        assert Rng(24).permutation(n).tolist() == items
+
+    @pytest.mark.parametrize("n", [1, 16, 17, 1000])
+    def test_scalar_draw_after_bulk_continues_the_counter(self, n):
+        rng = Rng(25)
+        rng.uint64_array(n)
+        assert rng.counter == n
+        assert rng.next_uint64() == draw(25, n)
+        rng.uniform_array((2, 3))
+        assert rng.next_uint64() == draw(25, n + 7)
+
+    def test_bounds_outside_32_bits_rejected(self):
+        rng = Rng(26)
+        for n in (0, -1, 2**32, 2**40, 2**64):
+            with pytest.raises(ContractError):
+                rng.next_below(n)
+        with pytest.raises(ContractError):
+            _below(rng.uint64_array(3), np.array([2, 2**32, 5]))
+
+    @pytest.mark.parametrize("chunk", [3, 10, model._INIT_CHUNK])
+    def test_init_fill_equals_scalar_uniforms(self, monkeypatch, chunk):
+        # chunk 3 is below one row (one row per chunk), 10 splits each matrix
+        monkeypatch.setattr(model, "_INIT_CHUNK", chunk)
+        config = StructureConfig(D=7, hidden1=5, k=1, n=3, hidden2=4)
+        params = init_params(config, Rng(27).stream("init"))
+        scalar = Rng(27).stream("init")
+        for name, tensor in params.tensors().items():
+            if tensor.ndim == 1:
+                assert not tensor.any()
+                continue
+            bound = math.sqrt(6.0 / sum(tensor.shape))
+            want = [scalar.uniform(-bound, bound) for _ in range(tensor.size)]
+            assert tensor.reshape(-1).tolist() == want, name

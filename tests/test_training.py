@@ -52,23 +52,54 @@ class TestSampleMask:
             assert ms.d == 1
             assert ms.mask.tolist() == [1.0]
 
+    # A block of n rows holds the same masks as n one-row draws in turn
+    # (see test_block_row_is_draw_at_counter), and is drawn in one call.
+
     def test_missing_frequency(self):
         # E[missing fraction] = (4+3+2+1)/16 = 0.625 per index
         rng = Rng(3).stream("masks")
         n = 100000
-        hits = np.zeros(4)
-        for _ in range(n):
-            hits += sample_mask(rng, 4).mask
+        hits = sample_mask(rng, 4, n).mask.sum(axis=0)
         freq = hits / n
         assert np.all(np.abs(freq - 0.625) < 0.01)
 
     def test_d_uniform(self):
         rng = Rng(4).stream("masks")
         n = 40000
-        counts = np.zeros(4)
-        for _ in range(n):
-            counts[sample_mask(rng, 4).d - 1] += 1
+        counts = np.bincount(sample_mask(rng, 4, n).d - 1, minlength=4)
         assert np.all(np.abs(counts / n - 0.25) < 0.01)
+
+    def test_block_law(self):
+        # d uniform on {1..4}; given d, each (d-1)-subset of observed
+        # indices equally likely.  Chi-square statistics stay below 40,
+        # whose upper tail is < 2e-7 at the largest (5) degrees of freedom.
+        D, rows = 4, 60000
+        block = sample_mask(Rng(5).stream("masks"), D, rows)
+        assert block.mask.shape == (rows, D) and block.d.shape == (rows,)
+        observed = [tuple(np.flatnonzero(row == 0.0)) for row in block.mask]
+
+        def chi2(counts):
+            counts = np.asarray(counts, dtype=np.float64)
+            expected = counts.sum() / counts.size
+            return float(np.sum((counts - expected) ** 2 / expected))
+
+        assert chi2(np.bincount(block.d, minlength=D + 1)[1:]) < 40.0
+        for d in range(1, D + 1):
+            subsets = list(itertools.combinations(range(D), d - 1))
+            seen = [obs for obs, dd in zip(observed, block.d) if dd == d]
+            assert set(seen) <= set(subsets)
+            assert chi2([seen.count(sub) for sub in subsets]) < 40.0
+
+    def test_block_row_is_draw_at_counter(self):
+        # row r reads draws r*D .. r*D+D-1 alone, so rows are independent
+        D, rows = 9, 12
+        block = sample_mask(Rng(6).stream("masks"), D, rows)
+        for r in range(rows):
+            rng = Rng(6).stream("masks")
+            rng.counter = r * D
+            one = sample_mask(rng, D)
+            assert np.array_equal(one.mask, block.mask[r]) and one.d == block.d[r]
+            assert rng.counter == (r + 1) * D
 
     def test_inconsistent_fields_rejected(self):
         with pytest.raises(ContractError):
