@@ -56,10 +56,15 @@ def atomic_write(path: str, binary: bool = False):
     The contents go to a temporary file in the target's directory, which
     ``os.replace`` moves over the target once the body finishes.  If the
     body raises, the temporary file is removed and the target keeps its
-    previous bytes.  Nothing is synced to disk: this guards against a
-    failure of the writing process, not against power loss.
+    previous bytes.  A symbolic link is followed, so the file it points
+    to is replaced and the link stays.  The target must be a regular file
+    (or not exist yet) in a directory the caller can create files in; the
+    new file gets the default mode, not the old file's.  Nothing is synced
+    to disk: this guards against a failure of the writing process, not
+    against power loss.
     """
-    head, tail = os.path.split(os.fspath(path))
+    path = os.path.realpath(path)
+    head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb" if binary else "x") as fh:

@@ -67,13 +67,14 @@ def sigmoid_vec(v: np.ndarray) -> np.ndarray:
     stays positive down to the subnormal range instead of overflowing.
     Below roughly -745 the value underflows to exactly 0.0; callers that
     take logs must go through :func:`clamp_prob`, which covers that case.
-    Both branches come from one e = exp(-|x|), which is exp(-x) for
-    x >= 0 and exp(x) below, so no element is gathered or scattered.
     """
     v = np.asarray(v, dtype=np.float64)
-    e = np.exp(-np.abs(v))
-    d = 1.0 + e
-    return np.where(v >= 0, 1.0 / d, e / d)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
 
 
 def clamp_prob(p):
@@ -182,21 +183,28 @@ _MASK32 = (1 << 32) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x00000100000001B3
-#: Up to this many draws, a Python loop costs less than numpy's fixed
-#: per-call cost; both paths compute the same _splitmix64 values.
-_LOOP_DRAWS = 16
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_GAMMA_U64, _MIX1_U64, _MIX2_U64 = np.uint64(_GAMMA), np.uint64(_MIX1), np.uint64(_MIX2)
 
 
-def _splitmix64(z):
-    """Finalizer of the splitmix64 sequence; full 64-bit avalanche.
-
-    Takes a Python int or a uint64 array (whose products wrap mod 2^64), so
-    scalar and bulk draws share one formula.
-    """
+def _splitmix64(z: int) -> int:
+    """Finalizer of the splitmix64 sequence; full 64-bit avalanche."""
     z = (z + _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """The mixing steps of :func:`_splitmix64` (all but its first increment)
+    on a uint64 array, in place; array products wrap mod 2^64."""
+    z ^= z >> 30
+    z *= _MIX1_U64
+    z ^= z >> 27
+    z *= _MIX2_U64
+    z ^= z >> 31
+    return z
 
 
 def _fnv1a64(data: bytes) -> int:
@@ -207,10 +215,16 @@ def _fnv1a64(data: bytes) -> int:
 
 
 def _to_unit(u):
-    """Uniform in [0, 1) from the top 53 bits of a 64-bit draw (int or array)."""
+    """Uniform in [0, 1) from the top 53 bits of a 64-bit draw.
+
+    Takes a Python int, or a uint64 array of draws, which it overwrites.
+    """
     if isinstance(u, int):
         return (u >> 11) * (2.0 ** -53)
-    return (u >> 11).astype(np.float64) * (2.0 ** -53)
+    u >>= 11
+    f = u.astype(np.float64)
+    f *= 2.0 ** -53
+    return f
 
 
 def _below(u, n):
@@ -269,14 +283,13 @@ class Rng:
 
     def uint64_array(self, n: int) -> np.ndarray:
         """The next n draws as a uint64 array; the counter advances by n."""
-        if n <= _LOOP_DRAWS:
-            return np.array([self.next_uint64() for _ in range(n)], dtype=np.uint64)
-        c = np.arange(n, dtype=np.uint64)
-        c += self.counter & _MASK64
+        z = np.arange(n, dtype=np.uint64)
+        z *= _GAMMA_U64
+        # entry i is key + (counter + i + 1) * GAMMA: draw counter + i with
+        # the first increment of _splitmix64 already added
+        z += np.uint64((self.seed + (self.counter + 1) * _GAMMA) & _MASK64)
         self.counter += n
-        c *= _GAMMA
-        c += self.seed
-        return _splitmix64(c)
+        return _mix64_inplace(z)
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
@@ -310,3 +323,13 @@ class Rng:
         """Array of uniforms in [0, 1), filled in row-major order."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         return _to_unit(self.uint64_array(math.prod(shape))).reshape(shape)
+
+    def below_array(self, bounds) -> np.ndarray:
+        """Uniform integers in [0, bounds[i]) for each entry, in row-major order.
+
+        One draw per entry, each bounded as by :meth:`next_below`; every
+        bound must lie in [1, 2^32).
+        """
+        bounds = np.asarray(bounds, dtype=np.int64)
+        u = self.uint64_array(bounds.size).reshape(bounds.shape)
+        return _below(u, bounds).astype(np.int64)

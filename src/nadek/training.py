@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import minibatches
 from .model import ModelParams, StructureConfig, Trajectory, forward, init_params
-from .numerics import BLOCK_ROWS, PROB_EPS, ContractError, Rng, _below, clamp_prob, single_threaded_blas
+from .numerics import BLOCK_ROWS, PROB_EPS, ContractError, Rng, clamp_prob, single_threaded_blas
 
 __all__ = [
     "AdaDeltaState",
@@ -139,12 +139,13 @@ def sample_mask(rng: Rng, D: int, rows: int | None = None) -> MaskSample:
     if D < 1:
         raise ContractError("D must be >= 1")
     n = 1 if rows is None else rows
-    u = rng.uint64_array(n * D).reshape(n, D)
-    d = 1 + _below(u[:, 0], D).astype(np.int64)
+    # draw 0 of a row is bounded by D, draw 1 + i by D - i
+    steps = np.arange(D - 1)
+    draws = rng.below_array(np.broadcast_to(np.concatenate(([D], D - steps)), (n, D)))
+    d = 1 + draws[:, 0]
     # swap i exchanges slots i and i + below(D - i); a row past its d-1
     # swaps only reorders slots >= i, which leaves its prefix as drawn
-    steps = np.arange(D - 1)
-    swap = steps + _below(u[:, 1:], D - steps).astype(np.int64)
+    swap = steps + draws[:, 1:]
     idx = np.tile(np.arange(D), (n, 1))
     r = np.arange(n)
     for i in range(int(d.max()) - 1):

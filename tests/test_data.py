@@ -125,6 +125,17 @@ class TestAtomicWrite:
         assert p.read_text() == "new\n"
         assert os.listdir(tmp_path) == ["out.txt"]
 
+    def test_symlink_target_is_written_through(self, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("old\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        with atomic_write(link) as fh:
+            fh.write("new\n")
+        assert link.is_symlink()
+        assert real.read_text() == "new\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
     @pytest.mark.parametrize("binary", [False, True])
     def test_failure_keeps_previous_bytes(self, tmp_path, binary):
         p = tmp_path / "out.bin"
