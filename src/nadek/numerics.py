@@ -61,19 +61,24 @@ BLOCK_ROWS = 100
 
 
 def sigmoid_vec(v: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, stable for |x| up to 700.
+    """Elementwise logistic function as exp(min(x, 0)) / (1 + exp(-|x|)).
 
-    Large negative inputs are evaluated as exp(x)/(1+exp(x)) so the result
-    stays positive down to the subnormal range instead of overflowing.
+    For x >= 0 this is 1/(1+exp(-x)) and for x < 0 it is exp(x)/(1+exp(x)),
+    so no exponential overflows and the result stays positive down to the
+    subnormal range.  One formula covers both signs, with no branch or
+    gather, and gives the same bits as evaluating each sign separately.
     Below roughly -745 the value underflows to exactly 0.0; callers that
     take logs must go through :func:`clamp_prob`, which covers that case.
+    The input is never modified.
     """
     v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    out = np.minimum(v, 0.0, out=np.empty_like(v))
+    np.exp(out, out=out)
+    den = np.abs(v, out=np.empty_like(v))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out /= den
     return out
 
 

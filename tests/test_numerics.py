@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import row_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,6 +70,29 @@ class TestNonlinearities:
         for x, g in zip(xs, got):
             want = float(1 / (1 + mpmath.exp(-mpmath.mpf(float(x)))))
             assert abs(g - want) <= 1e-15
+
+    def test_sigmoid_bits_equal_masked_form(self):
+        # the reference evaluates each sign on its own boolean gather
+        edges = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 745.2, -745.2, 1e-300, -1e-300]
+        xs = np.concatenate([np.linspace(-800.0, 800.0, 100_001), edges])
+        before = xs.copy()
+        got = sigmoid_vec(xs)
+        assert np.array_equal(got.view(np.uint64), row_reference.sigmoid(xs).view(np.uint64))
+        assert np.array_equal(xs.view(np.uint64), before.view(np.uint64))
+
+    def test_sigmoid_nan_in_nan_out(self):
+        got = sigmoid_vec(np.array([np.nan, 0.0, -np.nan]))
+        assert np.isnan(got[0]) and got[1] == 0.5 and np.isnan(got[2])
+
+    def test_sigmoid_block_shapes(self):
+        block = np.linspace(-40.0, 40.0, 6 * 7).reshape(6, 7)
+        before = block.copy()
+        got = sigmoid_vec(block)
+        assert got.shape == (6, 7)
+        assert np.array_equal(got, row_reference.sigmoid(block))
+        assert np.array_equal(sigmoid_vec(block[2]), got[2])
+        assert np.array_equal(block, before)
+        assert sigmoid_vec(block[2, 3]) == got[2, 3]
 
     def test_sigmoid_complement(self):
         xs = np.linspace(-50.0, 50.0, 201)
