@@ -12,7 +12,7 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,26 +121,35 @@ def log_prob_ordering(
 
     The D positions are scored as a staircase, BLOCK_ROWS positions per
     block forward: row d has perm[:d] observed, and only its output at
-    perm[d] is read.  The blocks depend on (x, o) alone, so the result has
-    the same bits whatever else is being scored beside it.
+    perm[d] is read.  Every row of the block starting at position s sees
+    perm[:s] observed, so the block runs in visit order on the D - s
+    coordinates still missing, with the shared prefix folded into the
+    hidden bias: c + W[:, perm[:s]] @ x[perm[:s]].  The blocks depend on
+    (x, o) alone, so the result has the same bits whatever else is being
+    scored beside it.
     """
     D = config.D
     if len(o.perm) != D:
         raise ContractError("ordering length does not match D")
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (D,):
-        raise ContractError("x must have length D")
+    mean = np.asarray(mean, dtype=np.float64)
+    if x.shape != (D,) or mean.shape != (D,):
+        raise ContractError("x and mean must have length D")
+    params.check_shapes(config)
     perm = np.array(o.perm)
-    rank = np.empty(D, dtype=np.int64)
-    rank[perm] = np.arange(D)
+    W, V, b = params.W[:, perm], params.V[perm], params.b[perm]
+    x, mean = x[perm], mean[perm]
     total = 0.0
     with single_threaded_blas():
         for start in range(0, D, BLOCK_ROWS):
-            d = np.arange(start, min(start + BLOCK_ROWS, D))
-            mask = (rank >= d[:, None]).astype(np.float64)
-            traj = forward(params, config, np.broadcast_to(x, mask.shape), mask, mean)
-            p = clamp_prob(traj.v_states[-1][d - start, perm[d]])
-            total += float(np.sum(np.where(x[perm[d]] == 1.0, np.log(p), np.log(1.0 - p))))
+            rows = np.arange(min(BLOCK_ROWS, D - start))
+            c = params.c + W[:, :start] @ x[:start]
+            missing = replace(params, W=W[:, start:], c=c, V=V[start:], b=b[start:])
+            mask = (np.arange(D - start) >= rows[:, None]).astype(np.float64)
+            block = np.broadcast_to(x[start:], mask.shape)
+            traj = forward(missing, replace(config, D=D - start), block, mask, mean[start:])
+            p = clamp_prob(traj.v_states[-1][rows, rows])
+            total += float(np.sum(np.where(x[start + rows] == 1.0, np.log(p), np.log(1.0 - p))))
     return total
 
 

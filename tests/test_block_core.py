@@ -151,6 +151,22 @@ def test_staircase_matches_per_position_walk(n, activation, k_eval):
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_staircase_folds_observed_prefixes(n):
+    # D=250: blocks of 100, 100 and 50, so prefixes of 100 and 200 are folded
+    D = 250
+    params, cfg = random_model(
+        D, 5, k=3, n=n, hidden2=4 if n == 3 else None, activation="sigmoid", seed=61 + 2 * n
+    )
+    rng = Rng(67).stream("rows")
+    mean = 0.2 + 0.6 * rng.uniform_array(D)
+    for _ in range(2):
+        x = np.array([float(rng.bernoulli(0.5)) for _ in range(D)])
+        perm = tuple(int(i) for i in rng.permutation(D))
+        got = log_prob_ordering(params, cfg, x, Ordering(perm=perm), mean)
+        assert _close(got, log_prob_row(params, cfg, x, perm, mean)) < TOL
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_block_draws_match_per_position_walk(n):
     params, cfg, mean = _walk_case(n, "tanh")
     D = cfg.D

@@ -128,6 +128,17 @@ class TestLogProbOrdering:
         with pytest.raises(ContractError):
             log_prob_ordering(params, cfg, np.zeros(4), identity_ordering(3), np.full(4, 0.5))
 
+    def test_wrong_length_mean_or_params(self):
+        # both are gathered into visit order before any forward checks them
+        params, cfg = random_model(4, 3, seed=13)
+        o = identity_ordering(4)
+        for mean in (np.full(3, 0.5), np.full(5, 0.5)):
+            with pytest.raises(ContractError):
+                log_prob_ordering(params, cfg, np.zeros(4), o, mean)
+        wide, _ = random_model(5, 3, seed=13)
+        with pytest.raises(ContractError):
+            log_prob_ordering(wide, cfg, np.zeros(4), o, np.full(4, 0.5))
+
     def test_normalizes_small_d(self):
         params, cfg = random_model(3, 4, k=2, seed=14, spread=1.5)
         mean = np.array([0.3, 0.6, 0.5])
