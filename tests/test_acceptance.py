@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 from conftest import four_pattern_data, random_model
 
 from nadek import (
@@ -167,6 +168,7 @@ def _index3(x: np.ndarray) -> int:
     return int(x[0]) | (int(x[1]) << 1) | (int(x[2]) << 2)
 
 
+@pytest.mark.slow
 def test_criterion_4_sampling_correctness():
     D = 3
     params, cfg = random_model(D=D, hidden1=6, k=2, seed=400, spread=1.5)
@@ -265,6 +267,7 @@ def test_criterion_6_learning_beats_baseline():
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_more_steps_help():
     train_rows, valid_rows, _ = _splits()
     spec = draw_orderings(16, 8, seed=42)

@@ -31,6 +31,7 @@ def _tv(emp_counts, probs, n):
 
 
 class TestAncestral:
+    @pytest.mark.slow
     def test_zero_params_uniform(self):
         # fair coin per coordinate: all 8 outcomes near 1/8
         params, cfg = _zero_model(3, 1)
