@@ -188,7 +188,7 @@ def _score(args, report_path: str, k_override: int | None) -> EvalReport:
 
 def cmd_eval(args) -> int:
     report = _score(args, args.report, args.k_override)
-    print(f"per_ordering_mean_log_prob {report.per_ordering_mean():.6f}")
+    print(f"per_ordering_mean_log_prob {report.mean:.6f}")
     if args.ensemble:
         print(f"ensemble_mean_log_prob {report.ensemble_mean():.6f}")
     return 0

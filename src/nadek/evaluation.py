@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, StructureConfig, forward
-from .numerics import BLOCK_ROWS, ContractError, Rng, clamp_prob, log_sum_exp, map_in_order
+from .model import ModelParams, StructureConfig, _conditionals
+from .numerics import BLOCK_ROWS, ContractError, Rng, log_sum_exp, map_in_order
 from .numerics import single_threaded_blas
 
 __all__ = [
@@ -120,13 +120,16 @@ def log_prob_ordering(
     """log p(x | o) as the chain sum of per-position conditionals.
 
     The D positions are scored as a staircase, BLOCK_ROWS positions per
-    block forward: row d has perm[:d] observed, and only its output at
-    perm[d] is read.  Every row of the block starting at position s sees
-    perm[:s] observed, so the block runs in visit order on the D - s
-    coordinates still missing, with the shared prefix folded into the
-    hidden bias: c + W[:, perm[:s]] @ x[perm[:s]].  The blocks depend on
-    (x, o) alone, so the result has the same bits whatever else is being
-    scored beside it.
+    block: row d has perm[:d] observed, and only its output at perm[d] is
+    read.  Every row of the block starting at position s sees perm[:s]
+    observed, so the block runs in visit order on the D - s coordinates
+    still missing, with the shared prefix folded into the hidden bias:
+    c + W[:, perm[:s]] @ x[perm[:s]].  Row j's input differs from row
+    j - 1's in one coordinate (x in place of the mean), so step 1's
+    pre-activations are one product at the mean plus an exclusive cumsum
+    of W[:, j] * (x_j - mean_j); the last step is read at one coordinate
+    per row.  The blocks depend on (x, o) alone, so the result has the
+    same bits whatever else is being scored beside it.
     """
     D = config.D
     if len(o.perm) != D:
@@ -135,6 +138,8 @@ def log_prob_ordering(
     mean = np.asarray(mean, dtype=np.float64)
     if x.shape != (D,) or mean.shape != (D,):
         raise ContractError("x and mean must have length D")
+    if not np.all((x == 0.0) | (x == 1.0)):
+        raise ContractError("x must be exactly binary (0/1)")
     params.check_shapes(config)
     perm = np.array(o.perm)
     W, V, b = params.W[:, perm], params.V[perm], params.b[perm]
@@ -144,11 +149,14 @@ def log_prob_ordering(
         for start in range(0, D, BLOCK_ROWS):
             rows = np.arange(min(BLOCK_ROWS, D - start))
             c = params.c + W[:, :start] @ x[:start]
-            missing = replace(params, W=W[:, start:], c=c, V=V[start:], b=b[start:])
+            sub = replace(params, W=W[:, start:], V=V[start:], b=b[start:])
+            a1 = np.zeros((len(rows), len(c)))
+            step = W[:, start + rows[:-1]].T * (x - mean)[start + rows[:-1], None]
+            np.cumsum(step, axis=0, out=a1[1:])
+            a1 += c + sub.W @ mean[start:]
             mask = (np.arange(D - start) >= rows[:, None]).astype(np.float64)
-            block = np.broadcast_to(x[start:], mask.shape)
-            traj = forward(missing, replace(config, D=D - start), block, mask, mean[start:])
-            p = clamp_prob(traj.v_states[-1][rows, rows])
+            keep_x = (1.0 - mask) * x[start:]
+            p = _conditionals(sub, config, a1, mask, keep_x, c, config.k, rows)
             total += float(np.sum(np.where(x[start + rows] == 1.0, np.log(p), np.log(1.0 - p))))
     return total
 
@@ -176,10 +184,6 @@ class EvalReport:
     mean: float
     sd_over_orderings: float | None
     sd_over_samples: float | None
-
-    def per_ordering_mean(self) -> float:
-        """Mean log p(x|o) over every sample and ordering."""
-        return self.mean
 
     def ensemble_mean(self) -> float:
         """Mean over samples of the uniform-mixture log-prob."""

@@ -33,7 +33,6 @@ __all__ = [
     "StructureConfig",
     "Trajectory",
     "build_input",
-    "conditional_probs",
     "forward",
     "init_params",
 ]
@@ -133,7 +132,6 @@ class Trajectory:
     v_states: list[np.ndarray]
     h_states: list[tuple[np.ndarray, ...]]
     mask: np.ndarray
-    input: np.ndarray
 
     @property
     def k_used(self) -> int:
@@ -212,34 +210,66 @@ def forward(
     if k < 1:
         raise ContractError("k_override must be >= 1")
     params.check_shapes(config)
-    phi = np.tanh if config.activation == "tanh" else sigmoid_vec
-
     x = np.asarray(x, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     v = build_input(x, m, mean)
     keep_x = (1.0 - m) * x
-    v_states = [v]
-    h_states: list[tuple[np.ndarray, ...]] = []
-    for _ in range(k):
-        h1 = phi(v @ params.W.T + params.c)
-        if config.n == 3:
-            h2 = phi(h1 @ params.W2.T + params.c2)
-            h_states.append((h1, h2))
-            top = h2
-        else:
-            h_states.append((h1,))
-            top = h1
-        s = sigmoid_vec(top @ params.V.T + params.b)
-        v = m * s + keep_x
-        v_states.append(v)
-    return Trajectory(v_states=v_states, h_states=h_states, mask=m, input=x)
+    h_states, v_states = _steps(params, config, v @ params.W.T + params.c, m, keep_x, params.c, k)
+    v_states = [v, *v_states, _decode(params, h_states[-1][-1], m, keep_x)]
+    return Trajectory(v_states=v_states, h_states=h_states, mask=m)
 
 
-def conditional_probs(traj: Trajectory) -> np.ndarray:
-    """P(x_i = 1 | observed) for each missing i, ascending by index.
+def _decode(params: ModelParams, top: np.ndarray, m: np.ndarray, keep_x: np.ndarray) -> np.ndarray:
+    """The state v_t a step decodes to from its top hidden activations."""
+    return m * sigmoid_vec(top @ params.V.T + params.b) + keep_x
 
-    Values are read from the final state and clamped to the numeric
-    probability range.  An all-observed mask yields an empty vector.
+
+def _steps(
+    params: ModelParams,
+    config: StructureConfig,
+    a1: np.ndarray,
+    m: np.ndarray,
+    keep_x: np.ndarray,
+    bias: np.ndarray,
+    k: int,
+) -> tuple[list[tuple[np.ndarray, ...]], list[np.ndarray]]:
+    """The k steps from step 1's hidden pre-activation ``a1``, unchecked.
+
+    Returns every step's hidden activations and the states v_1 .. v_{k-1}
+    between the steps; the last step's output is not decoded, so a caller
+    reads it only where it needs it.  ``bias`` stands in for ``c`` in steps
+    2..k: ``c`` plus the contribution of any coordinates left out of
+    ``params`` because they are observed throughout, as one vector or one
+    row per block row.  Inputs must satisfy what :func:`forward` checks.
     """
-    missing = np.flatnonzero(traj.mask == 1.0)
-    return clamp_prob(traj.v_states[-1][missing])
+    phi = np.tanh if config.activation == "tanh" else sigmoid_vec
+    h_states: list[tuple[np.ndarray, ...]] = []
+    v_states: list[np.ndarray] = []
+    a = a1
+    for t in range(k):
+        if t:
+            v_states.append(_decode(params, h_states[-1][-1], m, keep_x))
+            a = v_states[-1] @ params.W.T + bias
+        h1 = phi(a)
+        h_states.append((h1, phi(h1 @ params.W2.T + params.c2)) if config.n == 3 else (h1,))
+    return h_states, v_states
+
+
+def _conditionals(
+    params: ModelParams,
+    config: StructureConfig,
+    a1: np.ndarray,
+    m: np.ndarray,
+    keep_x: np.ndarray,
+    bias: np.ndarray,
+    k: int,
+    cols: np.ndarray,
+) -> np.ndarray:
+    """Clamped P(x = 1) of row r at coordinate cols[r], after the k steps.
+
+    The last step is decoded at that one coordinate per row, as the row-wise
+    dot product V[cols[r]] . h_k[r] + b[cols[r]].
+    """
+    top = _steps(params, config, a1, m, keep_x, bias, k)[0][-1][-1]
+    z = np.einsum("ij,ij->i", params.V[cols], top) + params.b[cols]
+    return clamp_prob(sigmoid_vec(z))

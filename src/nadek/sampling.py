@@ -11,13 +11,13 @@ along its own ordering and from its own generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .evaluation import Ordering, conditional_ordering
-from .model import ModelParams, StructureConfig, forward
-from .numerics import BLOCK_ROWS, ContractError, Rng, clamp_prob, map_in_order
+from .model import ModelParams, StructureConfig, _conditionals
+from .numerics import BLOCK_ROWS, ContractError, Rng, map_in_order
 
 __all__ = [
     "SampleBatch",
@@ -29,7 +29,6 @@ __all__ = [
 
 @dataclass
 class SampleBatch:
-    count: int
     vectors: np.ndarray
     orderings_used: tuple[Ordering, ...]
 
@@ -46,28 +45,50 @@ def _walk(
 ) -> np.ndarray:
     """Keep x[r, perms[r, :start]] and draw the rest of each row r in place.
 
-    Row r takes one uniform per position from rngs[r] alone, all drawn
-    before the walk starts, and a bit is 1 when its uniform falls below
-    the conditional (``Rng.bernoulli``).  Rows walk in fixed blocks of
-    BLOCK_ROWS in index order, the unit of work for ``threads`` workers.
-    Draws use the clamped conditional, so every produced vector has finite
-    log-probability under evaluation.
+    The kept indices must be the same set in every row.  Row r takes one
+    uniform per position from rngs[r] alone, all drawn before the walk
+    starts, and a bit is 1 when its uniform falls below the conditional
+    (``Rng.bernoulli``).  Rows walk in fixed blocks of BLOCK_ROWS in index
+    order, the unit of work for ``threads`` workers.  Draws use the clamped
+    conditional, so every produced vector has finite log-probability under
+    evaluation.
+
+    The kept coordinates are folded into a per-row hidden bias
+    c + W[:, kept] @ x[r, kept] once per block, and the walk runs on the
+    other coordinates alone.  After each draw, step 1's pre-activation
+    moves by W[:, i] * (x_i - mean_i), and the last step is read at the
+    drawn coordinate only.
     """
+    D = config.D
+    params.check_shapes(config)
+    mean = np.asarray(mean, dtype=np.float64)
+    if mean.shape != (D,):
+        raise ContractError("mean must have length D")
+    kept = np.sort(perms[:1, :start].ravel())
+    if not np.all((x[:, kept] == 0.0) | (x[:, kept] == 1.0)):
+        raise ContractError("observed values must be exactly binary (0/1)")
+    free = np.sort(perms[:1, start:].ravel())
+    col = np.empty(D, dtype=np.int64)
+    col[free] = np.arange(len(free))
+    sub = replace(params, W=params.W[:, free], V=params.V[free], b=params.b[free])
+    mean = mean[free]
 
     def block(lo: int) -> None:
         span = slice(lo, lo + BLOCK_ROWS)
-        xb, pb = x[span], perms[span]
-        u = np.array([rng.uniform_array(config.D - start) for rng in rngs[span]])
-        rows = np.arange(xb.shape[0])
-        mask = np.zeros_like(xb)
-        mask[rows[:, None], pb[:, start:]] = 1.0
-        # unobserved entries carry no information; normalize them
-        xb[mask == 1.0] = 0.0
-        for t, d in enumerate(range(start, config.D)):
-            traj = forward(params, config, xb, mask, mean)
-            i = pb[:, d]
-            xb[rows, i] = u[:, t] < clamp_prob(traj.v_states[-1][rows, i])
+        u = np.array([rng.uniform_array(len(free)) for rng in rngs[span]])
+        order = col[perms[span, start:]]
+        bias = params.c + x[span, kept] @ params.W[:, kept].T
+        a1 = bias + sub.W @ mean
+        mask = np.ones(order.shape)
+        drawn = np.zeros(order.shape)
+        rows = np.arange(len(order))
+        for t in range(len(free)):
+            i = order[:, t]
+            bit = (u[:, t] < _conditionals(sub, config, a1, mask, drawn, bias, config.k, i)) * 1.0
+            drawn[rows, i] = bit
             mask[rows, i] = 0.0
+            a1 += sub.W[:, i].T * (bit - mean[i])[:, None]
+        x[span, free] = drawn
 
     map_in_order(block, range(0, x.shape[0], BLOCK_ROWS), threads)
     return x
@@ -108,7 +129,7 @@ def sample_from_mixture(
     perms = np.array([sub.permutation(D) for sub in subs])
     vectors = _walk(params, config, np.zeros((count, D)), perms, 0, mean, subs, threads)
     orderings = tuple(Ordering(perm=tuple(perm)) for perm in perms)
-    return SampleBatch(count=count, vectors=vectors, orderings_used=orderings)
+    return SampleBatch(vectors=vectors, orderings_used=orderings)
 
 
 def inpaint(

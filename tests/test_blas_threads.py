@@ -1,10 +1,10 @@
 """Outputs do not depend on the BLAS thread count.
 
 A 100-row matrix-matrix product gives different bits under
-OPENBLAS_NUM_THREADS=1 and =2 at this shape, so checkpoints, reports and
-samples are only byte-stable because every block product runs with BLAS
-pinned to one thread.  Each run is a fresh interpreter, since OpenBLAS
-reads the variable when numpy loads.
+OPENBLAS_NUM_THREADS=1 and =2 at this shape, so checkpoints, reports,
+samples and inpainted rows are only byte-stable because every block
+product runs with BLAS pinned to one thread.  Each run is a fresh
+interpreter, since OpenBLAS reads the variable when numpy loads.
 """
 
 import os
@@ -87,10 +87,15 @@ def test_report_and_sample_bytes_equal_at_one_and_two_blas_threads(tmp_path):
     model = str(tmp_path / "model.ckpt")
     save_checkpoint(model, params, cfg, {"mean": encode_mean(np.full(196, 0.3))})
     data = _write_rows(tmp_path / "rows.amat", 3, 196, seed=3)
+    # 120 rows: inpaint blocks of 100 and 20, each with its own observed-set fold
+    inpaint_rows = _write_rows(tmp_path / "inpaint.amat", 120, 196, seed=4)
+    obs = tmp_path / "obs.txt"
+    obs.write_text(" ".join(str(i) for i in range(0, 196, 2)) + "\n")
     outputs = {}
     for threads in (1, 2):
         report = tmp_path / f"report{threads}.txt"
         samples = tmp_path / f"samples{threads}.amat"
+        filled = tmp_path / f"filled{threads}.amat"
         stdout = _cli(
             ["eval", "--model", model, "--data", data, "--orderings", "2", "--ensemble",
              "--report", str(report), "--seed", "5"],
@@ -100,7 +105,14 @@ def test_report_and_sample_bytes_equal_at_one_and_two_blas_threads(tmp_path):
             ["sample", "--model", model, "--count", "3", "--out", str(samples), "--seed", "5"],
             threads,
         )
+        _cli(
+            ["inpaint", "--model", model, "--data", inpaint_rows, "--obs-file", str(obs),
+             "--out", str(filled), "--seed", "5"],
+            threads,
+        )
         exact = _python(["-c", EXACT, model, data], threads)
-        outputs[threads] = (stdout, report.read_bytes(), samples.read_bytes(), exact)
+        outputs[threads] = (
+            stdout, report.read_bytes(), samples.read_bytes(), exact, filled.read_bytes()
+        )
     assert len(outputs[1][3].split()) == 6
     assert outputs[1] == outputs[2]

@@ -188,6 +188,39 @@ def test_block_draws_match_per_position_walk(n):
         assert np.array_equal(filled[i], draw_row(params, cfg, rows[i], perm, len(obs), mean, sub))
 
 
+@pytest.mark.parametrize("k", [3, 1])
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_walk_draws_match_per_position_walk(n, activation, k):
+    D = 12
+    params, cfg = random_model(
+        D, 5, k=k, n=n, hidden2=4 if n == 3 else None, activation=activation, seed=71 + 2 * n
+    )
+    params.b[0] = 60.0
+    params.b[1] = -60.0
+    mean = 0.2 + 0.6 * Rng(73).stream("mean").uniform_array(D)
+    traj = forward(params, cfg, np.zeros(D), np.ones(D), mean)
+    assert traj.v_states[-1][0] > 1.0 - PROB_EPS
+    assert traj.v_states[-1][1] < PROB_EPS
+    batch = sample_from_mixture(params, cfg, 5, mean, Rng(79))
+    for i in range(5):
+        sub = Rng(79).stream("sample", i)
+        perm = tuple(int(j) for j in sub.permutation(D))
+        assert perm == batch.orderings_used[i].perm
+        want = draw_row(params, cfg, np.zeros(D), perm, 0, mean, sub)
+        assert np.array_equal(batch.vectors[i], want)
+    # 130 rows: inpaint blocks of 100 and 30, each folding its rows' observed values
+    rng = Rng(83).stream("rows")
+    rows = np.array([[float(rng.bernoulli(0.5)) for _ in range(D)] for _ in range(130)])
+    obs = [7, 3, 10, 4]
+    rngs = [Rng(83).stream("inpaint", i) for i in range(130)]
+    filled = inpaint(params, cfg, rows, obs, mean, rngs)
+    for i in range(130):
+        sub = Rng(83).stream("inpaint", i)
+        perm = conditional_ordering(D, obs, sub).perm
+        assert np.array_equal(filled[i], draw_row(params, cfg, rows[i], perm, len(obs), mean, sub))
+
+
 def _reference_train(structure, train_rows, valid_rows, config, mode):
     """The epoch loop one row at a time: same streams, same draw order."""
     mean = train_rows.mean(axis=0)

@@ -7,8 +7,8 @@ import pytest
 from conftest import random_model
 
 from nadek import Rng, StructureConfig, forward, init_params
-from nadek.model import build_input, conditional_probs
-from nadek.numerics import PROB_EPS, ContractError
+from nadek.model import build_input
+from nadek.numerics import ContractError
 
 
 class TestStructureConfig:
@@ -225,26 +225,3 @@ class TestForward:
         one = forward(params, cfg, x, m, mean)
         five = forward(params, cfg, x, m, mean, k_override=5)
         assert not np.array_equal(one.v_states[-1], five.v_states[-1])
-
-
-class TestConditionalProbs:
-    def test_reads_missing_ascending(self):
-        params, cfg = random_model(5, 4, k=2, seed=51)
-        x = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
-        m = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
-        traj = forward(params, cfg, x, m, np.full(5, 0.5))
-        probs = conditional_probs(traj)
-        want = traj.v_states[-1][[1, 3, 4]]
-        assert np.array_equal(probs, np.clip(want, PROB_EPS, 1 - PROB_EPS))
-
-    def test_all_observed_empty(self):
-        params, cfg = random_model(3, 2, k=1, seed=52)
-        x = np.array([1.0, 0.0, 1.0])
-        traj = forward(params, cfg, x, np.zeros(3), np.full(3, 0.5))
-        assert conditional_probs(traj).shape == (0,)
-
-    def test_clamped_range(self):
-        params, cfg = random_model(4, 3, k=2, seed=53, spread=80.0)
-        traj = forward(params, cfg, np.zeros(4), np.ones(4), np.full(4, 0.5))
-        probs = conditional_probs(traj)
-        assert np.all(probs >= PROB_EPS) and np.all(probs <= 1 - PROB_EPS)

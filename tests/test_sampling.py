@@ -89,7 +89,7 @@ class TestMixture:
     def test_batch_shape_and_fields(self):
         params, cfg = random_model(4, 3, k=1, seed=49)
         batch = sample_from_mixture(params, cfg, 5, np.full(4, 0.5), Rng(50))
-        assert batch.count == 5
+        assert len(batch.vectors) == 5
         assert batch.vectors.shape == (5, 4)
         assert len(batch.orderings_used) == 5
         assert np.all((batch.vectors == 0.0) | (batch.vectors == 1.0))
@@ -189,3 +189,31 @@ class TestInpaint:
             inpaint(params, cfg, np.zeros(3), [0], np.full(4, 0.5), Rng(1))
         with pytest.raises(ContractError):
             inpaint(params, cfg, np.zeros(4), [9], np.full(4, 0.5), Rng(1))
+
+    def test_non_binary_observed_value(self):
+        params, cfg = random_model(4, 3, seed=68)
+        x = np.array([1.0, 0.5, 0.0, 0.0])
+        with pytest.raises(ContractError):
+            inpaint(params, cfg, x, [0, 1], np.full(4, 0.5), Rng(1))
+        # an unobserved slot may hold anything
+        inpaint(params, cfg, x, [0, 2], np.full(4, 0.5), Rng(1))
+
+
+def _walks(params, cfg, mean):
+    """One call of each walk entry point, at D=4."""
+    yield lambda: ancestral_sample(params, cfg, identity_ordering(4), mean, Rng(1))
+    yield lambda: sample_from_mixture(params, cfg, 2, mean, Rng(1))
+    yield lambda: inpaint(params, cfg, np.zeros(4), [0], mean, Rng(1))
+
+
+def test_walks_reject_wrong_length_mean_or_params():
+    # every walk slices the model to its free coordinates before drawing
+    params, cfg = random_model(4, 3, seed=69)
+    for mean in (np.full(3, 0.5), np.full(5, 0.5)):
+        for walk in _walks(params, cfg, mean):
+            with pytest.raises(ContractError):
+                walk()
+    wide, _ = random_model(5, 3, seed=69)
+    for walk in _walks(wide, cfg, np.full(4, 0.5)):
+        with pytest.raises(ContractError):
+            walk()

@@ -139,7 +139,6 @@ class TestLosses:
             v_states=[np.full(3, 0.5), x.copy()],
             h_states=[(np.zeros(2),)],
             mask=ms.mask,
-            input=x,
         )
         loss = stochastic_loss(traj, x)
         assert 0.0 <= loss < 1e-11
@@ -193,7 +192,6 @@ class TestBackward:
             v_states=[np.full(4, 0.5), x.copy()],
             h_states=[(np.zeros(3),)],
             mask=ms.mask,
-            input=x,
         )
         got = backward(params, cfg, traj, x, ms.mask, "finetune")
         for t in got.tensors().values():
