@@ -81,6 +81,8 @@ def _load_model(path: str) -> tuple[ModelParams, StructureConfig, dict, np.ndarr
     mean = decode_mean(metadata["mean"])
     if mean.shape != (config.D,):
         raise CheckpointError(f"{path}: stored mean length does not match D")
+    if not np.all((mean >= 0.0) & (mean <= 1.0)):
+        raise CheckpointError(f"{path}: stored mean must be finite and within [0, 1]")
     return params, config, metadata, mean
 
 

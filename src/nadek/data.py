@@ -96,7 +96,8 @@ def load_text_matrix(path: str, name: str | None = None) -> Dataset:
                 raise DataError(
                     f"{path}: line {lineno}: expected {width} fields, got {row.shape[0]}"
                 )
-            if np.any(row < 0.0) or np.any(row > 1.0):
+            # written so that NaN, which fails every comparison, fails it too
+            if not np.all((row >= 0.0) & (row <= 1.0)):
                 raise DataError(f"{path}: line {lineno}: value outside [0, 1]")
             rows.append(row)
     if not rows:
@@ -154,18 +155,11 @@ def empirical_mean(data: Dataset) -> np.ndarray:
     return data.samples.mean(axis=0)
 
 
-def minibatches(
-    count: int, size: int, rng: Rng | None = None, shuffle: bool = True
-) -> list[np.ndarray]:
-    """Index blocks covering 0..count-1; the last block may be short."""
+def minibatches(count: int, size: int, rng: Rng) -> list[np.ndarray]:
+    """Index blocks of one shuffle of 0..count-1; the last block may be short."""
     if size < 1:
         raise ContractError("minibatch size must be >= 1")
     if count < 1:
         raise ContractError("cannot batch an empty dataset")
-    if shuffle:
-        if rng is None:
-            raise ContractError("shuffled minibatches need a generator")
-        order = rng.permutation(count)
-    else:
-        order = np.arange(count)
+    order = rng.permutation(count)
     return [order[start : start + size] for start in range(0, count, size)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, StructureConfig, _conditionals
+from .model import ModelParams, StructureConfig, _check_binary, _conditionals
 from .numerics import BLOCK_ROWS, ContractError, Rng, log_sum_exp, map_in_order
 from .numerics import single_threaded_blas
 
@@ -138,8 +138,7 @@ def log_prob_ordering(
     mean = np.asarray(mean, dtype=np.float64)
     if x.shape != (D,) or mean.shape != (D,):
         raise ContractError("x and mean must have length D")
-    if not np.all((x == 0.0) | (x == 1.0)):
-        raise ContractError("x must be exactly binary (0/1)")
+    _check_binary(x, "x")
     params.check_shapes(config)
     perm = np.array(o.perm)
     W, V, b = params.W[:, perm], params.V[perm], params.b[perm]

@@ -197,24 +197,20 @@ def forward(
     x: np.ndarray,
     m: np.ndarray,
     mean: np.ndarray,
-    k_override: int | None = None,
 ) -> Trajectory:
     """Run the k-step inference iteration and record the full trajectory.
 
     ``x`` is one row of length D or a B x D block, and ``m`` its mask of
-    the same shape (1 marks a missing component).  ``k_override`` replaces
-    the trained step count at inference time; the training loop never sets
-    it.
+    the same shape (1 marks a missing component).  To run a different
+    step count at inference time, pass ``dataclasses.replace(config, k=...)``.
     """
-    k = config.k if k_override is None else k_override
-    if k < 1:
-        raise ContractError("k_override must be >= 1")
     params.check_shapes(config)
     x = np.asarray(x, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     v = build_input(x, m, mean)
     keep_x = (1.0 - m) * x
-    h_states, v_states = _steps(params, config, v @ params.W.T + params.c, m, keep_x, params.c, k)
+    a1 = v @ params.W.T + params.c
+    h_states, v_states = _steps(params, config, a1, m, keep_x, params.c, config.k)
     v_states = [v, *v_states, _decode(params, h_states[-1][-1], m, keep_x)]
     return Trajectory(v_states=v_states, h_states=h_states, mask=m)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evaluation import Ordering, conditional_ordering
-from .model import ModelParams, StructureConfig, _conditionals
+from .model import ModelParams, StructureConfig, _check_binary, _conditionals
 from .numerics import BLOCK_ROWS, ContractError, Rng, map_in_order
 
 __all__ = [
@@ -65,8 +65,7 @@ def _walk(
     if mean.shape != (D,):
         raise ContractError("mean must have length D")
     kept = np.sort(perms[:1, :start].ravel())
-    if not np.all((x[:, kept] == 0.0) | (x[:, kept] == 1.0)):
-        raise ContractError("observed values must be exactly binary (0/1)")
+    _check_binary(x[:, kept], "observed values")
     free = np.sort(perms[:1, start:].ravel())
     col = np.empty(D, dtype=np.int64)
     col[free] = np.arange(len(free))
@@ -153,8 +152,6 @@ def inpaint(
     rngs = [rng] if isinstance(rng, Rng) else list(rng)
     if x_obs.shape[-1:] != (D,) or x_obs.size != D * len(rngs):
         raise ContractError("x_obs must hold one row of length D per generator")
-    if len(set(obs_indices)) == D:
-        return x_obs.copy()
     x = x_obs.reshape(len(rngs), D).copy()
     perms = np.array([conditional_ordering(D, obs_indices, r).perm for r in rngs])
     _walk(params, config, x, perms, len(obs_indices), mean, rngs)

@@ -30,7 +30,6 @@ from .numerics import BLOCK_ROWS, PROB_EPS, ContractError, Rng, clamp_prob, sing
 
 __all__ = [
     "AdaDeltaState",
-    "MaskSample",
     "TrainConfig",
     "TrainResult",
     "adadelta_step",
@@ -47,22 +46,6 @@ OBJECTIVES = ("finetune", "pretrain")
 MODES = ("pretrain_then_finetune", "finetune_only")
 
 
-@dataclass
-class MaskSample:
-    """One draw of the (ordering position, observed subset) pair, or a block.
-
-    mask marks the D-d+1 missing components with 1; the other d-1 are
-    observed.  A block holds a rows x D mask and one d per row.
-    """
-
-    mask: np.ndarray
-    d: int | np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.sum(self.mask, axis=-1) != self.mask.shape[-1] - np.asarray(self.d) + 1):
-            raise ContractError("mask cardinality does not match d")
-
-
 def _check_adadelta(rho: float, epsilon: float) -> None:
     if not 0.0 < rho < 1.0:
         raise ContractError("rho must lie in (0, 1)")
@@ -74,8 +57,8 @@ def _check_adadelta(rho: float, epsilon: float) -> None:
 class AdaDeltaState:
     """Per-parameter running averages E[g^2] and E[dx^2]."""
 
-    eg2: dict[str, np.ndarray]
-    edx2: dict[str, np.ndarray]
+    eg2: ModelParams
+    edx2: ModelParams
     rho: float = 0.95
     epsilon: float = 1e-6
 
@@ -86,12 +69,7 @@ class AdaDeltaState:
     def zeros_like(
         cls, params: ModelParams, rho: float = 0.95, epsilon: float = 1e-6
     ) -> "AdaDeltaState":
-        return cls(
-            eg2={n: np.zeros_like(t) for n, t in params.tensors().items()},
-            edx2={n: np.zeros_like(t) for n, t in params.tensors().items()},
-            rho=rho,
-            epsilon=epsilon,
-        )
+        return cls(eg2=params.zeros_like(), edx2=params.zeros_like(), rho=rho, epsilon=epsilon)
 
 
 @dataclass
@@ -126,37 +104,35 @@ class TrainResult:
     epochs_run: int = 0
 
 
-def sample_mask(rng: Rng, D: int, rows: int | None = None) -> MaskSample:
-    """Draw d uniform on {1..D}, then d-1 observed indices without bias.
+def sample_mask(rng: Rng, D: int, rows: int) -> np.ndarray:
+    """A rows x D mask block: 1 marks a missing component, 0 an observed one.
 
-    The observed set is the prefix of a partial Fisher-Yates shuffle, so
-    every (d-1)-subset is equally likely.  Each row consumes exactly D
-    draws: draw 0 gives d, draws 1..d-1 give the swaps and the rest are
-    skipped.  With ``rows`` set, the result is a block of that many rows
-    from one bulk draw; row r reads draws r*D .. r*D+D-1 alone, so it
-    equals a one-row draw made with the counter at r*D.
+    Each row draws d uniform on {1..D}, then d-1 observed indices without
+    bias: the prefix of a partial Fisher-Yates shuffle, so every
+    (d-1)-subset is equally likely, and d = D + 1 - (row sum).  Each row
+    consumes exactly D draws of one bulk draw: draw 0 gives d, draws
+    1..d-1 give the swaps and the rest are skipped.  Row r reads draws
+    r*D .. r*D+D-1 alone, so it equals a one-row block drawn with the
+    counter at r*D.
     """
     if D < 1:
         raise ContractError("D must be >= 1")
-    n = 1 if rows is None else rows
     # draw 0 of a row is bounded by D, draw 1 + i by D - i
     steps = np.arange(D - 1)
-    draws = rng.below_array(np.broadcast_to(np.concatenate(([D], D - steps)), (n, D)))
+    draws = rng.below_array(np.broadcast_to(np.concatenate(([D], D - steps)), (rows, D)))
     d = 1 + draws[:, 0]
     # swap i exchanges slots i and i + below(D - i); a row past its d-1
     # swaps only reorders slots >= i, which leaves its prefix as drawn
     swap = steps + draws[:, 1:]
-    idx = np.tile(np.arange(D), (n, 1))
-    r = np.arange(n)
+    idx = np.tile(np.arange(D), (rows, 1))
+    r = np.arange(rows)
     for i in range(int(d.max()) - 1):
         j = swap[:, i]
         idx[r, i], idx[r, j] = idx[r, j], idx[r, i]
-    mask = np.ones((n, D))
+    mask = np.ones((rows, D))
     observed = np.arange(D) < (d - 1)[:, None]
     mask[np.nonzero(observed)[0], idx[observed]] = 0.0
-    if rows is None:
-        return MaskSample(mask=mask[0], d=int(d[0]))
-    return MaskSample(mask=mask, d=d)
+    return mask
 
 
 def _row_ce(v: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -210,14 +186,13 @@ def backward(
     config: StructureConfig,
     traj: Trajectory,
     x: np.ndarray,
-    m: np.ndarray,
     objective: str,
 ) -> ModelParams:
     """Exact gradient of the chosen loss, summed over the rows of the block.
 
-    ``x`` and ``m`` are the block and mask the trajectory was run on (a
-    single row counts as a block of one).  All k steps accumulate into the
-    shared tensors, one matrix-matrix product per tensor and step.
+    ``x`` is the block the trajectory was run on, under the trajectory's
+    mask (a single row counts as a block of one).  All k steps accumulate
+    into the shared tensors, one matrix-matrix product per tensor and step.
     Observed coordinates carry no gradient: the clamp replaces them with
     constants at every step.  Coordinates whose output probability left
     the clamp range contribute zero loss gradient, matching the clamped
@@ -226,7 +201,7 @@ def backward(
     if objective not in OBJECTIVES:
         raise ContractError(f"objective must be one of {OBJECTIVES}")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
+    m = np.atleast_2d(traj.mask)
     k = traj.k_used
     # per-row loss weight of each scored step's reconstruction
     gamma = _gamma(m)[:, None]
@@ -289,11 +264,8 @@ def adadelta_step(
     """
     rho = state.rho
     eps = state.epsilon
-    gtensors = grads.tensors()
-    for name, p in params.tensors().items():
-        g = gtensors[name]
-        eg2 = state.eg2[name]
-        edx2 = state.edx2[name]
+    tensor_sets = (params, grads, state.eg2, state.edx2)
+    for p, g, eg2, edx2 in zip(*(t.tensors().values() for t in tensor_sets)):
         tmp = (1.0 - rho) * g
         tmp *= g
         eg2 *= rho
@@ -332,7 +304,7 @@ def validation_score(
     total = 0.0
     for start in range(0, data.shape[0], BLOCK_ROWS):
         x = data[start : start + BLOCK_ROWS]
-        traj = forward(params, structure, x, sample_mask(rng, structure.D, x.shape[0]).mask, mean)
+        traj = forward(params, structure, x, sample_mask(rng, structure.D, x.shape[0]), mean)
         total += stochastic_loss(traj, x)
     return total / len(data)
 
@@ -352,7 +324,7 @@ def _block_step(
     """
     traj = forward(params, structure, x, m, mean)
     loss = float(np.sum(_row_losses(traj, x, objective)))
-    return backward(params, structure, traj, x, m, objective), loss
+    return backward(params, structure, traj, x, objective), loss
 
 
 def _check_split(data: np.ndarray, D: int, name: str) -> np.ndarray:
@@ -413,7 +385,7 @@ def train(
                 total = 0.0
                 for block in minibatches(n_train, config.minibatch_size, shuffle_rng):
                     x = train_data[block]
-                    m = sample_mask(mask_rng, structure.D, len(block)).mask
+                    m = sample_mask(mask_rng, structure.D, len(block))
                     grads, loss = _block_step(params, structure, x, m, mean, objective)
                     total += loss
                     scale = 1.0 / len(block)

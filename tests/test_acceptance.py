@@ -119,12 +119,12 @@ def _fd_worst(n: int, k: int, objective: str, seed: int) -> float:
     rng = Rng(seed).stream("case")
     x = np.array([float(rng.next_below(2)) for _ in range(D)])
     mean = 0.2 + 0.6 * rng.uniform_array(D)
-    ms = sample_mask(rng, D)
-    traj = forward(params, cfg, x, ms.mask, mean)
-    grads = backward(params, cfg, traj, x, ms.mask, objective)
+    m = sample_mask(rng, D, 1)[0]
+    traj = forward(params, cfg, x, m, mean)
+    grads = backward(params, cfg, traj, x, objective)
 
     def loss() -> float:
-        t = forward(params, cfg, x, ms.mask, mean)
+        t = forward(params, cfg, x, m, mean)
         return stochastic_loss(t, x) if objective == "finetune" else pretrain_loss(t, x)
 
     h = 1e-5

@@ -56,7 +56,7 @@ def _case(n, activation):
     rng = Rng(17).stream("block")
     x = np.array([[float(rng.bernoulli(0.5)) for _ in range(D)] for _ in range(7)])
     x[0, :2] = [0.0, 1.0]
-    m = np.stack([sample_mask(rng, D).mask for _ in range(7)])
+    m = np.stack([sample_mask(rng, D, 1)[0] for _ in range(7)])
     m[0] = [1.0, 1.0, 0.0, 1.0, 0.0, 1.0]
     mean = 0.2 + 0.6 * rng.uniform_array(D)
     return params, cfg, x, m, mean
@@ -81,7 +81,7 @@ def test_block_matches_per_row_sum(n, activation, objective):
     want_loss = sum(loss_row(vs, x[r], m[r], objective) for r, (vs, _) in enumerate(rows))
     assert _close(loss_fn(traj, x), want_loss) < TOL
 
-    got = backward(params, cfg, traj, x, m, objective).tensors()
+    got = backward(params, cfg, traj, x, objective).tensors()
     want = {name: np.zeros_like(t) for name, t in got.items()}
     for r in range(len(x)):
         for name, g in gradient_row(params, cfg, x[r], m[r], mean, objective).items():
@@ -97,8 +97,8 @@ def test_single_row_is_a_block_of_one():
     for a, b in zip(row.v_states, block.v_states):
         assert a.shape == (6,) and b.shape == (1, 6)
         assert _close(a, b[0]) < TOL
-    ga = backward(params, cfg, row, x[3], m[3], "finetune").tensors()
-    gb = backward(params, cfg, block, x[3:4], m[3:4], "finetune").tensors()
+    ga = backward(params, cfg, row, x[3], "finetune").tensors()
+    gb = backward(params, cfg, block, x[3:4], "finetune").tensors()
     for name in ga:
         assert _close(ga[name], gb[name]) < TOL
 
@@ -112,7 +112,7 @@ def test_chunked_validation_matches_per_row_mean():
     masks = Rng(5).stream("valid-masks")
     want = 0.0
     for x in data:
-        m = sample_mask(masks, 6).mask
+        m = sample_mask(masks, 6, 1)[0]
         vs, _ = forward_row(params, cfg, x, m, mean)
         want += loss_row(vs, x, m, "finetune")
     want /= len(data)
@@ -241,7 +241,7 @@ def _reference_train(structure, train_rows, valid_rows, config, mode):
                 grads = {n: np.zeros_like(t) for n, t in params.tensors().items()}
                 for i in block:
                     x = train_rows[i]
-                    m = sample_mask(mask_rng, structure.D).mask
+                    m = sample_mask(mask_rng, structure.D, 1)[0]
                     vs, _ = forward_row(params, structure, x, m, mean)
                     total += loss_row(vs, x, m, objective)
                     for name, g in gradient_row(params, structure, x, m, mean, objective).items():
@@ -254,7 +254,7 @@ def _reference_train(structure, train_rows, valid_rows, config, mode):
             masks = Rng(config.seed).stream("valid-masks")
             valid = 0.0
             for x in valid_rows:
-                m = sample_mask(masks, structure.D).mask
+                m = sample_mask(masks, structure.D, 1)[0]
                 valid += loss_row(forward_row(params, structure, x, m, mean)[0], x, m, "finetune")
             valid /= len(valid_rows)
             losses.append((total / len(train_rows), valid))

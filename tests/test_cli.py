@@ -426,3 +426,19 @@ class TestModelLoading:
         )
         assert rc == 1
         assert "mean" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    def test_stored_mean_outside_unit_interval(self, tmp_path, capsys, command):
+        # a NaN or out-of-range mean would score as nan or draw all-zero rows
+        ckpt, _, _ = _checkpoint(
+            tmp_path, mean=np.array([np.nan, 0.5, 1.5]), D=3, hidden1=2, seed=39
+        )
+        data = _write_data(tmp_path / "d.amat", [[1, 0, 1]])
+        argv = {
+            "eval": ["--data", str(data), "--report", str(tmp_path / "r.txt")],
+            "sample": ["--count", "2", "--out", str(tmp_path / "s.amat")],
+        }[command]
+        rc = main([command, "--model", str(ckpt)] + argv)
+        assert rc == 1
+        assert "mean" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists() and not (tmp_path / "s.amat").exists()

@@ -58,9 +58,10 @@ class TestLoad:
 
     def test_out_of_range(self, tmp_path):
         p = tmp_path / "m.amat"
-        p.write_text("0 1\n1 1.5\n")
-        with pytest.raises(DataError, match="line 2"):
-            load_text_matrix(p)
+        for text in ("0 1\n1 1.5\n", "0 1\n1 nan\n"):
+            p.write_text(text)
+            with pytest.raises(DataError, match="line 2"):
+                load_text_matrix(p)
 
     def test_negative_rejected(self, tmp_path):
         p = tmp_path / "m.amat"
@@ -207,10 +208,6 @@ class TestMinibatches:
         blocks = minibatches(10, 3, rng=Rng(4).stream("mb"))
         assert [len(b) for b in blocks] == [3, 3, 3, 1]
 
-    def test_unshuffled_identity(self):
-        blocks = minibatches(6, 4, shuffle=False)
-        assert np.array_equal(np.concatenate(blocks), np.arange(6))
-
     def test_seeded_identical(self):
         a = np.concatenate(minibatches(6, 2, rng=Rng(5).stream("mb")))
         b = np.concatenate(minibatches(6, 2, rng=Rng(5).stream("mb")))
@@ -221,16 +218,17 @@ class TestMinibatches:
         assert sorted(out.tolist()) == list(range(7))
 
     def test_shuffle_requires_rng(self):
-        with pytest.raises(ContractError):
+        # the generator is a required argument: there is no unshuffled form
+        with pytest.raises(TypeError):
             minibatches(3, 2)
 
     def test_bad_size(self):
         with pytest.raises(ContractError):
-            minibatches(3, 0, shuffle=False)
+            minibatches(3, 0, Rng(7).stream("mb"))
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
-            minibatches(0, 2, shuffle=False)
+            minibatches(0, 2, Rng(7).stream("mb"))
 
 
 class TestDataset:

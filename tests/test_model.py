@@ -1,6 +1,7 @@
 """Structure validation and the k-step inference pass."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,12 +211,12 @@ class TestForward:
 
     def test_k_override(self):
         params, cfg = random_model(4, 3, k=2, seed=47)
-        traj = forward(params, cfg, np.zeros(4), np.ones(4), np.full(4, 0.5), k_override=5)
+        traj = forward(params, replace(cfg, k=5), np.zeros(4), np.ones(4), np.full(4, 0.5))
         assert traj.k_used == 5
         assert len(traj.v_states) == 6
         assert cfg.k == 2
         with pytest.raises(ContractError):
-            forward(params, cfg, np.zeros(4), np.ones(4), np.full(4, 0.5), k_override=0)
+            replace(cfg, k=0)
 
     def test_more_steps_change_output(self):
         params, cfg = random_model(4, 3, k=1, seed=48)
@@ -223,5 +224,5 @@ class TestForward:
         m = np.ones(4)
         mean = np.full(4, 0.5)
         one = forward(params, cfg, x, m, mean)
-        five = forward(params, cfg, x, m, mean, k_override=5)
+        five = forward(params, replace(cfg, k=5), x, m, mean)
         assert not np.array_equal(one.v_states[-1], five.v_states[-1])

@@ -189,12 +189,17 @@ class TestInpaint:
             inpaint(params, cfg, np.zeros(3), [0], np.full(4, 0.5), Rng(1))
         with pytest.raises(ContractError):
             inpaint(params, cfg, np.zeros(4), [9], np.full(4, 0.5), Rng(1))
+        # D distinct indices, all observed, are checked like any others
+        with pytest.raises(ContractError):
+            inpaint(params, cfg, np.zeros(4), [0, 1, 2, 99], np.full(4, 0.5), Rng(1))
 
     def test_non_binary_observed_value(self):
         params, cfg = random_model(4, 3, seed=68)
         x = np.array([1.0, 0.5, 0.0, 0.0])
         with pytest.raises(ContractError):
             inpaint(params, cfg, x, [0, 1], np.full(4, 0.5), Rng(1))
+        with pytest.raises(ContractError):
+            inpaint(params, cfg, x, [0, 1, 2, 3], np.full(4, 0.5), Rng(1))
         # an unobserved slot may hold anything
         inpaint(params, cfg, x, [0, 2], np.full(4, 0.5), Rng(1))
 

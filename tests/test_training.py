@@ -14,7 +14,6 @@ from nadek.model import Trajectory
 from nadek.numerics import ContractError
 from nadek.training import (
     AdaDeltaState,
-    MaskSample,
     TrainConfig,
     adadelta_step,
     add_weight_decay,
@@ -29,28 +28,27 @@ from nadek.training import (
 LN2 = math.log(2.0)
 
 
-def _mask_for(D, d, observed):
+def _mask_for(D, observed):
     mask = np.ones(D)
     for i in observed:
         mask[i] = 0.0
-    return MaskSample(mask=mask, d=d)
+    return mask
 
 
 class TestSampleMask:
     def test_cardinality(self):
+        # d = D + 1 - (missing count) lies in 1..D: at least one missing
         rng = Rng(1).stream("masks")
         for _ in range(300):
-            ms = sample_mask(rng, 5)
-            assert int(np.sum(ms.mask)) == 5 - ms.d + 1
-            assert int(np.sum(1.0 - ms.mask)) == ms.d - 1
-            assert 1 <= ms.d <= 5
+            m = sample_mask(rng, 5, 1)[0]
+            assert np.all((m == 0.0) | (m == 1.0))
+            assert 1 <= 6 - int(np.sum(m)) <= 5
 
     def test_single_dimension(self):
         rng = Rng(2).stream("masks")
         for _ in range(20):
-            ms = sample_mask(rng, 1)
-            assert ms.d == 1
-            assert ms.mask.tolist() == [1.0]
+            m = sample_mask(rng, 1, 1)[0]
+            assert m.tolist() == [1.0]
 
     # A block of n rows holds the same masks as n one-row draws in turn
     # (see test_block_row_is_draw_at_counter), and is drawn in one call.
@@ -59,14 +57,15 @@ class TestSampleMask:
         # E[missing fraction] = (4+3+2+1)/16 = 0.625 per index
         rng = Rng(3).stream("masks")
         n = 100000
-        hits = sample_mask(rng, 4, n).mask.sum(axis=0)
+        hits = sample_mask(rng, 4, n).sum(axis=0)
         freq = hits / n
         assert np.all(np.abs(freq - 0.625) < 0.01)
 
     def test_d_uniform(self):
         rng = Rng(4).stream("masks")
         n = 40000
-        counts = np.bincount(sample_mask(rng, 4, n).d - 1, minlength=4)
+        d = 4 + 1 - sample_mask(rng, 4, n).sum(axis=1).astype(int)
+        counts = np.bincount(d - 1, minlength=4)
         assert np.all(np.abs(counts / n - 0.25) < 0.01)
 
     def test_block_law(self):
@@ -74,19 +73,20 @@ class TestSampleMask:
         # indices equally likely.  Chi-square statistics stay below 40,
         # whose upper tail is < 2e-7 at the largest (5) degrees of freedom.
         D, rows = 4, 60000
-        block = sample_mask(Rng(5).stream("masks"), D, rows)
-        assert block.mask.shape == (rows, D) and block.d.shape == (rows,)
-        observed = [tuple(np.flatnonzero(row == 0.0)) for row in block.mask]
+        mask = sample_mask(Rng(5).stream("masks"), D, rows)
+        assert mask.shape == (rows, D)
+        d = D + 1 - mask.sum(axis=1).astype(int)
+        observed = [tuple(np.flatnonzero(row == 0.0)) for row in mask]
 
         def chi2(counts):
             counts = np.asarray(counts, dtype=np.float64)
             expected = counts.sum() / counts.size
             return float(np.sum((counts - expected) ** 2 / expected))
 
-        assert chi2(np.bincount(block.d, minlength=D + 1)[1:]) < 40.0
-        for d in range(1, D + 1):
-            subsets = list(itertools.combinations(range(D), d - 1))
-            seen = [obs for obs, dd in zip(observed, block.d) if dd == d]
+        assert chi2(np.bincount(d, minlength=D + 1)[1:]) < 40.0
+        for dd in range(1, D + 1):
+            subsets = list(itertools.combinations(range(D), dd - 1))
+            seen = [obs for obs, row_d in zip(observed, d) if row_d == dd]
             assert set(seen) <= set(subsets)
             assert chi2([seen.count(sub) for sub in subsets]) < 40.0
 
@@ -97,15 +97,8 @@ class TestSampleMask:
         for r in range(rows):
             rng = Rng(6).stream("masks")
             rng.counter = r * D
-            one = sample_mask(rng, D)
-            assert np.array_equal(one.mask, block.mask[r]) and one.d == block.d[r]
+            assert np.array_equal(sample_mask(rng, D, 1)[0], block[r])
             assert rng.counter == (r + 1) * D
-
-    def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ContractError):
-            MaskSample(mask=np.ones(4), d=2)
-        with pytest.raises(ContractError):
-            MaskSample(mask=np.array([0.0, 1.0, 1.0, 1.0]), d=3)
 
 
 def _zero_model(D, hidden1, k):
@@ -121,24 +114,24 @@ class TestLosses:
         # D=4, one observed, all probabilities at one half
         params, cfg = _zero_model(4, 3, 2)
         x = np.array([1.0, 0.0, 1.0, 1.0])
-        ms = _mask_for(4, d=2, observed=[1])
-        traj = forward(params, cfg, x, ms.mask, np.full(4, 0.5))
+        m = _mask_for(4, observed=[1])
+        traj = forward(params, cfg, x, m, np.full(4, 0.5))
         assert abs(stochastic_loss(traj, x) - 4 * LN2) < 1e-12
 
     def test_stochastic_hand_value_d1(self):
         params, cfg = _zero_model(2, 2, 1)
         x = np.array([1.0, 0.0])
-        ms = _mask_for(2, d=1, observed=[])
-        traj = forward(params, cfg, x, ms.mask, np.full(2, 0.5))
+        m = _mask_for(2, observed=[])
+        traj = forward(params, cfg, x, m, np.full(2, 0.5))
         assert abs(stochastic_loss(traj, x) - 2 * LN2) < 1e-12
 
     def test_perfect_reconstruction_near_zero(self):
         x = np.array([1.0, 0.0, 1.0])
-        ms = _mask_for(3, d=1, observed=[])
+        m = _mask_for(3, observed=[])
         traj = Trajectory(
             v_states=[np.full(3, 0.5), x.copy()],
             h_states=[(np.zeros(2),)],
-            mask=ms.mask,
+            mask=m,
         )
         loss = stochastic_loss(traj, x)
         assert 0.0 <= loss < 1e-11
@@ -148,16 +141,16 @@ class TestLosses:
         rng = Rng(62).stream("masks")
         for _ in range(20):
             x = np.array([float(rng.bernoulli(0.5)) for _ in range(5)])
-            ms = sample_mask(rng, 5)
-            traj = forward(params, cfg, x, ms.mask, np.full(5, 0.5))
+            m = sample_mask(rng, 5, 1)[0]
+            traj = forward(params, cfg, x, m, np.full(5, 0.5))
             assert pretrain_loss(traj, x) == stochastic_loss(traj, x)
 
     def test_pretrain_hand_value(self):
         # every step outputs one half on missing coords
         params, cfg = _zero_model(4, 3, 3)
         x = np.array([0.0, 1.0, 1.0, 0.0])
-        ms = _mask_for(4, d=2, observed=[2])
-        traj = forward(params, cfg, x, ms.mask, np.full(4, 0.5))
+        m = _mask_for(4, observed=[2])
+        traj = forward(params, cfg, x, m, np.full(4, 0.5))
         assert abs(pretrain_loss(traj, x) - 4 * LN2) < 1e-12
 
 
@@ -166,10 +159,10 @@ class TestBackward:
         # all-missing mask and k=1 reduce to plain one-hidden-layer backprop
         params, cfg = random_model(5, 4, k=1, seed=71)
         x = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-        ms = _mask_for(5, d=1, observed=[])
+        m = _mask_for(5, observed=[])
         mean = np.array([0.2, 0.5, 0.7, 0.4, 0.6])
-        traj = forward(params, cfg, x, ms.mask, mean)
-        got = backward(params, cfg, traj, x, ms.mask, "finetune")
+        traj = forward(params, cfg, x, m, mean)
+        got = backward(params, cfg, traj, x, "finetune")
 
         h = np.tanh(params.W @ mean + params.c)
         s = 1.0 / (1.0 + np.exp(-(params.V @ h + params.b)))
@@ -187,13 +180,13 @@ class TestBackward:
     def test_zero_gradient_at_exact_reconstruction(self):
         params, cfg = random_model(4, 3, k=1, seed=72)
         x = np.array([1.0, 0.0, 1.0, 0.0])
-        ms = _mask_for(4, d=1, observed=[])
+        m = _mask_for(4, observed=[])
         traj = Trajectory(
             v_states=[np.full(4, 0.5), x.copy()],
             h_states=[(np.zeros(3),)],
-            mask=ms.mask,
+            mask=m,
         )
-        got = backward(params, cfg, traj, x, ms.mask, "finetune")
+        got = backward(params, cfg, traj, x, "finetune")
         for t in got.tensors().values():
             assert np.all(t == 0.0)
 
@@ -201,12 +194,12 @@ class TestBackward:
         # outputs at observed slots are discarded every step, so their
         # output-row parameters can never receive gradient
         params, cfg = random_model(5, 4, k=3, seed=73)
-        ms = _mask_for(5, d=3, observed=[0, 2])
+        m = _mask_for(5, observed=[0, 2])
         mean = np.full(5, 0.5)
         x = np.array([1.0, 1.0, 0.0, 0.0, 1.0])
-        traj = forward(params, cfg, x, ms.mask, mean)
+        traj = forward(params, cfg, x, m, mean)
         for objective in ("finetune", "pretrain"):
-            g = backward(params, cfg, traj, x, ms.mask, objective)
+            g = backward(params, cfg, traj, x, objective)
             assert np.all(g.b[[0, 2]] == 0.0)
             assert np.all(g.V[[0, 2], :] == 0.0)
             assert np.any(g.b[[1, 3, 4]] != 0.0)
@@ -214,10 +207,10 @@ class TestBackward:
     def test_invalid_objective(self):
         params, cfg = random_model(3, 2, k=1, seed=74)
         x = np.zeros(3)
-        ms = _mask_for(3, d=1, observed=[])
-        traj = forward(params, cfg, x, ms.mask, np.full(3, 0.5))
+        m = _mask_for(3, observed=[])
+        traj = forward(params, cfg, x, m, np.full(3, 0.5))
         with pytest.raises(ContractError):
-            backward(params, cfg, traj, x, ms.mask, "other")
+            backward(params, cfg, traj, x, "other")
 
 
 def _flatten(tensors):
@@ -229,12 +222,12 @@ def finite_difference_check(n, k, objective, seed, h=1e-5):
     params, cfg = random_model(6, 5, k=k, n=n, hidden2=hidden2, seed=seed)
     rng = Rng(seed + 1).stream("case")
     x = np.array([float(rng.bernoulli(0.5)) for _ in range(6)])
-    ms = _mask_for(6, d=3, observed=[1, 4])
+    m = _mask_for(6, observed=[1, 4])
     mean = np.array([0.3, 0.5, 0.2, 0.8, 0.6, 0.4])
     loss_fn = stochastic_loss if objective == "finetune" else pretrain_loss
 
-    traj = forward(params, cfg, x, ms.mask, mean)
-    grads = backward(params, cfg, traj, x, ms.mask, objective)
+    traj = forward(params, cfg, x, m, mean)
+    grads = backward(params, cfg, traj, x, objective)
     worst = 0.0
     for tensor, gtensor in zip(params.tensors().values(), grads.tensors().values()):
         flat = tensor.reshape(-1)
@@ -242,9 +235,9 @@ def finite_difference_check(n, k, objective, seed, h=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = loss_fn(forward(params, cfg, x, ms.mask, mean), x)
+            up = loss_fn(forward(params, cfg, x, m, mean), x)
             flat[i] = orig - h
-            down = loss_fn(forward(params, cfg, x, ms.mask, mean), x)
+            down = loss_fn(forward(params, cfg, x, m, mean), x)
             flat[i] = orig
             numeric = (up - down) / (2.0 * h)
             rel = abs(gflat[i] - numeric) / max(1e-6, abs(gflat[i]), abs(numeric))
@@ -305,12 +298,12 @@ class TestAdaDelta:
     def test_zero_gradient_no_motion(self):
         params = _unit_params()
         state = AdaDeltaState.zeros_like(params)
-        for t in state.eg2.values():
+        for t in state.eg2.tensors().values():
             t += 0.5
         grads = params.zeros_like()
         adadelta_step(state, params, grads)
         assert np.all(params.W == 0.0)
-        assert state.eg2["W"][0, 0] == 0.95 * 0.5
+        assert state.eg2.W[0, 0] == 0.95 * 0.5
 
     def test_first_step_value(self):
         params = _unit_params()
@@ -368,8 +361,8 @@ class TestAdaDelta:
                 p += delta
         for name, t in params.tensors().items():
             assert np.array_equal(t, plain.tensors()[name])
-            assert np.array_equal(state.eg2[name], eg2[name])
-            assert np.array_equal(state.edx2[name], edx2[name])
+            assert np.array_equal(state.eg2.tensors()[name], eg2[name])
+            assert np.array_equal(state.edx2.tensors()[name], edx2[name])
 
     def test_state_validation(self):
         params = _unit_params()
@@ -394,8 +387,8 @@ class TestEstimatorUnbiasedness:
         count = 0
         for p in itertools.permutations(range(4)):
             for d in range(1, 5):
-                ms = _mask_for(4, d=d, observed=list(p[: d - 1]))
-                traj = forward(params, cfg, x, ms.mask, mean)
+                m = _mask_for(4, observed=list(p[: d - 1]))
+                traj = forward(params, cfg, x, m, mean)
                 total += stochastic_loss(traj, x)
                 count += 1
         assert abs(total / count - exact) < 1e-10
