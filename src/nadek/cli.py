@@ -203,6 +203,8 @@ def cmd_sample(args) -> int:
     if args.pgm is not None:
         if args.grid is None or args.img_w is None or args.img_h is None:
             raise UsageError("--pgm needs --grid, --img-w and --img-h")
+        if min(args.img_w, args.img_h, *args.grid) < 1:
+            raise UsageError("--grid, --img-w and --img-h must all be >= 1")
         if args.img_w * args.img_h != config.D:
             raise UsageError(
                 f"--img-w * --img-h must equal D={config.D}, got {args.img_w * args.img_h}"

@@ -311,12 +311,11 @@ class Rng:
         return 1 if self.next_float() < p else 0
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle, from len(items) - 1 bulk draws."""
+        """In-place Fisher-Yates shuffle; swap i takes j below i + 1 from one bulk call."""
         n = len(items)
         if n < 2:
             return
-        for i, u in zip(range(n - 1, 0, -1), self.uint64_array(n - 1).tolist()):
-            j = _below(u, i + 1)
+        for i, j in zip(range(n - 1, 0, -1), self.below_array(np.arange(n, 1, -1)).tolist()):
             items[i], items[j] = items[j], items[i]
 
     def permutation(self, n: int) -> np.ndarray:

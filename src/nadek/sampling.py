@@ -6,7 +6,10 @@ Bernoulli-draw the current coordinate from its conditional, then clamp
 it as observed.  Conditioning on known values only changes the ordering:
 observed indices are visited first, so the remaining draws follow
 p(x_mis | x_obs).  Many rows take each step together as one block, each
-along its own ordering and from its own generator.
+along its own ordering and from its own generator.  A block works only on
+the coordinates that at least one of its rows has still to draw, and
+narrows to them again every BLOCK_ROWS positions; the rest are folded into
+each row's hidden bias.
 """
 
 from __future__ import annotations
@@ -33,6 +36,16 @@ class SampleBatch:
     orderings_used: tuple[Ordering, ...]
 
 
+def _slice(params: ModelParams, cols: np.ndarray) -> ModelParams:
+    """The model on coordinates ``cols`` alone, with V in column-major order.
+
+    The decoder product ``top @ V.T`` is fastest on a column-major V when
+    a block has few rows, and no slower when it has many.
+    """
+    V = np.asfortranarray(params.V[cols])
+    return replace(params, W=params.W[:, cols], V=V, b=params.b[cols])
+
+
 def _walk(
     params: ModelParams,
     config: StructureConfig,
@@ -55,9 +68,12 @@ def _walk(
 
     The kept coordinates are folded into a per-row hidden bias
     c + W[:, kept] @ x[r, kept] once per block, and the walk runs on the
-    other coordinates alone.  After each draw, step 1's pre-activation
-    moves by W[:, i] * (x_i - mean_i), and the last step is read at the
-    drawn coordinate only.
+    other coordinates alone.  Every BLOCK_ROWS positions the block narrows
+    again, to the coordinates that at least one of its rows has still to
+    draw; the columns that leave have been drawn in every row, and their
+    W[:, left] @ x[r, left] joins row r's bias.  After each draw, step 1's
+    pre-activation moves by W[:, i] * (x_i - mean_i), and the last step is
+    read at the drawn coordinate only.
     """
     D = config.D
     params.check_shapes(config)
@@ -69,25 +85,37 @@ def _walk(
     free = np.sort(perms[:1, start:].ravel())
     col = np.empty(D, dtype=np.int64)
     col[free] = np.arange(len(free))
-    sub = replace(params, W=params.W[:, free], V=params.V[free], b=params.b[free])
-    mean = mean[free]
 
     def block(lo: int) -> None:
         span = slice(lo, lo + BLOCK_ROWS)
         u = np.array([rng.uniform_array(len(free)) for rng in rngs[span]])
+        # live[j] is the coordinate at column j of the current slice, and
+        # order holds each row's visit order as slice columns
+        live, sub, mu = free, _slice(params, free), mean[free]
         order = col[perms[span, start:]]
         bias = params.c + x[span, kept] @ params.W[:, kept].T
-        a1 = bias + sub.W @ mean
+        a1 = bias + sub.W @ mu
         mask = np.ones(order.shape)
         drawn = np.zeros(order.shape)
         rows = np.arange(len(order))
         for t in range(len(free)):
+            if t and t % BLOCK_ROWS == 0:
+                keep = mask.any(axis=0)
+                if not keep.all():
+                    gone = ~keep
+                    x[span, live[gone]] = drawn[:, gone]
+                    bias = bias + drawn[:, gone] @ sub.W[:, gone].T
+                    live, mu, mask, drawn = live[keep], mu[keep], mask[:, keep], drawn[:, keep]
+                    # positions before t are not read again
+                    order = (np.cumsum(keep) - 1)[order]
+                    del sub  # free the old slice before the new one is built
+                    sub = _slice(params, live)
             i = order[:, t]
             bit = (u[:, t] < _conditionals(sub, config, a1, mask, drawn, bias, config.k, i)) * 1.0
             drawn[rows, i] = bit
             mask[rows, i] = 0.0
-            a1 += sub.W[:, i].T * (bit - mean[i])[:, None]
-        x[span, free] = drawn
+            a1 += sub.W[:, i].T * (bit - mu[i])[:, None]
+        x[span, live] = drawn
 
     map_in_order(block, range(0, x.shape[0], BLOCK_ROWS), threads)
     return x

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import row_reference
 from conftest import random_model
 from row_reference import (
     PROB_EPS,
@@ -27,6 +28,7 @@ from nadek import (
     sample_from_mixture,
     train,
 )
+from nadek import sampling
 from nadek.evaluation import conditional_ordering
 from nadek.training import (
     backward,
@@ -219,6 +221,80 @@ def test_walk_draws_match_per_position_walk(n, activation, k):
         sub = Rng(83).stream("inpaint", i)
         perm = conditional_ordering(D, obs, sub).perm
         assert np.array_equal(filled[i], draw_row(params, cfg, rows[i], perm, len(obs), mean, sub))
+
+
+def _streams(seed, name, count):
+    return [Rng(seed).stream(name, i) for i in range(count)]
+
+
+def _check_walk(walk, ref, got, rows, perms, start, rngs, params, cfg, mean):
+    """Draws equal draw_row's, and every conditional the walk read is draw_row's."""
+    free = len(perms[0]) - start
+    # the walk records one array per position, block after block
+    blocks = [np.stack(walk[j : j + free]) for j in range(0, len(walk), free)]
+    seen = np.hstack(blocks)
+    assert seen.shape == (free, len(rows))
+    for r in range(len(rows)):
+        ref.clear()
+        want = draw_row(params, cfg, rows[r], perms[r], start, mean, rngs[r])
+        assert np.max(np.abs(seen[:, r] - ref)) < TOL
+        assert np.array_equal(got[r], want)
+        # coordinates 0 and 1 sit past the clamp at every prefix
+        visits = list(perms[r][start:])
+        assert seen[visits.index(0), r] == 1.0 - PROB_EPS
+        assert seen[visits.index(1), r] == PROB_EPS
+
+
+@pytest.mark.parametrize(
+    "n, activation, inpaint_rows",
+    [(2, "tanh", 102), (2, "sigmoid", 0), (3, "tanh", 0), (3, "sigmoid", 102)],
+)
+def test_walk_narrows_to_still_missing_union(n, activation, inpaint_rows, monkeypatch):
+    # D=250: walks narrow at positions 100 and 200 to the coordinates some
+    # row of the block has still to draw, folding the rest into the bias
+    D = 250
+    params, cfg = random_model(
+        D, 5, k=3, n=n, hidden2=4 if n == 3 else None, activation=activation, seed=89 + 2 * n
+    )
+    params.b[0] = 60.0
+    params.b[1] = -60.0
+    mean = 0.2 + 0.6 * Rng(97).stream("mean").uniform_array(D)
+    walk, ref, widths = [], [], []
+    real, real_ref = sampling._conditionals, row_reference._conditional
+
+    def conditionals(sub, config, a1, mask, *rest):
+        widths.append(mask.shape[1])
+        walk.append(real(sub, config, a1, mask, *rest))
+        return walk[-1]
+
+    def conditional(*args):
+        ref.append(real_ref(*args))
+        return ref[-1]
+
+    monkeypatch.setattr(sampling, "_conditionals", conditionals)
+    monkeypatch.setattr(row_reference, "_conditional", conditional)
+    for count in (1, 2, 5):
+        walk.clear()
+        widths.clear()
+        batch = sample_from_mixture(params, cfg, count, mean, Rng(101 + count))
+        subs = _streams(101 + count, "sample", count)
+        perms = [sub.permutation(D) for sub in subs]
+        zeros = np.zeros((count, D))
+        _check_walk(walk, ref, batch.vectors, zeros, perms, 0, subs, params, cfg, mean)
+        assert widths[0] == D and widths[-1] < D
+        if count == 1:
+            # one row walks on exactly the coordinates it has still to draw
+            assert widths == [250] * 100 + [150] * 100 + [50] * 50
+    if inpaint_rows:
+        # blocks of 100 and 2 rows, each folding its rows' observed values
+        rng = Rng(103).stream("rows")
+        rows = (rng.uniform_array((inpaint_rows, D)) < 0.5) * 1.0
+        obs = [5, 177, 77, 230]
+        walk.clear()
+        filled = inpaint(params, cfg, rows, obs, mean, _streams(107, "inpaint", inpaint_rows))
+        subs = _streams(107, "inpaint", inpaint_rows)
+        perms = [conditional_ordering(D, obs, sub).perm for sub in subs]
+        _check_walk(walk, ref, filled, rows, perms, len(obs), subs, params, cfg, mean)
 
 
 def _reference_train(structure, train_rows, valid_rows, config, mode):

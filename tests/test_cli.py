@@ -280,19 +280,18 @@ class TestSample:
             ["--pgm", "x.pgm"],
             ["--pgm", "x.pgm", "--grid", "2x4", "--img-w", "2", "--img-h", "2"],
             ["--pgm", "x.pgm", "--grid", "1x2", "--img-w", "3", "--img-h", "2"],
+            ["--pgm", "x.pgm", "--grid", "2x4", "--img-w", "-2", "--img-h", "-3"],
+            ["--pgm", "x.pgm", "--grid=-2x-4", "--img-w", "2", "--img-h", "3"],
+            ["--pgm", "x.pgm", "--grid", "0x4", "--img-w", "2", "--img-h", "3"],
         ],
     )
     def test_pgm_usage_errors(self, tmp_path, capsys, extra):
         ckpt, _, _ = _checkpoint(tmp_path, D=6, hidden1=3, seed=29)
-        rc = main(
-            [
-                "sample", "--model", str(ckpt), "--count", "8",
-                "--out", str(tmp_path / "s.amat"),
-            ]
-            + extra
-        )
+        out = tmp_path / "s.amat"
+        rc = main(["sample", "--model", str(ckpt), "--count", "8", "--out", str(out)] + extra)
         assert rc == 2
         assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInpaint:
