@@ -111,9 +111,12 @@ def _parse_header(line: bytes, path: str) -> StructureConfig:
     if fields:
         raise CheckpointShapeError(f"{path}: unknown header fields {sorted(fields)}")
     try:
-        return StructureConfig(D=D, hidden1=h1, k=k, n=n, hidden2=h2, activation=act)
+        config = StructureConfig(D=D, hidden1=h1, k=k, hidden2=h2, activation=act)
     except ValueError as exc:
         raise CheckpointShapeError(f"{path}: inconsistent header ({exc})") from exc
+    if n != config.n:
+        raise CheckpointShapeError(f"{path}: inconsistent header (n={n} with h2={h2})")
+    return config
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, StructureConfig, dict[str, str]]:

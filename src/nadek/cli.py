@@ -115,18 +115,6 @@ def _pgm_grid(
     return grid
 
 
-def _structure_from_flags(args, D: int) -> StructureConfig:
-    n = 3 if args.hidden2 is not None else 2
-    return StructureConfig(
-        D=D,
-        hidden1=args.hidden1,
-        k=args.k,
-        n=n,
-        hidden2=args.hidden2,
-        activation=args.activation,
-    )
-
-
 def cmd_train(args) -> int:
     if args.mode == "finetune-only" and args.pretrain_epochs > 0:
         raise UsageError("--mode finetune-only conflicts with --pretrain-epochs > 0")
@@ -136,7 +124,13 @@ def cmd_train(args) -> int:
         raise DataError(
             f"{args.valid}: width {valid_ds.D} does not match training width {train_ds.D}"
         )
-    structure = _structure_from_flags(args, train_ds.D)
+    structure = StructureConfig(
+        D=train_ds.D,
+        hidden1=args.hidden1,
+        k=args.k,
+        hidden2=args.hidden2,
+        activation=args.activation,
+    )
     config = TrainConfig(
         minibatch_size=args.batch,
         pretrain_epochs=args.pretrain_epochs,
@@ -147,11 +141,7 @@ def cmd_train(args) -> int:
         rho=args.rho,
         epsilon=args.epsilon,
     )
-    if args.mode is not None:
-        mode = args.mode.replace("-", "_")
-    else:
-        mode = "pretrain_then_finetune" if args.pretrain_epochs > 0 else "finetune_only"
-    result = train(structure, train_ds.samples, valid_ds.samples, config, mode)
+    result = train(structure, train_ds.samples, valid_ds.samples, config)
     for line in result.history:
         print(line)
     metadata = {
@@ -303,15 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training matrix (.amat or .amat.gz)")
     p.add_argument("--valid", required=True, help="validation matrix")
     p.add_argument("--out", required=True, help="checkpoint path to write")
-    p.add_argument("--hidden1", required=True, type=int)
-    p.add_argument("--hidden2", type=int, help="adds a second layer per step")
-    p.add_argument("--k", type=int, default=1, help="inference steps per conditional")
+    p.add_argument("--hidden1", required=True, type=positive_int)
+    p.add_argument("--hidden2", type=positive_int, help="adds a second layer per step")
+    p.add_argument("--k", type=positive_int, default=1, help="inference steps per conditional")
     p.add_argument("--activation", choices=["tanh", "sigmoid"], default="tanh")
     p.add_argument("--epochs", type=int, default=0, help="fine-tuning epochs")
     p.add_argument("--pretrain-epochs", type=int, default=0)
     p.add_argument("--mode", choices=["pretrain-then-finetune", "finetune-only"])
     p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--batch", type=int, default=100)
+    p.add_argument("--batch", type=positive_int, default=100)
     p.add_argument("--patience", type=int, default=0, help="0 disables early stopping")
     p.add_argument("--rho", type=float, default=0.95)
     p.add_argument("--epsilon", type=float, default=1e-6)

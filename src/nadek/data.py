@@ -38,12 +38,18 @@ class Dataset:
     """An immutable count x D matrix of values in [0, 1]."""
 
     samples: np.ndarray
-    D: int
     name: str
-    is_binary: bool
 
     def __post_init__(self):
         self.samples.setflags(write=False)
+
+    @property
+    def D(self) -> int:
+        return self.samples.shape[1]
+
+    @property
+    def is_binary(self) -> bool:
+        return bool(np.all((self.samples == 0.0) | (self.samples == 1.0)))
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -102,13 +108,7 @@ def load_text_matrix(path: str, name: str | None = None) -> Dataset:
             rows.append(row)
     if not rows:
         raise DataError(f"{path}: empty dataset")
-    samples = np.vstack(rows)
-    return Dataset(
-        samples=samples,
-        D=samples.shape[1],
-        name=name if name is not None else str(path),
-        is_binary=bool(np.all((samples == 0.0) | (samples == 1.0))),
-    )
+    return Dataset(samples=np.vstack(rows), name=name if name is not None else str(path))
 
 
 def save_text_matrix(path: str, samples: np.ndarray) -> None:
@@ -146,7 +146,7 @@ def binarize_by_sampling(data: Dataset, rng: Rng) -> Dataset:
     binarized dataset.
     """
     out = (rng.uniform_array(data.samples.shape) < data.samples).astype(np.float64)
-    return Dataset(samples=out, D=data.D, name=data.name + ":binarized", is_binary=True)
+    return Dataset(samples=out, name=data.name + ":binarized")
 
 
 def empirical_mean(data: Dataset) -> np.ndarray:

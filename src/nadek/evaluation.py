@@ -57,10 +57,9 @@ def identity_ordering(D: int) -> Ordering:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """The ordering set O of a uniform mixture, with the seed that drew it."""
+    """The ordering set O of a uniform mixture."""
 
     orderings: tuple[Ordering, ...]
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.orderings) == 0:
@@ -89,7 +88,7 @@ def draw_orderings(D: int, count: int, seed: int) -> EnsembleSpec:
             continue
         seen.add(perm)
         out.append(Ordering(perm=perm))
-    return EnsembleSpec(orderings=tuple(out), seed=seed)
+    return EnsembleSpec(orderings=tuple(out))
 
 
 def conditional_ordering(D: int, obs_indices: list[int], rng: Rng) -> Ordering:
@@ -148,14 +147,14 @@ def log_prob_ordering(
         for start in range(0, D, BLOCK_ROWS):
             rows = np.arange(min(BLOCK_ROWS, D - start))
             c = params.c + W[:, :start] @ x[:start]
-            sub = replace(params, W=W[:, start:], V=V[start:], b=b[start:])
+            sub = replace(params, W=W[:, start:], c=c, V=V[start:], b=b[start:])
             a1 = np.zeros((len(rows), len(c)))
             step = W[:, start + rows[:-1]].T * (x - mean)[start + rows[:-1], None]
             np.cumsum(step, axis=0, out=a1[1:])
             a1 += c + sub.W @ mean[start:]
             mask = (np.arange(D - start) >= rows[:, None]).astype(np.float64)
             keep_x = (1.0 - mask) * x[start:]
-            p = _conditionals(sub, config, a1, mask, keep_x, c, config.k, rows)
+            p = _conditionals(sub, config, a1, mask, keep_x, rows)
             total += float(np.sum(np.where(x[start + rows] == 1.0, np.log(p), np.log(1.0 - p))))
     return total
 

@@ -42,30 +42,29 @@ ACTIVATIONS = ("tanh", "sigmoid")
 
 @dataclass(frozen=True)
 class StructureConfig:
-    """Shape of the network: input width, layers per iteration, step count.
+    """Shape of the network: input width, hidden widths, step count.
 
-    ``n`` is the number of weight matrices applied per iteration (2 for one
-    hidden layer, 3 for two); ``hidden2`` must be given exactly when n=3.
+    A second hidden layer of width ``hidden2`` exists when it is given.
     """
 
     D: int
     hidden1: int
     k: int = 1
-    n: int = 2
     hidden2: int | None = None
     activation: str = "tanh"
 
     def __post_init__(self):
         if self.D < 1 or self.hidden1 < 1 or self.k < 1:
             raise ContractError("D, hidden1 and k must all be >= 1")
-        if self.n not in (2, 3):
-            raise ContractError("n must be 2 or 3")
-        if self.n == 3 and (self.hidden2 is None or self.hidden2 < 1):
-            raise ContractError("n=3 requires hidden2 >= 1")
-        if self.n == 2 and self.hidden2 is not None:
-            raise ContractError("hidden2 is only meaningful for n=3")
+        if self.hidden2 is not None and self.hidden2 < 1:
+            raise ContractError("hidden2 must be >= 1 when given")
         if self.activation not in ACTIVATIONS:
             raise ContractError(f"activation must be one of {ACTIVATIONS}")
+
+    @property
+    def n(self) -> int:
+        """Weight matrices applied per iteration: 2 for one hidden layer, 3 for two."""
+        return 2 if self.hidden2 is None else 3
 
 
 @dataclass
@@ -210,7 +209,7 @@ def forward(
     v = build_input(x, m, mean)
     keep_x = (1.0 - m) * x
     a1 = v @ params.W.T + params.c
-    h_states, v_states = _steps(params, config, a1, m, keep_x, params.c, config.k)
+    h_states, v_states = _steps(params, config, a1, m, keep_x)
     v_states = [v, *v_states, _decode(params, h_states[-1][-1], m, keep_x)]
     return Trajectory(v_states=v_states, h_states=h_states, mask=m)
 
@@ -226,26 +225,25 @@ def _steps(
     a1: np.ndarray,
     m: np.ndarray,
     keep_x: np.ndarray,
-    bias: np.ndarray,
-    k: int,
 ) -> tuple[list[tuple[np.ndarray, ...]], list[np.ndarray]]:
-    """The k steps from step 1's hidden pre-activation ``a1``, unchecked.
+    """The config.k steps from step 1's hidden pre-activation ``a1``, unchecked.
 
     Returns every step's hidden activations and the states v_1 .. v_{k-1}
     between the steps; the last step's output is not decoded, so a caller
-    reads it only where it needs it.  ``bias`` stands in for ``c`` in steps
-    2..k: ``c`` plus the contribution of any coordinates left out of
-    ``params`` because they are observed throughout, as one vector or one
-    row per block row.  Inputs must satisfy what :func:`forward` checks.
+    reads it only where it needs it.  ``params`` may be the model restricted
+    to the coordinates still in play: its ``c`` then carries the
+    contribution of the coordinates left out because they are observed
+    throughout, as one vector or one row per block row.  Inputs must
+    satisfy what :func:`forward` checks.
     """
     phi = np.tanh if config.activation == "tanh" else sigmoid_vec
     h_states: list[tuple[np.ndarray, ...]] = []
     v_states: list[np.ndarray] = []
     a = a1
-    for t in range(k):
+    for t in range(config.k):
         if t:
             v_states.append(_decode(params, h_states[-1][-1], m, keep_x))
-            a = v_states[-1] @ params.W.T + bias
+            a = v_states[-1] @ params.W.T + params.c
         h1 = phi(a)
         h_states.append((h1, phi(h1 @ params.W2.T + params.c2)) if config.n == 3 else (h1,))
     return h_states, v_states
@@ -257,8 +255,6 @@ def _conditionals(
     a1: np.ndarray,
     m: np.ndarray,
     keep_x: np.ndarray,
-    bias: np.ndarray,
-    k: int,
     cols: np.ndarray,
 ) -> np.ndarray:
     """Clamped P(x = 1) of row r at coordinate cols[r], after the k steps.
@@ -266,6 +262,6 @@ def _conditionals(
     The last step is decoded at that one coordinate per row, as the row-wise
     dot product V[cols[r]] . h_k[r] + b[cols[r]].
     """
-    top = _steps(params, config, a1, m, keep_x, bias, k)[0][-1][-1]
+    top = _steps(params, config, a1, m, keep_x)[0][-1][-1]
     z = np.einsum("ij,ij->i", params.V[cols], top) + params.b[cols]
     return clamp_prob(sigmoid_vec(z))

@@ -36,14 +36,14 @@ class SampleBatch:
     orderings_used: tuple[Ordering, ...]
 
 
-def _slice(params: ModelParams, cols: np.ndarray) -> ModelParams:
-    """The model on coordinates ``cols`` alone, with V in column-major order.
+def _slice(params: ModelParams, cols: np.ndarray, c: np.ndarray) -> ModelParams:
+    """The model on coordinates ``cols`` alone, with hidden bias ``c``.
 
-    The decoder product ``top @ V.T`` is fastest on a column-major V when
-    a block has few rows, and no slower when it has many.
+    V is column-major: the decoder product ``top @ V.T`` is fastest on it
+    when a block has few rows, and no slower when it has many.
     """
     V = np.asfortranarray(params.V[cols])
-    return replace(params, W=params.W[:, cols], V=V, b=params.b[cols])
+    return replace(params, W=params.W[:, cols], c=c, V=V, b=params.b[cols])
 
 
 def _walk(
@@ -91,10 +91,10 @@ def _walk(
         u = np.array([rng.uniform_array(len(free)) for rng in rngs[span]])
         # live[j] is the coordinate at column j of the current slice, and
         # order holds each row's visit order as slice columns
-        live, sub, mu = free, _slice(params, free), mean[free]
+        live, mu = free, mean[free]
+        sub = _slice(params, free, params.c + x[span, kept] @ params.W[:, kept].T)
         order = col[perms[span, start:]]
-        bias = params.c + x[span, kept] @ params.W[:, kept].T
-        a1 = bias + sub.W @ mu
+        a1 = sub.c + sub.W @ mu
         mask = np.ones(order.shape)
         drawn = np.zeros(order.shape)
         rows = np.arange(len(order))
@@ -104,14 +104,14 @@ def _walk(
                 if not keep.all():
                     gone = ~keep
                     x[span, live[gone]] = drawn[:, gone]
-                    bias = bias + drawn[:, gone] @ sub.W[:, gone].T
+                    c = sub.c + drawn[:, gone] @ sub.W[:, gone].T
                     live, mu, mask, drawn = live[keep], mu[keep], mask[:, keep], drawn[:, keep]
                     # positions before t are not read again
                     order = (np.cumsum(keep) - 1)[order]
                     del sub  # free the old slice before the new one is built
-                    sub = _slice(params, live)
+                    sub = _slice(params, live, c)
             i = order[:, t]
-            bit = (u[:, t] < _conditionals(sub, config, a1, mask, drawn, bias, config.k, i)) * 1.0
+            bit = (u[:, t] < _conditionals(sub, config, a1, mask, drawn, i)) * 1.0
             drawn[rows, i] = bit
             mask[rows, i] = 0.0
             a1 += sub.W[:, i].T * (bit - mu[i])[:, None]

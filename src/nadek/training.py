@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 OBJECTIVES = ("finetune", "pretrain")
-MODES = ("pretrain_then_finetune", "finetune_only")
 
 
 def _check_adadelta(rho: float, epsilon: float) -> None:
@@ -339,23 +338,21 @@ def train(
     train_data: np.ndarray,
     valid_data: np.ndarray,
     config: TrainConfig,
-    mode: str = "finetune_only",
 ) -> TrainResult:
-    """Minibatch epochs with per-example masks and AdaDelta updates.
+    """Pretraining epochs (none when config.pretrain_epochs is 0), then fine-tuning.
 
     Each minibatch is one block: its masks are one block draw (D draws
     per row, in block order), and its gradient is the block sum divided
     by the row count.  BLAS runs on one thread throughout, so the result
     does not depend on the BLAS thread setting.  Fine-tuning tracks the
-    validation score each epoch and the result carries the best-epoch
-    parameters; patience > 0 stops the phase after that many consecutive
-    epochs without strict improvement.  The pretraining phase runs its
-    full budget with no early stopping and resets the optimizer state at
-    the handoff.  History lines are `epoch <n> phase <p> train <loss>
-    valid <loss>` with global epoch numbers across phases.
+    validation score each epoch and the result carries the first
+    best-epoch parameters (the final ones if no score fell below +inf);
+    patience > 0 stops the phase after that many consecutive epochs
+    without strict improvement.  The pretraining phase runs its full
+    budget with no early stopping and resets the optimizer state at the
+    handoff.  History lines are `epoch <n> phase <p> train <loss> valid
+    <loss>` with global epoch numbers across phases.
     """
-    if mode not in MODES:
-        raise ContractError(f"mode must be one of {MODES}")
     train_data = _check_split(train_data, structure.D, "training")
     valid_data = _check_split(valid_data, structure.D, "validation")
     mean = train_data.mean(axis=0)
@@ -365,28 +362,23 @@ def train(
     mask_rng = master.stream("masks")
     shuffle_rng = master.stream("shuffle")
 
-    phases: list[tuple[str, str, int]] = []
-    if mode == "pretrain_then_finetune":
-        phases.append(("pretrain", "pretrain", config.pretrain_epochs))
-    phases.append(("finetune", "finetune", config.finetune_epochs))
-
+    phases = (("pretrain", config.pretrain_epochs), ("finetune", config.finetune_epochs))
     history: list[str] = []
     best_params: ModelParams | None = None
-    best_valid: float | None = None
+    best_valid = np.inf
+    stale = 0
     epoch = 0
     n_train = train_data.shape[0]
     with single_threaded_blas():
-        for phase, objective, budget in phases:
+        for phase, budget in phases:
             state = AdaDeltaState.zeros_like(params, rho=config.rho, epsilon=config.epsilon)
-            phase_best = np.inf
-            stale = 0
             for _ in range(budget):
                 epoch += 1
                 total = 0.0
                 for block in minibatches(n_train, config.minibatch_size, shuffle_rng):
                     x = train_data[block]
                     m = sample_mask(mask_rng, structure.D, len(block))
-                    grads, loss = _block_step(params, structure, x, m, mean, objective)
+                    grads, loss = _block_step(params, structure, x, m, mean, phase)
                     total += loss
                     scale = 1.0 / len(block)
                     for g in grads.tensors().values():
@@ -400,20 +392,18 @@ def train(
                     f"epoch {epoch} phase {phase} train {train_loss:.6f} valid {valid_loss:.6f}"
                 )
                 if phase == "finetune":
-                    if best_valid is None or valid_loss < best_valid:
+                    if valid_loss < best_valid:
                         best_valid = valid_loss
                         best_params = params.copy()
-                    if valid_loss < phase_best:
-                        phase_best = valid_loss
                         stale = 0
                     else:
                         stale += 1
                         if config.patience > 0 and stale >= config.patience:
                             break
     return TrainResult(
-        params=best_params if best_params is not None else params,
+        params=params if best_params is None else best_params,
         history=history,
         mean=mean,
-        best_valid=best_valid,
+        best_valid=None if best_params is None else best_valid,
         epochs_run=epoch,
     )

@@ -34,7 +34,6 @@ def random_model(
     D: int,
     hidden1: int,
     k: int = 1,
-    n: int = 2,
     hidden2: int | None = None,
     activation: str = "tanh",
     seed: int = 0,
@@ -42,7 +41,7 @@ def random_model(
 ):
     """A config plus fully randomized params (biases included)."""
     config = StructureConfig(
-        D=D, hidden1=hidden1, k=k, n=n, hidden2=hidden2, activation=activation
+        D=D, hidden1=hidden1, k=k, hidden2=hidden2, activation=activation
     )
     params = init_params(config, Rng(seed).stream("init"))
     fill = Rng(seed).stream("fill")

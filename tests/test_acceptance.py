@@ -114,7 +114,7 @@ def _fd_worst(n: int, k: int, objective: str, seed: int) -> float:
     D = 5
     kwargs = dict(D=D, hidden1=4, k=k, seed=seed, spread=1.0)
     if n == 3:
-        kwargs.update(n=3, hidden2=3)
+        kwargs.update(hidden2=3)
     params, cfg = random_model(**kwargs)
     rng = Rng(seed).stream("case")
     x = np.array([float(rng.next_below(2)) for _ in range(D)])
@@ -248,7 +248,7 @@ def test_criterion_6_learning_beats_baseline():
         rho=0.95,
         epsilon=1e-6,
     )
-    result = train(structure, train_rows, valid_rows, config, "finetune_only")
+    result = train(structure, train_rows, valid_rows, config)
     spec = draw_orderings(16, 8, seed=42)
     model_score = _ensemble_mean(result.params, structure, test_rows, result.mean, spec)
 
@@ -286,7 +286,7 @@ def test_criterion_7_more_steps_help():
                 rho=0.95,
                 epsilon=1e-6,
             )
-            result = train(structure, train_rows, valid_rows, config, "finetune_only")
+            result = train(structure, train_rows, valid_rows, config)
             scores.append(
                 _ensemble_mean(result.params, structure, valid_rows, result.mean, spec)
             )
@@ -302,7 +302,7 @@ def test_criterion_7_more_steps_help():
 def test_criterion_8_checkpoint_round_trip():
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        params, cfg = random_model(D=6, hidden1=4, k=2, n=3, hidden2=3, seed=800)
+        params, cfg = random_model(D=6, hidden1=4, k=2, hidden2=3, seed=800)
         path = tmp / "model.ckpt"
         save_checkpoint(path, params, cfg, {"epochs": "3"})
         loaded, loaded_cfg, _ = load_checkpoint(path)

@@ -51,7 +51,7 @@ def _case(n, activation):
     D = 6
     hidden2 = 4 if n == 3 else None
     params, cfg = random_model(
-        D, 5, k=3, n=n, hidden2=hidden2, activation=activation, seed=11 + 2 * n
+        D, 5, k=3, hidden2=hidden2, activation=activation, seed=11 + 2 * n
     )
     params.b[0] = 60.0
     params.b[1] = -60.0
@@ -126,7 +126,7 @@ def _walk_case(n, activation):
     D = 130
     hidden2 = 4 if n == 3 else None
     params, cfg = random_model(
-        D, 5, k=3, n=n, hidden2=hidden2, activation=activation, seed=41 + 2 * n
+        D, 5, k=3, hidden2=hidden2, activation=activation, seed=41 + 2 * n
     )
     params.b[0] = 60.0
     params.b[1] = -60.0
@@ -157,7 +157,7 @@ def test_staircase_folds_observed_prefixes(n):
     # D=250: blocks of 100, 100 and 50, so prefixes of 100 and 200 are folded
     D = 250
     params, cfg = random_model(
-        D, 5, k=3, n=n, hidden2=4 if n == 3 else None, activation="sigmoid", seed=61 + 2 * n
+        D, 5, k=3, hidden2=4 if n == 3 else None, activation="sigmoid", seed=61 + 2 * n
     )
     rng = Rng(67).stream("rows")
     mean = 0.2 + 0.6 * rng.uniform_array(D)
@@ -196,7 +196,7 @@ def test_block_draws_match_per_position_walk(n):
 def test_walk_draws_match_per_position_walk(n, activation, k):
     D = 12
     params, cfg = random_model(
-        D, 5, k=k, n=n, hidden2=4 if n == 3 else None, activation=activation, seed=71 + 2 * n
+        D, 5, k=k, hidden2=4 if n == 3 else None, activation=activation, seed=71 + 2 * n
     )
     params.b[0] = 60.0
     params.b[1] = -60.0
@@ -254,7 +254,7 @@ def test_walk_narrows_to_still_missing_union(n, activation, inpaint_rows, monkey
     # row of the block has still to draw, folding the rest into the bias
     D = 250
     params, cfg = random_model(
-        D, 5, k=3, n=n, hidden2=4 if n == 3 else None, activation=activation, seed=89 + 2 * n
+        D, 5, k=3, hidden2=4 if n == 3 else None, activation=activation, seed=89 + 2 * n
     )
     params.b[0] = 60.0
     params.b[1] = -60.0
@@ -297,15 +297,14 @@ def test_walk_narrows_to_still_missing_union(n, activation, inpaint_rows, monkey
         _check_walk(walk, ref, filled, rows, perms, len(obs), subs, params, cfg, mean)
 
 
-def _reference_train(structure, train_rows, valid_rows, config, mode):
+def _reference_train(structure, train_rows, valid_rows, config):
     """The epoch loop one row at a time: same streams, same draw order."""
     mean = train_rows.mean(axis=0)
     master = Rng(config.seed)
     params = init_params(structure, master.stream("init"))
     mask_rng = master.stream("masks")
     shuffle_rng = master.stream("shuffle")
-    phases = [("pretrain", config.pretrain_epochs)] if mode == "pretrain_then_finetune" else []
-    phases.append(("finetune", config.finetune_epochs))
+    phases = [("pretrain", config.pretrain_epochs), ("finetune", config.finetune_epochs)]
     best, best_params, losses = None, None, []
     for objective, budget in phases:
         state = {n: (np.zeros_like(t), np.zeros_like(t)) for n, t in params.tensors().items()}
@@ -344,13 +343,13 @@ def test_train_matches_per_row_loop(n):
     rng = Rng(31).stream("rows")
     train_rows = np.array([[float(rng.bernoulli(0.3)) for _ in range(6)] for _ in range(21)])
     valid_rows = np.array([[float(rng.bernoulli(0.3)) for _ in range(6)] for _ in range(9)])
-    structure = StructureConfig(D=6, hidden1=5, k=2, n=n, hidden2=3 if n == 3 else None)
+    structure = StructureConfig(D=6, hidden1=5, k=2, hidden2=3 if n == 3 else None)
     config = TrainConfig(
         minibatch_size=8, pretrain_epochs=2, finetune_epochs=3, weight_decay=0.01, seed=37
     )
-    result = train(structure, train_rows, valid_rows, config, "pretrain_then_finetune")
+    result = train(structure, train_rows, valid_rows, config)
     want_params, want_best, want_losses = _reference_train(
-        structure, train_rows, valid_rows, config, "pretrain_then_finetune"
+        structure, train_rows, valid_rows, config
     )
     for name, t in result.params.tensors().items():
         assert _close(t, want_params.tensors()[name]) < TOL, name

@@ -27,7 +27,7 @@ class TestRoundTrip:
         "kwargs",
         [
             dict(D=6, hidden1=4, k=2, seed=10),
-            dict(D=5, hidden1=3, k=3, n=3, hidden2=4, seed=11),
+            dict(D=5, hidden1=3, k=3, hidden2=4, seed=11),
             dict(D=4, hidden1=2, k=1, activation="sigmoid", seed=12),
         ],
     )
@@ -42,7 +42,7 @@ class TestRoundTrip:
             assert np.array_equal(loaded.tensors()[name], tensor)
 
     def test_resave_identical_bytes(self, tmp_path):
-        params, cfg = random_model(D=6, hidden1=4, k=2, n=3, hidden2=3, seed=13)
+        params, cfg = random_model(D=6, hidden1=4, k=2, hidden2=3, seed=13)
         a = tmp_path / "a.ckpt"
         b = tmp_path / "b.ckpt"
         save_checkpoint(a, params, cfg, {"seed": "13", "epochs": "0"})
@@ -132,13 +132,18 @@ class TestCorruption:
         with pytest.raises(CheckpointShapeError):
             load_checkpoint(bad)
 
-    def test_three_layer_header_without_h2(self, tmp_path):
-        params, cfg = random_model(D=4, hidden1=3, n=3, hidden2=3, seed=16)
+    @pytest.mark.parametrize(
+        "old, new",
+        [(b" h2=3", b""), (b"n=3", b"n=2"), (b"n=3", b"n=4")],
+        ids=["n3-without-h2", "n2-with-h2", "n4"],
+    )
+    def test_header_n_must_match_h2(self, tmp_path, old, new):
+        params, cfg = random_model(D=4, hidden1=3, hidden2=3, seed=16)
         p = tmp_path / "m.ckpt"
         save_checkpoint(p, params, cfg)
         raw = p.read_bytes()
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(raw.replace(b" h2=3", b"", 1))
+        bad.write_bytes(raw.replace(old, new, 1))
         with pytest.raises(CheckpointShapeError):
             load_checkpoint(bad)
 

@@ -116,6 +116,42 @@ class TestTrain:
         assert rc == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--k", "--hidden1", "--hidden2", "--batch"])
+    def test_count_flag_below_one(self, tmp_path, capsys, flag):
+        data = _write_data(tmp_path / "t.amat", _toy_rows(4))
+        out = tmp_path / "m.ckpt"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "train", "--data", str(data), "--valid", str(data),
+                    "--out", str(out), "--hidden1", "4", flag, "0",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_pretrain_epochs_equals_finetune_only(self, tmp_path, capsys):
+        data = _write_data(tmp_path / "t.amat", _toy_rows(20, seed=5))
+        valid = _write_data(tmp_path / "v.amat", _toy_rows(8, seed=6))
+        modes = {
+            "a.ckpt": ["--mode", "pretrain-then-finetune", "--pretrain-epochs", "0"],
+            "b.ckpt": ["--mode", "finetune-only"],
+        }
+        for name, mode in modes.items():
+            rc = main(
+                [
+                    "train", "--data", str(data), "--valid", str(valid),
+                    "--out", str(tmp_path / name), "--hidden1", "4", "--k", "2",
+                    "--epochs", "3", "--batch", "8", "--seed", "7",
+                ]
+                + mode
+            )
+            assert rc == 0
+        for suffix in ("", ".history.log"):
+            a = (tmp_path / f"a.ckpt{suffix}").read_bytes()
+            assert a == (tmp_path / f"b.ckpt{suffix}").read_bytes()
+
     def test_width_mismatch(self, tmp_path, capsys):
         data = _write_data(tmp_path / "t.amat", _toy_rows(4))
         valid = _write_data(tmp_path / "v.amat", [[0, 1], [1, 0]])

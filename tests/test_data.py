@@ -14,12 +14,7 @@ from nadek.numerics import ContractError
 
 def _dataset(samples):
     samples = np.asarray(samples, dtype=np.float64)
-    return Dataset(
-        samples=samples,
-        D=samples.shape[1],
-        name="t",
-        is_binary=bool(np.all((samples == 0.0) | (samples == 1.0))),
-    )
+    return Dataset(samples=samples, name="t")
 
 
 class TestLoad:
@@ -198,7 +193,7 @@ class TestMean:
         assert np.array_equal(empirical_mean(ds), [0.5, 1.0])
 
     def test_empty_rejected(self):
-        ds = Dataset(samples=np.zeros((0, 3)), D=3, name="t", is_binary=True)
+        ds = Dataset(samples=np.zeros((0, 3)), name="t")
         with pytest.raises(ContractError):
             empirical_mean(ds)
 

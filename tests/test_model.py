@@ -17,7 +17,7 @@ class TestStructureConfig:
         StructureConfig(D=8, hidden1=4, k=2)
 
     def test_valid_three_layer(self):
-        StructureConfig(D=8, hidden1=4, k=2, n=3, hidden2=3)
+        StructureConfig(D=8, hidden1=4, k=2, hidden2=3)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -25,9 +25,7 @@ class TestStructureConfig:
             dict(D=0, hidden1=4),
             dict(D=8, hidden1=0),
             dict(D=8, hidden1=4, k=0),
-            dict(D=8, hidden1=4, n=4),
-            dict(D=8, hidden1=4, n=3),
-            dict(D=8, hidden1=4, hidden2=3),
+            dict(D=8, hidden1=4, hidden2=0),
             dict(D=8, hidden1=4, activation="relu"),
         ],
     )
@@ -45,7 +43,7 @@ class TestInitParams:
             assert np.array_equal(t, b.tensors()[name])
 
     def test_biases_zero(self):
-        cfg = StructureConfig(D=5, hidden1=3, k=1, n=3, hidden2=2)
+        cfg = StructureConfig(D=5, hidden1=3, k=1, hidden2=2)
         p = init_params(cfg, Rng(1).stream("init"))
         assert np.all(p.c == 0.0) and np.all(p.b == 0.0) and np.all(p.c2 == 0.0)
 
@@ -58,14 +56,14 @@ class TestInitParams:
         assert np.max(np.abs(p.V)) <= math.sqrt(6.0 / (500 + 784))
 
     def test_shapes(self):
-        cfg = StructureConfig(D=7, hidden1=4, k=2, n=3, hidden2=3)
+        cfg = StructureConfig(D=7, hidden1=4, k=2, hidden2=3)
         p = init_params(cfg, Rng(3).stream("init"))
         assert p.W.shape == (4, 7) and p.c.shape == (4,)
         assert p.W2.shape == (3, 4) and p.c2.shape == (3,)
         assert p.V.shape == (7, 3) and p.b.shape == (7,)
         p.check_shapes(cfg)
         with pytest.raises(ContractError):
-            p.check_shapes(StructureConfig(D=7, hidden1=5, k=2, n=3, hidden2=3))
+            p.check_shapes(StructureConfig(D=7, hidden1=5, k=2, hidden2=3))
 
 
 class TestBuildInput:
@@ -155,7 +153,7 @@ class TestForward:
         assert np.max(np.abs(traj.v_states[-1] - np.array(v))) < 1e-14
 
     def test_straight_line_oracle_three_layer(self):
-        params, cfg = random_model(3, 2, k=2, n=3, hidden2=2, seed=43)
+        params, cfg = random_model(3, 2, k=2, hidden2=2, seed=43)
         x = np.array([0.0, 1.0, 1.0])
         m = np.array([1.0, 0.0, 1.0])
         mean = np.array([0.5, 0.2, 0.7])
@@ -202,7 +200,7 @@ class TestForward:
             assert np.max(np.abs(traj.v_states[t + 1] - want)) < 1e-15
 
     def test_trajectory_bookkeeping(self):
-        params, cfg = random_model(4, 3, k=3, n=3, hidden2=2, seed=46)
+        params, cfg = random_model(4, 3, k=3, hidden2=2, seed=46)
         traj = forward(params, cfg, np.zeros(4), np.ones(4), np.full(4, 0.5))
         assert len(traj.v_states) == 4
         assert len(traj.h_states) == 3

@@ -320,7 +320,7 @@ class TestRng:
     def test_init_fill_equals_scalar_uniforms(self, monkeypatch, chunk):
         # chunk 3 is below one row (one row per chunk), 10 splits each matrix
         monkeypatch.setattr(model, "_INIT_CHUNK", chunk)
-        config = StructureConfig(D=7, hidden1=5, k=1, n=3, hidden2=4)
+        config = StructureConfig(D=7, hidden1=5, k=1, hidden2=4)
         params = init_params(config, Rng(27).stream("init"))
         scalar = Rng(27).stream("init")
         for name, tensor in params.tensors().items():

@@ -219,7 +219,7 @@ def _flatten(tensors):
 
 def finite_difference_check(n, k, objective, seed, h=1e-5):
     hidden2 = 4 if n == 3 else None
-    params, cfg = random_model(6, 5, k=k, n=n, hidden2=hidden2, seed=seed)
+    params, cfg = random_model(6, 5, k=k, hidden2=hidden2, seed=seed)
     rng = Rng(seed + 1).stream("case")
     x = np.array([float(rng.bernoulli(0.5)) for _ in range(6)])
     m = _mask_for(6, observed=[1, 4])
@@ -270,7 +270,7 @@ class TestWeightDecay:
         assert grads.W[0, 0] == 1.0
 
     def test_biases_never_touched(self):
-        params, _ = random_model(4, 3, n=3, hidden2=2, seed=92)
+        params, _ = random_model(4, 3, hidden2=2, seed=92)
         grads = params.zeros_like()
         add_weight_decay(grads, params, 0.37)
         assert np.all(grads.c == 0.0)
@@ -345,13 +345,13 @@ class TestAdaDelta:
 
     def test_in_place_matches_plain_expression(self):
         # the in-place update keeps the formula's operation order: equal bits
-        params, _ = random_model(4, 3, n=3, hidden2=2, seed=97)
+        params, _ = random_model(4, 3, hidden2=2, seed=97)
         plain = params.copy()
         state = AdaDeltaState.zeros_like(params)
         eg2 = {n: np.zeros_like(t) for n, t in plain.tensors().items()}
         edx2 = {n: np.zeros_like(t) for n, t in plain.tensors().items()}
         for step in range(5):
-            grads, _ = random_model(4, 3, n=3, hidden2=2, seed=98 + step)
+            grads, _ = random_model(4, 3, hidden2=2, seed=98 + step)
             adadelta_step(state, params, grads)
             for name, p in plain.tensors().items():
                 g = grads.tensors()[name]
@@ -403,7 +403,7 @@ class TestTrainLoop:
         td, vd = self._toy()
         cfg = StructureConfig(D=4, hidden1=6, k=2)
         tc = TrainConfig(minibatch_size=8, finetune_epochs=0, seed=17)
-        res = train(cfg, td, vd, tc, "finetune_only")
+        res = train(cfg, td, vd, tc)
         assert res.history == []
         assert res.epochs_run == 0
         assert res.best_valid is None
@@ -415,8 +415,8 @@ class TestTrainLoop:
         td, vd = self._toy()
         cfg = StructureConfig(D=4, hidden1=6, k=2)
         tc = TrainConfig(minibatch_size=8, finetune_epochs=5, seed=23)
-        r1 = train(cfg, td, vd, tc, "finetune_only")
-        r2 = train(cfg, td, vd, tc, "finetune_only")
+        r1 = train(cfg, td, vd, tc)
+        r2 = train(cfg, td, vd, tc)
         assert r1.history == r2.history
         for name, t in r1.params.tensors().items():
             assert np.array_equal(t, r2.params.tensors()[name])
@@ -425,7 +425,7 @@ class TestTrainLoop:
         td, vd = self._toy()
         cfg = StructureConfig(D=4, hidden1=6, k=1)
         tc = TrainConfig(minibatch_size=8, pretrain_epochs=2, finetune_epochs=2, seed=29)
-        res = train(cfg, td, vd, tc, "pretrain_then_finetune")
+        res = train(cfg, td, vd, tc)
         pattern = re.compile(
             r"^epoch (\d+) phase (pretrain|finetune) train -?\d+\.\d{6} valid -?\d+\.\d{6}$"
         )
@@ -443,7 +443,7 @@ class TestTrainLoop:
         td, vd = self._toy()
         cfg = StructureConfig(D=4, hidden1=8, k=2)
         tc = TrainConfig(minibatch_size=8, finetune_epochs=200, seed=5)
-        res = train(cfg, td, vd, tc, "finetune_only")
+        res = train(cfg, td, vd, tc)
         assert res.best_valid < 4 * LN2
 
     def test_early_stopping_mechanism(self, monkeypatch):
@@ -454,7 +454,7 @@ class TestTrainLoop:
         )
         cfg = StructureConfig(D=4, hidden1=4, k=1)
         tc = TrainConfig(minibatch_size=8, finetune_epochs=50, patience=2, seed=31)
-        res = train(cfg, td, vd, tc, "finetune_only")
+        res = train(cfg, td, vd, tc)
         assert res.epochs_run == 4
         assert res.best_valid == 2.0
 
@@ -468,16 +468,14 @@ class TestTrainLoop:
         c = validation_score(params, cfg, vd, mean, seed=8)
         assert a != c
 
-    def test_invalid_mode_and_data(self):
+    def test_invalid_data(self):
         td, vd = self._toy()
         cfg = StructureConfig(D=4, hidden1=4, k=1)
         tc = TrainConfig(minibatch_size=8, finetune_epochs=1, seed=1)
         with pytest.raises(ContractError):
-            train(cfg, td, vd, tc, "warmup")
+            train(cfg, np.empty((0, 4)), vd, tc)
         with pytest.raises(ContractError):
-            train(cfg, np.empty((0, 4)), vd, tc, "finetune_only")
-        with pytest.raises(ContractError):
-            train(cfg, td, np.ones((2, 3)), tc, "finetune_only")
+            train(cfg, td, np.ones((2, 3)), tc)
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
