@@ -123,13 +123,15 @@ def load_checkpoint(path: str) -> tuple[ModelParams, StructureConfig, dict[str, 
     """Inverse of save_checkpoint, with distinct errors per failure kind."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    header, sep, rest = blob.partition(b"\n")
-    if not sep:
+    # offsets into the blob, not partitions of it: each partition copies the payload
+    header_end = blob.find(b"\n")
+    if header_end < 0:
         raise CheckpointTruncatedError(f"{path}: no header line")
-    config = _parse_header(header, path)
-    meta_line, sep, payload = rest.partition(b"\n")
-    if not sep:
+    config = _parse_header(blob[:header_end], path)
+    meta_end = blob.find(b"\n", header_end + 1)
+    if meta_end < 0:
         raise CheckpointTruncatedError(f"{path}: no metadata line")
+    meta_line = blob[header_end + 1 : meta_end]
     try:
         meta_text = meta_line.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -143,19 +145,20 @@ def load_checkpoint(path: str) -> tuple[ModelParams, StructureConfig, dict[str, 
 
     shapes = expected_shapes(config)
     expected_bytes = sum(int(np.prod(s)) for s in shapes.values()) * 8
-    if len(payload) < expected_bytes:
+    offset = meta_end + 1
+    payload_bytes = len(blob) - offset
+    if payload_bytes < expected_bytes:
         raise CheckpointTruncatedError(
-            f"{path}: payload holds {len(payload)} bytes, tensors need {expected_bytes}"
+            f"{path}: payload holds {payload_bytes} bytes, tensors need {expected_bytes}"
         )
-    if len(payload) > expected_bytes:
+    if payload_bytes > expected_bytes:
         raise CheckpointShapeError(
-            f"{path}: {len(payload) - expected_bytes} trailing bytes after tensors"
+            f"{path}: {payload_bytes - expected_bytes} trailing bytes after tensors"
         )
     tensors: dict[str, np.ndarray] = {}
-    offset = 0
     for name, shape in shapes.items():
         size = int(np.prod(shape))
-        flat = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
+        flat = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
         tensor = flat.astype(np.float64).reshape(shape)
         if not np.all(np.isfinite(tensor)):
             raise CheckpointShapeError(f"{path}: tensor {name} has non-finite entries")

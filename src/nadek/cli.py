@@ -282,6 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
         return value
 
+    def non_negative_int(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        return value
+
     def grid(text: str) -> tuple[int, int]:
         try:
             r, c = text.lower().split("x")
@@ -297,12 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden2", type=positive_int, help="adds a second layer per step")
     p.add_argument("--k", type=positive_int, default=1, help="inference steps per conditional")
     p.add_argument("--activation", choices=["tanh", "sigmoid"], default="tanh")
-    p.add_argument("--epochs", type=int, default=0, help="fine-tuning epochs")
-    p.add_argument("--pretrain-epochs", type=int, default=0)
+    p.add_argument("--epochs", type=non_negative_int, default=0, help="fine-tuning epochs")
+    p.add_argument("--pretrain-epochs", type=non_negative_int, default=0)
     p.add_argument("--mode", choices=["pretrain-then-finetune", "finetune-only"])
     p.add_argument("--weight-decay", type=float, default=0.0)
     p.add_argument("--batch", type=positive_int, default=100)
-    p.add_argument("--patience", type=int, default=0, help="0 disables early stopping")
+    p.add_argument(
+        "--patience", type=non_negative_int, default=0, help="0 disables early stopping"
+    )
     p.add_argument("--rho", type=float, default=0.95)
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)

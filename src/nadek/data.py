@@ -12,6 +12,7 @@ import contextlib
 import gzip
 import io
 import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,11 @@ __all__ = [
     "minibatches",
     "save_text_matrix",
 ]
+
+
+# Characters of text parsed at a time: whole lines, so the strings alive
+# at once stay bounded whatever the width of a line.
+_CHUNK_CHARS = 1 << 16
 
 
 class DataError(ValueError):
@@ -83,32 +89,69 @@ def atomic_write(path: str, binary: bool = False):
 
 
 def load_text_matrix(path: str, name: str | None = None) -> Dataset:
-    """Parse a text matrix; errors carry the 1-based offending line number."""
-    rows: list[np.ndarray] = []
+    """Parse a text matrix; errors carry the 1-based offending line number.
+
+    Blank lines are skipped but counted.  A field is any literal Python's
+    ``float`` accepts.  The first failing line in file order is reported,
+    and within a line a non-numeric field comes before a wrong field
+    count, which comes before a value outside [0, 1] (NaN included).
+    """
+    chunks: list[np.ndarray] = []
     width = None
+    lineno = 0
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
+        while lines := _read_lines(fh, path):
+            counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+            filled = counts > 0
+            if width is None and filled.any():
+                width = int(counts[filled.argmax()])
             try:
-                row = np.array([float(f) for f in fields])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: non-numeric field") from exc
-            if width is None:
-                width = row.shape[0]
-            elif row.shape[0] != width:
-                raise DataError(
-                    f"{path}: line {lineno}: expected {width} fields, got {row.shape[0]}"
-                )
+                # lines end in "\n" except the file's last, so no token spans two lines
+                values = np.array("".join(lines).split(), dtype=np.float64)
+            except ValueError:
+                values = None
             # written so that NaN, which fails every comparison, fails it too
-            if not np.all((row >= 0.0) & (row <= 1.0)):
-                raise DataError(f"{path}: line {lineno}: value outside [0, 1]")
-            rows.append(row)
-    if not rows:
+            if (
+                values is None
+                or np.any(filled & (counts != width))
+                or not np.all((values >= 0.0) & (values <= 1.0))
+            ):
+                offset, reason = _first_fault(lines, width)
+                raise DataError(f"{path}: line {lineno + offset}: {reason}")
+            if values.size:
+                chunks.append(values.reshape(-1, width))
+            lineno += len(lines)
+    if not chunks:
         raise DataError(f"{path}: empty dataset")
-    return Dataset(samples=np.vstack(rows), name=name if name is not None else str(path))
+    return Dataset(samples=np.concatenate(chunks), name=name if name is not None else str(path))
+
+
+def _read_lines(fh, path) -> list[str]:
+    """The next whole lines of about ``_CHUNK_CHARS`` characters; [] at the end."""
+    try:
+        return fh.readlines(_CHUNK_CHARS)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not {exc.encoding} text ({exc.reason})") from exc
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise DataError(f"{path}: corrupt or truncated gzip data ({exc})") from exc
+
+
+def _first_fault(lines: list[str], width: int) -> tuple[int, str]:
+    """1-based position in ``lines`` and reason of the first line that fails."""
+    for offset, line in enumerate(lines, start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            row = [float(f) for f in fields]
+        except ValueError:
+            return offset, "non-numeric field"
+        if len(row) != width:
+            return offset, f"expected {width} fields, got {len(row)}"
+        if not all(0.0 <= v <= 1.0 for v in row):
+            return offset, "value outside [0, 1]"
+    raise AssertionError("chunk failed as a whole but no line of it fails")
 
 
 def save_text_matrix(path: str, samples: np.ndarray) -> None:

@@ -90,6 +90,8 @@ class TrainConfig:
         _check_adadelta(self.rho, self.epsilon)
         if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
             raise ContractError("epoch counts must be >= 0")
+        if self.patience < 0:
+            raise ContractError("patience must be >= 0")
         if self.weight_decay < 0.0:
             raise ContractError("weight_decay must be >= 0")
 

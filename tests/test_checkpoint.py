@@ -40,6 +40,11 @@ class TestRoundTrip:
         assert meta == {"epochs": "7"}
         for name, tensor in params.tensors().items():
             assert np.array_equal(loaded.tensors()[name], tensor)
+            # a writable copy owned by numpy, not a view of the bytes read from the file
+            root = loaded.tensors()[name]
+            while isinstance(root, np.ndarray) and root.base is not None:
+                root = root.base
+            assert loaded.tensors()[name].flags.writeable and isinstance(root, np.ndarray)
 
     def test_resave_identical_bytes(self, tmp_path):
         params, cfg = random_model(D=6, hidden1=4, k=2, hidden2=3, seed=13)

@@ -1,5 +1,6 @@
 """End-to-end command line coverage through main(argv)."""
 
+import gzip
 import hashlib
 import json
 import re
@@ -129,6 +130,46 @@ class TestTrain:
             )
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--epochs", "-1"), ("--pretrain-epochs", "-2"), ("--patience", "-3")]
+    )
+    def test_count_flag_below_zero(self, tmp_path, capsys, flag, value):
+        data = _write_data(tmp_path / "t.amat", _toy_rows(4))
+        out = tmp_path / "m.ckpt"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "train", "--data", str(data), "--valid", str(data),
+                    "--out", str(out), "--hidden1", "4", flag, value,
+                ]
+            )
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["truncated gzip", "not utf-8"])
+    def test_unreadable_data_file(self, tmp_path, capsys, fault):
+        valid = _write_data(tmp_path / "v.amat", _toy_rows(4))
+        if fault == "truncated gzip":
+            data = tmp_path / "t.amat.gz"
+            whole = gzip.compress(valid.read_bytes() * 200)
+            data.write_bytes(whole[: len(whole) // 2])
+        else:
+            data = tmp_path / "t.amat"
+            data.write_bytes(b"0 1 0 1 0 1\n1 0 \xff 0 1 0\n")
+        out = tmp_path / "m.ckpt"
+        rc = main(
+            [
+                "train", "--data", str(data), "--valid", str(valid),
+                "--out", str(out), "--hidden1", "4",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_no_pretrain_epochs_equals_finetune_only(self, tmp_path, capsys):

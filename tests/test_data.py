@@ -2,9 +2,13 @@
 
 import gzip
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+import text_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nadek import Rng, binarize_by_sampling, empirical_mean, load_text_matrix
 from nadek import data
@@ -83,6 +87,172 @@ class TestLoad:
         ds = load_text_matrix(p)
         assert ds.D == 3
         assert np.array_equal(ds.samples, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
+
+VALID_FIELDS = st.one_of(
+    st.sampled_from(["0", "1", "0.0", "1.0", "-0", "+1", "1e0", "0_1", ".5", "5E-1", "\u0661"]),
+    st.floats(min_value=0.0, max_value=1.0).map(repr),
+)
+FAULT_FIELDS = {
+    "non-numeric": st.sampled_from(["x", "0x1", "1_", "0..5", "--1", "1,0", "nanx", "1e"]),
+    "range": st.sampled_from(["1.5", "-0.25", "nan", "inf", "-inf", "2", "1_0", "-1e-300"]),
+}
+SEPARATORS = [" ", "\t", "  ", " \t", "\x0c"]
+
+
+def _outcome(load, path):
+    """Shape and bytes of the samples, or the DataError message."""
+    try:
+        samples = load(path).samples
+    except DataError as exc:
+        return str(exc)
+    return samples.shape, samples.dtype, samples.tobytes()
+
+
+def _same_as_reference(path):
+    expected = _outcome(text_reference.load_text_matrix, path)
+    assert _outcome(load_text_matrix, path) == expected
+    return expected
+
+
+def _add_fault(fields, kind, field, at):
+    """Apply one fault kind to a row's fields; a blank line holds one blank field."""
+    fields = list(fields)
+    if kind == "count":
+        if len(fields) > 1 and at % 2:
+            del fields[at % len(fields)]
+        else:
+            fields.append("1")
+    else:
+        fields[at % len(fields)] = field
+    return fields
+
+
+def _write(path, rows, newline="\n", sep=" ", final_newline=True):
+    """Write rows of fields as text, gzipped for a .gz path."""
+    lines = [sep.join(r) for r in rows]
+    text = newline.join(lines) + (newline if final_newline and lines else "")
+    raw = text.encode("utf-8")
+    path.write_bytes(gzip.compress(raw) if str(path).endswith(".gz") else raw)
+    return path
+
+
+@st.composite
+def matrix_files(draw):
+    """Rows of fields, blank lines among them, with up to three faults anywhere."""
+    width = draw(st.sampled_from([1, 2, 3, 5, 784]))
+    field = st.sampled_from(["0", "1"]) if draw(st.booleans()) else VALID_FIELDS
+    rows = []
+    for _ in range(draw(st.integers(0, 3 if width == 784 else 40))):
+        if draw(st.integers(0, 4)) == 0:
+            rows.append([draw(st.sampled_from(["", " ", "\t", " \t "]))])
+        else:
+            fields = draw(st.lists(field, min_size=width, max_size=width))
+            fields[0] = draw(st.sampled_from(["", " ", "\t"])) + fields[0]
+            fields[-1] += draw(st.sampled_from(["", " ", "\t ", "  "]))
+            rows.append(fields)
+    if rows:
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["non-numeric", "count", "range"]))
+            at = draw(st.integers(0, len(rows) - 1))
+            bad = draw(FAULT_FIELDS[kind]) if kind in FAULT_FIELDS else None
+            rows[at] = _add_fault(rows[at], kind, bad, draw(st.integers(0, 2 * width)))
+    return rows
+
+
+class TestAgainstReference:
+    """The chunked loader returns the line-by-line reference's bits or message."""
+
+    @given(
+        rows=matrix_files(),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        sep=st.sampled_from(SEPARATORS),
+        final_newline=st.booleans(),
+        gz=st.booleans(),
+        chunk=st.one_of(st.integers(1, 200), st.just(data._CHUNK_CHARS)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_generated_files(self, tmp_path_factory, rows, newline, sep, final_newline, gz, chunk):
+        path = tmp_path_factory.mktemp("gen") / ("m.amat.gz" if gz else "m.amat")
+        _write(path, rows, newline, sep, final_newline)
+        with mock.patch.object(data, "_CHUNK_CHARS", chunk):
+            _same_as_reference(path)
+
+    @pytest.mark.parametrize("where", ["first", "last", "before boundary", "after boundary"])
+    @pytest.mark.parametrize(
+        "kind, field, reason",
+        [
+            ("non-numeric", "x", "non-numeric field"),
+            ("count", None, "expected 3 fields, got 4"),
+            ("range", "nan", "value outside [0, 1]"),
+        ],
+    )
+    def test_fault_position(self, tmp_path, where, kind, field, reason):
+        rows = [["0", "1", "0.5"]] * 10
+        line = {"first": 1, "last": 10, "before boundary": 5, "after boundary": 6}[where]
+        rows[line - 1] = _add_fault(rows[line - 1], kind, field, 0)
+        path = _write(tmp_path / "m.amat", rows)
+        chunk = 5 * len("0 1 0.5\n") - 1
+        with open(path) as fh:
+            assert len(fh.readlines(chunk)) == 5  # lines 5 and 6 sit in different chunks
+        if kind == "count" and where == "first":
+            # the first row sets the width, so the second row is the one that disagrees
+            line, reason = 2, "expected 4 fields, got 3"
+        with mock.patch.object(data, "_CHUNK_CHARS", chunk):
+            assert _same_as_reference(path) == f"{path}: line {line}: {reason}"
+
+    @pytest.mark.parametrize(
+        "faults, line, reason",
+        [
+            # (line, kind, field) in file order; the first failing line wins
+            ([(3, "range", "2"), (5, "count", None), (7, "non-numeric", "x")], 3,
+             "value outside [0, 1]"),
+            ([(4, "non-numeric", "x"), (6, "range", "2")], 4, "non-numeric field"),
+            # within one line: non-numeric, then field count, then range
+            ([(2, "count", None), (2, "non-numeric", "x")], 2, "non-numeric field"),
+            ([(2, "range", "-1"), (2, "count", None)], 2, "expected 3 fields, got 4"),
+        ],
+    )
+    def test_first_failing_line_wins(self, tmp_path, faults, line, reason):
+        rows = [["0", "1", "0.5"]] * 8
+        for at, kind, field in faults:
+            rows[at - 1] = _add_fault(rows[at - 1], kind, field, 0)
+        path = _write(tmp_path / "m.amat", rows)
+        for chunk in (1, 30, data._CHUNK_CHARS):
+            with mock.patch.object(data, "_CHUNK_CHARS", chunk):
+                assert _same_as_reference(path) == f"{path}: line {line}: {reason}"
+
+    @pytest.mark.parametrize("text", ["", "\n", " \n\t\n\r\n  "])
+    def test_no_rows(self, tmp_path, text):
+        path = tmp_path / "m.amat"
+        path.write_text(text)
+        assert _same_as_reference(path) == f"{path}: empty dataset"
+
+    @pytest.mark.parametrize("name", ["m.amat", "m.amat.gz"])
+    def test_wide_file_over_several_chunks(self, tmp_path, name):
+        rows = np.random.default_rng(7).random((60, 784))
+        rows[::2] = rows[::2] < 0.5
+        fields = [[data._fmt_value(v) for v in r] for r in rows]
+        assert sum(len(" ".join(r)) + 1 for r in fields) > 2 * data._CHUNK_CHARS
+        path = _write(tmp_path / name, fields)
+        shape, _, raw = _same_as_reference(path)
+        assert shape == rows.shape
+        assert raw == rows.tobytes()
+
+
+class TestUnreadable:
+    def test_truncated_gzip(self, tmp_path):
+        path = tmp_path / "m.amat.gz"
+        whole = gzip.compress(b"0 1 1 0\n" * 4000)
+        path.write_bytes(whole[: len(whole) // 2])
+        with pytest.raises(DataError, match=f"^{path}: corrupt or truncated gzip data"):
+            load_text_matrix(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "m.amat"
+        path.write_bytes(b"0 1\n1 \xe9\n")
+        with pytest.raises(DataError, match=f"^{path}: not utf-8 text"):
+            load_text_matrix(path)
 
 
 class TestSave:

@@ -486,3 +486,5 @@ class TestTrainLoop:
             TrainConfig(weight_decay=-0.5)
         with pytest.raises(ContractError):
             TrainConfig(finetune_epochs=-1)
+        with pytest.raises(ContractError):
+            TrainConfig(patience=-1)
