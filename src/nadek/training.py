@@ -111,28 +111,49 @@ def sample_mask(rng: Rng, D: int, rows: int) -> np.ndarray:
     Each row draws d uniform on {1..D}, then d-1 observed indices without
     bias: the prefix of a partial Fisher-Yates shuffle, so every
     (d-1)-subset is equally likely, and d = D + 1 - (row sum).  Each row
-    consumes exactly D draws of one bulk draw: draw 0 gives d, draws
-    1..d-1 give the swaps and the rest are skipped.  Row r reads draws
-    r*D .. r*D+D-1 alone, so it equals a one-row block drawn with the
-    counter at r*D.
+    consumes exactly D draws of one bulk draw: draw 0 gives d, draw 1 + i
+    gives swap i, which exchanges slots i and i + below(D - i) of the
+    row's index list 0..D-1, and the draws after swap d-2 are skipped.
+    Row r reads draws r*D .. r*D+D-1 alone, so it equals a one-row block
+    drawn with the counter at r*D.  No rows consume no draws.
+
+    The swaps run slot-major: with the rows sorted by decreasing d, the
+    rows still swapping at step i are a prefix, and step i moves slot i of
+    each of them as one slice.
     """
     if D < 1:
         raise ContractError("D must be >= 1")
+    if rows < 0:
+        raise ContractError("rows must be >= 0")
+    if rows == 0:
+        return np.ones((0, D))
     # draw 0 of a row is bounded by D, draw 1 + i by D - i
-    steps = np.arange(D - 1)
-    draws = rng.below_array(np.broadcast_to(np.concatenate(([D], D - steps)), (rows, D)))
-    d = 1 + draws[:, 0]
-    # swap i exchanges slots i and i + below(D - i); a row past its d-1
-    # swaps only reorders slots >= i, which leaves its prefix as drawn
-    swap = steps + draws[:, 1:]
-    idx = np.tile(np.arange(D), (rows, 1))
-    r = np.arange(rows)
-    for i in range(int(d.max()) - 1):
-        j = swap[:, i]
-        idx[r, i], idx[r, j] = idx[r, j], idx[r, i]
+    bounds = np.concatenate(([D], np.arange(D, 1, -1)))
+    draws = rng.below_array(np.broadcast_to(bounds, (rows, D)))
+    d = draws[:, 0] + 1
+    order = np.argsort(-d, kind="stable")
+    swaps = int(d.max()) - 1
+    # active[i]: rows still swapping at step i, a prefix of the sorted rows
+    active = (rows - np.cumsum(np.bincount(d - 1, minlength=D)))[:swaps]
+    # slot i of sorted row r sits at i * rows + r and holds the flat mask
+    # position order[r] * D + (the index in that slot); target[i, r] is
+    # the flat slot that swap i of sorted row r exchanges with slot i
+    idx = (np.arange(D)[:, None] + order * D).ravel()
+    target = np.ascontiguousarray(draws[order, 1 : swaps + 1].T)
+    target += np.arange(swaps)[:, None]
+    target *= rows
+    target += np.arange(rows)
+    for i, n in enumerate(active.tolist()):
+        here = idx[i * rows : i * rows + n]
+        there = target[i, :n]
+        held = here.copy()
+        here[...] = idx[there]
+        idx[there] = held
+    # a row past its d-1 swaps is never touched again, so slot i of the
+    # first active[i] sorted rows is observed
     mask = np.ones((rows, D))
-    observed = np.arange(D) < (d - 1)[:, None]
-    mask[np.nonzero(observed)[0], idx[observed]] = 0.0
+    observed = np.arange(rows) < active[:, None]
+    mask.ravel()[idx[: swaps * rows].reshape(swaps, rows)[observed]] = 0.0
     return mask
 
 
@@ -175,11 +196,29 @@ def pretrain_loss(traj: Trajectory, x: np.ndarray) -> float:
     return float(np.sum(_row_losses(traj, np.asarray(x, dtype=np.float64), "pretrain")))
 
 
-def _phi_prime(h: np.ndarray, activation: str) -> np.ndarray:
-    # derivative expressed through the stored activation value
+def _phi_prime(h: np.ndarray, activation: str, out: np.ndarray | None) -> np.ndarray:
+    # derivative expressed through the stored activation value, into out
+    # (a new array when out is None)
     if activation == "tanh":
-        return 1.0 - h * h
-    return h * (1.0 - h)
+        out = np.multiply(h, h, out=out)
+        return np.subtract(1.0, out, out=out)
+    out = np.subtract(1.0, h, out=out)
+    return np.multiply(h, out, out=out)
+
+
+def _accumulate(w, c, delta, inputs, scratch) -> None:
+    """w (+)= delta.T @ inputs and c (+)= the column sums of delta.
+
+    With ``scratch`` None these are the first terms, written into w and c
+    themselves; otherwise the product goes through ``scratch`` and is then
+    added.
+    """
+    if scratch is None:
+        np.matmul(delta.T, inputs, out=w)
+        np.sum(delta, axis=0, out=c)
+    else:
+        w += np.matmul(delta.T, inputs, out=scratch[: w.size].reshape(w.shape))
+        c += delta.sum(axis=0)
 
 
 def backward(
@@ -198,6 +237,13 @@ def backward(
     constants at every step.  Coordinates whose output probability left
     the clamp range contribute zero loss gradient, matching the clamped
     loss exactly.
+
+    The steps write into buffers that the first step allocates and the
+    later ones reuse, and every expression keeps its order of operations,
+    so the values equal the plain expressions bit for bit, up to the sign
+    of a zero: the first term of each sum (a tensor's product at step k,
+    the scored term at step k) is taken as it is rather than added to
+    0.0, so a -0.0 there stays -0.0 where 0.0 + -0.0 would give +0.0.
     """
     if objective not in OBJECTIVES:
         raise ContractError(f"objective must be one of {OBJECTIVES}")
@@ -207,36 +253,49 @@ def backward(
     # per-row loss weight of each scored step's reconstruction
     gamma = _gamma(m)[:, None]
     coeff = gamma / k if objective == "pretrain" else gamma
-    grads = params.zeros_like()
     act = config.activation
-    dv = np.zeros_like(x)
+    grads = ModelParams(**{name: np.empty_like(t) for name, t in params.tensors().items()})
+    # products after a tensor's first go through scratch
+    scratch = np.empty(max(t.size for t in params.tensors().values())) if k > 1 else None
+    # block-wide buffers, each allocated by its first write
+    dz = dv = tmp = inclamp = below_top = dtop = datop = dh1 = da1 = None
     for t in range(k, 0, -1):
         s = np.atleast_2d(traj.v_states[t])
-        dz = m * dv * s * (1.0 - s)
+        # dv is the gradient reaching v_t from step t + 1; none at t = k
+        if t < k:
+            np.multiply(m, dv, out=dz)
+            dz *= s
+            tmp = np.subtract(1.0, s, out=tmp)
+            dz *= tmp
         if objective == "pretrain" or t == k:
-            inclamp = ((s > PROB_EPS) & (s < 1.0 - PROB_EPS)).astype(np.float64)
-            dz = dz + coeff * m * (s - x) * inclamp
-        hidden = [np.atleast_2d(h) for h in traj.h_states[t - 1]]
+            inclamp = np.greater(s, PROB_EPS, out=inclamp)
+            below_top = np.less(s, 1.0 - PROB_EPS, out=below_top)
+            inclamp &= below_top
+            # coeff * m * (s - x) * inclamp; dv is free until step t - 1
+            if t == k:
+                dz = term = np.multiply(coeff, m)
+            else:
+                term = np.multiply(coeff, m, out=tmp)
+            dv = np.subtract(s, x, out=dv)
+            term *= dv
+            term *= inclamp
+            if t < k:
+                dz += term
+        hidden = traj.h_states[t - 1]
+        h1, top = np.atleast_2d(hidden[0]), np.atleast_2d(hidden[-1])
+        into = None if t == k else scratch
+        _accumulate(grads.V, grads.b, dz, top, into)
+        dtop = np.matmul(dz, params.V, out=dtop)
+        da = datop = _phi_prime(top, act, datop)
+        da *= dtop
         if config.n == 3:
-            h1, h2 = hidden
-            top = h2
-        else:
-            (h1,) = hidden
-            top = h1
-        grads.V += dz.T @ top
-        grads.b += dz.sum(axis=0)
-        dtop = dz @ params.V
-        if config.n == 3:
-            da2 = dtop * _phi_prime(h2, act)
-            grads.W2 += da2.T @ h1
-            grads.c2 += da2.sum(axis=0)
-            da1 = (da2 @ params.W2) * _phi_prime(h1, act)
-        else:
-            da1 = dtop * _phi_prime(h1, act)
-        grads.W += da1.T @ np.atleast_2d(traj.v_states[t - 1])
-        grads.c += da1.sum(axis=0)
+            _accumulate(grads.W2, grads.c2, da, h1, into)
+            dh1 = np.matmul(da, params.W2, out=dh1)
+            da = da1 = _phi_prime(h1, act, da1)
+            da *= dh1
+        _accumulate(grads.W, grads.c, da, np.atleast_2d(traj.v_states[t - 1]), into)
         if t > 1:
-            dv = da1 @ params.W
+            np.matmul(da, params.W, out=dv)
     return grads
 
 
@@ -245,11 +304,41 @@ def add_weight_decay(grads: ModelParams, params: ModelParams, lam: float) -> Mod
     if lam < 0.0:
         raise ContractError("weight decay must be >= 0")
     if lam != 0.0:
-        grads.W += 2.0 * lam * params.W
-        grads.V += 2.0 * lam * params.V
-        if grads.W2 is not None:
-            grads.W2 += 2.0 * lam * params.W2
+        names = [name for name in ("W", "V", "W2") if getattr(grads, name) is not None]
+        scratch = np.empty(max(getattr(params, name).size for name in names))
+        for name in names:
+            w, g = getattr(params, name), getattr(grads, name)
+            g += np.multiply(2.0 * lam, w, out=scratch[: w.size].reshape(w.shape))
     return grads
+
+
+#: Elements per slice of a large tensor's AdaDelta update, so that a slice
+#: of each array the update reads and writes stays in cache across its passes.
+_ADADELTA_CHUNK = 1 << 15
+
+
+def _adadelta_update(p, g, eg2, edx2, rho, eps, tmp=None, delta=None) -> None:
+    """The AdaDelta update of one tensor or slice, in place.
+
+    ``tmp`` and ``delta`` are buffers shaped like ``g``, or None to
+    allocate them.
+    """
+    tmp = np.multiply(1.0 - rho, g, out=tmp)
+    tmp *= g
+    eg2 *= rho
+    eg2 += tmp
+    delta = np.add(edx2, eps, out=delta)
+    np.sqrt(delta, out=delta)
+    np.negative(delta, out=delta)
+    np.add(eg2, eps, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    delta /= tmp
+    delta *= g
+    edx2 *= rho
+    np.multiply(1.0 - rho, delta, out=tmp)
+    tmp *= delta
+    edx2 += tmp
+    p += delta
 
 
 def adadelta_step(
@@ -259,30 +348,25 @@ def adadelta_step(
 
     Per scalar: E[g2] <- rho E[g2] + (1-rho) g^2,
     dx = -sqrt(E[dx2]+eps)/sqrt(E[g2]+eps) * g, then the dx average and
-    the parameter advance.  Works in place with two temporary arrays per
-    tensor, applying the operations in the order the formula is written,
-    so the values match the plain expression bit for bit.
+    the parameter advance.  The operations run in the order the formula
+    is written, so the values match the plain expression bit for bit.  A
+    tensor larger than _ADADELTA_CHUNK elements is updated a slice of
+    whole rows at a time, through one pair of slice-sized temporaries.
     """
     rho = state.rho
     eps = state.epsilon
     tensor_sets = (params, grads, state.eg2, state.edx2)
-    for p, g, eg2, edx2 in zip(*(t.tensors().values() for t in tensor_sets)):
-        tmp = (1.0 - rho) * g
-        tmp *= g
-        eg2 *= rho
-        eg2 += tmp
-        delta = np.add(edx2, eps)
-        np.sqrt(delta, out=delta)
-        np.negative(delta, out=delta)
-        np.add(eg2, eps, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        delta /= tmp
-        delta *= g
-        edx2 *= rho
-        np.multiply(1.0 - rho, delta, out=tmp)
-        tmp *= delta
-        edx2 += tmp
-        p += delta
+    for tensors in zip(*(t.tensors().values() for t in tensor_sets)):
+        size, rows = tensors[0].size, tensors[0].shape[0]
+        if size <= _ADADELTA_CHUNK:
+            _adadelta_update(*tensors, rho, eps)
+            continue
+        step = max(1, _ADADELTA_CHUNK * rows // size)
+        pair = np.empty((2, step, *tensors[0].shape[1:]))
+        for lo in range(0, rows, step):
+            part = [t[lo : lo + step] for t in tensors]
+            n = part[0].shape[0]
+            _adadelta_update(*part, rho, eps, pair[0, :n], pair[1, :n])
     return params, state
 
 
@@ -300,8 +384,8 @@ def validation_score(
     across epochs.  Rows are scored in chunks of BLOCK_ROWS in canonical
     order, with one block mask draw per chunk (D draws per row).
     """
+    data = _check_split(data, structure.D, "validation")
     rng = Rng(seed).stream("valid-masks")
-    data = np.asarray(data, dtype=np.float64)
     total = 0.0
     for start in range(0, data.shape[0], BLOCK_ROWS):
         x = data[start : start + BLOCK_ROWS]
@@ -371,9 +455,13 @@ def train(
     stale = 0
     epoch = 0
     n_train = train_data.shape[0]
+    state = AdaDeltaState.zeros_like(params, rho=config.rho, epsilon=config.epsilon)
     with single_threaded_blas():
         for phase, budget in phases:
-            state = AdaDeltaState.zeros_like(params, rho=config.rho, epsilon=config.epsilon)
+            if phase == "finetune" and epoch:
+                # the handoff restarts the optimizer from zero, in the same memory
+                for t in (*state.eg2.tensors().values(), *state.edx2.tensors().values()):
+                    t.fill(0.0)
             for _ in range(budget):
                 epoch += 1
                 total = 0.0

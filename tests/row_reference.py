@@ -5,6 +5,10 @@ backward, a loop over the minibatch's rows in training, and one forward
 per position when walking along an ordering.  The package computes the
 same quantities over whole blocks with matrix-matrix products; tests
 require the two to agree to 1e-12 after summing over rows.
+
+``sample_mask`` is the mask draw done the direct way, one swap of every
+row per step; the package makes the same swaps slot-major, and tests
+require equal masks and equal draw counts.
 """
 
 import numpy as np
@@ -134,3 +138,24 @@ def adadelta(state, params, grads, rho, eps):
         edx2 = rho * edx2 + (1.0 - rho) * delta * delta
         state[name] = (eg2, edx2)
         p += delta
+
+
+def sample_mask(rng, D, rows):
+    """Mask block by a partial Fisher-Yates shuffle of each row's indices,
+    one fancy-indexed swap of every row per step."""
+    # draw 0 of a row is bounded by D, draw 1 + i by D - i
+    steps = np.arange(D - 1)
+    draws = rng.below_array(np.broadcast_to(np.concatenate(([D], D - steps)), (rows, D)))
+    d = 1 + draws[:, 0]
+    # swap i exchanges slots i and i + below(D - i); a row past its d-1
+    # swaps only reorders slots >= i, which leaves its prefix as drawn
+    swap = steps + draws[:, 1:]
+    idx = np.tile(np.arange(D), (rows, 1))
+    r = np.arange(rows)
+    for i in range(int(d.max()) - 1):
+        j = swap[:, i]
+        idx[r, i], idx[r, j] = idx[r, j], idx[r, i]
+    mask = np.ones((rows, D))
+    observed = np.arange(D) < (d - 1)[:, None]
+    mask[np.nonzero(observed)[0], idx[observed]] = 0.0
+    return mask

@@ -60,12 +60,13 @@ def _cli(argv, threads):
     return _python(["-m", "nadek.cli", *argv], threads)
 
 
-def _train(tmp_path, data, valid, threads):
+def _train(tmp_path, data, valid, threads, extra=()):
     out = tmp_path / f"threads{threads}.ckpt"
     stdout = _cli(
         [
             "train", "--data", data, "--valid", valid, "--out", str(out),
             "--hidden1", "100", "--k", "2", "--epochs", "2", "--batch", "100", "--seed", "4",
+            *extra,
         ],
         threads,
     )
@@ -79,6 +80,17 @@ def test_checkpoint_bytes_equal_at_one_and_two_blas_threads(tmp_path):
     one = _train(tmp_path, data, valid, 1)
     two = _train(tmp_path, data, valid, 2)
     assert len(one[1]) == 2 and one[1] == two[1]
+    assert one[0] == two[0]
+
+
+def test_pretrained_checkpoint_bytes_equal_at_one_and_two_blas_threads(tmp_path):
+    # the pretraining backward scores every step, not only the last
+    data = _write_rows(tmp_path / "train.amat", 200, 196, seed=1)
+    valid = _write_rows(tmp_path / "valid.amat", 100, 196, seed=2)
+    one = _train(tmp_path, data, valid, 1, ("--pretrain-epochs", "1"))
+    two = _train(tmp_path, data, valid, 2, ("--pretrain-epochs", "1"))
+    assert [line.split()[3] for line in one[1]] == ["pretrain", "finetune", "finetune"]
+    assert one[1] == two[1]
     assert one[0] == two[0]
 
 

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import row_reference
 from conftest import random_model
 
 from nadek import ModelParams, Rng, StructureConfig, forward, init_params, log_prob_ordering
@@ -99,6 +100,60 @@ class TestSampleMask:
             rng.counter = r * D
             assert np.array_equal(sample_mask(rng, D, 1)[0], block[r])
             assert rng.counter == (r + 1) * D
+
+    @staticmethod
+    def _same_as_reference(rng, D, rows):
+        ref = Rng(rng.seed)
+        ref.counter = rng.counter
+        got, want = sample_mask(rng, D, rows), row_reference.sample_mask(ref, D, rows)
+        assert got.shape == want.shape == (rows, D)
+        assert np.array_equal(got, want)
+        assert rng.counter == ref.counter
+        return got
+
+    @pytest.mark.parametrize("rows", [1, 7, 25, 100])
+    @pytest.mark.parametrize("D", [1, 2, 3, 16, 784])
+    def test_equals_fisher_yates_reference(self, D, rows):
+        for seed in range(5):
+            self._same_as_reference(Rng(40 + seed).stream("masks"), D, rows)
+
+    @pytest.mark.parametrize("D, rows", [(2, 7), (3, 7), (16, 1), (784, 1)])
+    def test_reference_when_every_d_is_one(self, D, rows):
+        # row r's d comes from draw counter + r*D: start where all are 1
+        first = Rng(7).stream("masks").below_array(np.full(20000, D))
+        starts = [
+            c for c in range(len(first) - rows * D)
+            if not first[c : c + rows * D : D].any()
+        ]
+        assert len(starts) >= 5
+        for c in starts[:5]:
+            rng = Rng(7).stream("masks")
+            rng.counter = c
+            assert np.all(self._same_as_reference(rng, D, rows) == 1.0)
+
+    @pytest.mark.parametrize("D, rows", [(2, 1), (16, 7), (784, 25), (784, 100)])
+    def test_reference_when_a_row_has_d_equal_to_D(self, D, rows):
+        first = Rng(8).stream("masks").below_array(np.full(20000, D))
+        starts = np.flatnonzero(first == D - 1)[:5].tolist()
+        assert len(starts) == 5
+        for c in starts:
+            rng = Rng(8).stream("masks")
+            rng.counter = c
+            # row 0 observes all but one component
+            assert self._same_as_reference(rng, D, rows)[0].sum() == 1.0
+
+    def test_no_rows_consume_no_draws(self):
+        rng = Rng(9).stream("masks")
+        rng.counter = 5
+        mask = sample_mask(rng, 6, 0)
+        assert mask.shape == (0, 6)
+        assert rng.counter == 5
+
+    def test_negative_rows_rejected(self):
+        rng = Rng(9).stream("masks")
+        with pytest.raises(ContractError):
+            sample_mask(rng, 6, -1)
+        assert rng.counter == 0
 
 
 def _zero_model(D, hidden1, k):
@@ -467,6 +522,16 @@ class TestTrainLoop:
         assert a == b
         c = validation_score(params, cfg, vd, mean, seed=8)
         assert a != c
+
+    def test_validation_of_empty_data_rejected(self):
+        params, cfg = random_model(4, 5, k=1, seed=37)
+        with pytest.raises(ContractError, match="non-empty"):
+            validation_score(params, cfg, np.empty((0, 4)), np.full(4, 0.5), seed=7)
+
+    def test_validation_of_one_row_vector_rejected(self):
+        params, cfg = random_model(4, 5, k=1, seed=37)
+        with pytest.raises(ContractError, match="matrix with 4 columns"):
+            validation_score(params, cfg, np.ones(4), np.full(4, 0.5), seed=7)
 
     def test_invalid_data(self):
         td, vd = self._toy()
