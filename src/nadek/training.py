@@ -304,11 +304,10 @@ def add_weight_decay(grads: ModelParams, params: ModelParams, lam: float) -> Mod
     if lam < 0.0:
         raise ContractError("weight decay must be >= 0")
     if lam != 0.0:
-        names = [name for name in ("W", "V", "W2") if getattr(grads, name) is not None]
-        scratch = np.empty(max(getattr(params, name).size for name in names))
-        for name in names:
-            w, g = getattr(params, name), getattr(grads, name)
-            g += np.multiply(2.0 * lam, w, out=scratch[: w.size].reshape(w.shape))
+        grads.W += 2.0 * lam * params.W
+        grads.V += 2.0 * lam * params.V
+        if grads.W2 is not None:
+            grads.W2 += 2.0 * lam * params.W2
     return grads
 
 

@@ -2,8 +2,9 @@
 
 The gradient, weight decay and AdaDelta update written the direct way:
 fresh zero accumulators and a new array for every intermediate.  The
-package computes the same values into reused buffers; tests require the
-two to agree bit for bit (up to the sign of a zero in a gradient).
+package computes the gradient and the update into reused buffers; tests
+require the two to agree bit for bit (up to the sign of a zero in a
+gradient).
 """
 
 import numpy as np

@@ -1,8 +1,9 @@
 """The training step's buffered kernels against plain expressions, bit for bit.
 
-``backward``, ``add_weight_decay`` and ``adadelta_step`` write into reused
-buffers; step_reference.py computes the same values with a fresh array for
-every intermediate.  ``np.array_equal`` treats -0.0 and +0.0 as equal, the
+``backward`` and ``adadelta_step`` write into reused buffers;
+step_reference.py computes the same values with a fresh array for every
+intermediate, and ``add_weight_decay``, applied between the two, is checked
+along with them.  ``np.array_equal`` treats -0.0 and +0.0 as equal, the
 one way the gradients may differ, so whole training runs are also compared
 by their checkpoint bytes.
 """
