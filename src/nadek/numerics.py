@@ -236,8 +236,9 @@ def _below(u, n):
     """Uniform integers in [0, n): the high 64 bits of u * n.
 
     ``u`` is a 64-bit draw (Python int or uint64 array) and ``n`` an int or
-    an integer array of bounds in [1, 2^32).  The product is assembled from
-    the 32-bit halves of u, so no partial result leaves 64 bits.
+    an integer array of bounds in [1, 2^32) that broadcasts against u.  The
+    product is assembled from the 32-bit halves of u, so no partial result
+    leaves 64 bits.
     """
     if isinstance(n, np.ndarray):
         lo, hi = int(n.min(initial=1)), int(n.max(initial=1))
@@ -332,8 +333,13 @@ class Rng:
         """Uniform integers in [0, bounds[i]) for each entry, in row-major order.
 
         One draw per entry, each bounded as by :meth:`next_below`; every
-        bound must lie in [1, 2^32).
+        bound must lie in [1, 2^32).  A broadcast view (``np.broadcast_to``
+        of one row of bounds) is bounded without expanding it.
         """
         bounds = np.asarray(bounds, dtype=np.int64)
         u = self.uint64_array(bounds.size).reshape(bounds.shape)
+        if 0 in bounds.strides:
+            # a broadcast view repeats its entries along its zero-stride axes:
+            # check and convert one copy of them, and let it broadcast in _below
+            bounds = bounds[tuple(slice(0, 1) if s == 0 else slice(None) for s in bounds.strides)]
         return _below(u, bounds).astype(np.int64)

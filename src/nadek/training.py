@@ -20,6 +20,7 @@ gradient is a sum of matrix-matrix products over the rows.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,7 +116,9 @@ def sample_mask(rng: Rng, D: int, rows: int) -> np.ndarray:
     gives swap i, which exchanges slots i and i + below(D - i) of the
     row's index list 0..D-1, and the draws after swap d-2 are skipped.
     Row r reads draws r*D .. r*D+D-1 alone, so it equals a one-row block
-    drawn with the counter at r*D.  No rows consume no draws.
+    drawn with the counter at r*D, and the rows of one call for several
+    consecutive blocks are the masks of one call per block.  No rows
+    consume no draws.
 
     The swaps run slot-major: with the rows sorted by decreasing d, the
     rows still swapping at step i are a prefix, and step i moves slot i of
@@ -159,9 +162,18 @@ def sample_mask(rng: Rng, D: int, rows: int) -> np.ndarray:
 
 def _row_ce(v: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
     # cross-entropy over the missing components of each row (last axis);
-    # observed slots hold the exact input bit, which the clamp keeps finite
+    # observed slots hold the exact input bit, which the clamp keeps finite.
+    # For binary x, q = x*p + (1-x)*(1-p) is exactly p or 1 - p, so -log(q)
+    # equals -x*log(p) - (1-x)*log(1-p) bit for bit (the other term is +-0)
     p = clamp_prob(v)
-    return np.sum(m * (-x * np.log(p) - (1.0 - x) * np.log(1.0 - p)), axis=-1)
+    q = np.multiply(x, p)
+    p = np.subtract(1.0, p, out=p)
+    p *= 1.0 - x
+    q += p
+    np.log(q, out=q)
+    np.negative(q, out=q)
+    q *= m
+    return np.sum(q, axis=-1)
 
 
 def _gamma(m: np.ndarray) -> np.ndarray:
@@ -369,6 +381,33 @@ def adadelta_step(
     return params, state
 
 
+#: Mask draws (rows x D) per sample_mask call when the masks of several
+#: consecutive blocks are drawn together, so a group's temporaries stay small.
+_MASK_DRAWS = 1 << 16
+
+
+def _block_masks(rng: Rng, D: int, sizes: list[int]) -> Iterator[np.ndarray]:
+    """Yield the mask of each block of ``sizes`` rows, in block order.
+
+    Consecutive whole blocks are drawn by one sample_mask call while their
+    rows x D draws stay within _MASK_DRAWS; a group holds at least one
+    block.  A mask row reads its own D draws of the stream, so every mask
+    equals the one a call for its block alone would draw.
+    """
+    start = 0
+    while start < len(sizes):
+        stop, rows = start + 1, sizes[start]
+        while stop < len(sizes) and (rows + sizes[stop]) * D <= _MASK_DRAWS:
+            rows += sizes[stop]
+            stop += 1
+        masks = sample_mask(rng, D, rows)
+        lo = 0
+        for n in sizes[start:stop]:
+            yield masks[lo : lo + n]
+            lo += n
+        start = stop
+
+
 def validation_score(
     params: ModelParams,
     structure: StructureConfig,
@@ -381,14 +420,18 @@ def validation_score(
     The mask stream restarts from the seed on every call, so successive
     epochs score against identical masks and the curve is noise-free
     across epochs.  Rows are scored in chunks of BLOCK_ROWS in canonical
-    order, with one block mask draw per chunk (D draws per row).
+    order, D mask draws per row in row order; the masks of consecutive
+    chunks are drawn by one sample_mask call up to _MASK_DRAWS draws,
+    which leaves every mask as a draw per chunk would make it.
     """
     data = _check_split(data, structure.D, "validation")
     rng = Rng(seed).stream("valid-masks")
+    starts = range(0, data.shape[0], BLOCK_ROWS)
+    sizes = [min(BLOCK_ROWS, data.shape[0] - start) for start in starts]
     total = 0.0
-    for start in range(0, data.shape[0], BLOCK_ROWS):
+    for start, m in zip(starts, _block_masks(rng, structure.D, sizes)):
         x = data[start : start + BLOCK_ROWS]
-        traj = forward(params, structure, x, sample_mask(rng, structure.D, x.shape[0]), mean)
+        traj = forward(params, structure, x, m, mean)
         total += stochastic_loss(traj, x)
     return total / len(data)
 
@@ -426,14 +469,16 @@ def train(
 ) -> TrainResult:
     """Pretraining epochs (none when config.pretrain_epochs is 0), then fine-tuning.
 
-    Each minibatch is one block: its masks are one block draw (D draws
-    per row, in block order), and its gradient is the block sum divided
-    by the row count.  BLAS runs on one thread throughout, so the result
-    does not depend on the BLAS thread setting.  Fine-tuning tracks the
-    validation score each epoch and the result carries the first
-    best-epoch parameters (the final ones if no score fell below +inf);
-    patience > 0 stops the phase after that many consecutive epochs
-    without strict improvement.  The pretraining phase runs its full
+    Each minibatch is one block: its masks take D draws per row, in block
+    order, and its gradient is the block sum divided by the row count.
+    The masks of consecutive minibatches of an epoch are drawn by one
+    sample_mask call up to _MASK_DRAWS draws; every mask is the one a
+    draw per minibatch would make.  BLAS runs on one thread throughout,
+    so the result does not depend on the BLAS thread setting.
+    Fine-tuning tracks the validation score each epoch and the result
+    carries the first best-epoch parameters (the final ones if no score
+    fell below +inf); patience > 0 stops the phase after that many
+    consecutive epochs without strict improvement.  The pretraining phase runs its full
     budget with no early stopping and resets the optimizer state at the
     handoff.  History lines are `epoch <n> phase <p> train <loss> valid
     <loss>` with global epoch numbers across phases.
@@ -464,9 +509,10 @@ def train(
             for _ in range(budget):
                 epoch += 1
                 total = 0.0
-                for block in minibatches(n_train, config.minibatch_size, shuffle_rng):
+                blocks = minibatches(n_train, config.minibatch_size, shuffle_rng)
+                masks = _block_masks(mask_rng, structure.D, [len(b) for b in blocks])
+                for block, m in zip(blocks, masks):
                     x = train_data[block]
-                    m = sample_mask(mask_rng, structure.D, len(block))
                     grads, loss = _block_step(params, structure, x, m, mean, phase)
                     total += loss
                     scale = 1.0 / len(block)

@@ -1,9 +1,10 @@
 """Reference of one training step on a block, as plain expressions.
 
-The gradient, weight decay and AdaDelta update written the direct way:
-fresh zero accumulators and a new array for every intermediate.  The
-package computes the gradient and the update into reused buffers; tests
-require the two to agree bit for bit (up to the sign of a zero in a
+The loss, gradient, weight decay and AdaDelta update written the direct
+way: both logs at every coordinate of the loss, fresh zero accumulators
+and a new array for every intermediate.  The package takes one log per
+coordinate and computes the gradient and the update into reused buffers;
+tests require the two to agree bit for bit (up to the sign of a zero in a
 gradient).
 """
 
@@ -11,6 +12,20 @@ import numpy as np
 
 from nadek import ModelParams
 from nadek.numerics import PROB_EPS
+
+
+def row_ce(v, x, m):
+    p = np.clip(v, PROB_EPS, 1.0 - PROB_EPS)
+    return np.sum(m * (-x * np.log(p) - (1.0 - x) * np.log(1.0 - p)), axis=-1)
+
+
+def row_losses(traj, x, objective):
+    m = traj.mask
+    gamma = m.shape[-1] / np.sum(m, axis=-1)
+    if objective == "pretrain":
+        k = traj.k_used
+        return gamma * sum(row_ce(traj.v_states[t], x, m) for t in range(1, k + 1)) / k
+    return gamma * row_ce(traj.v_states[-1], x, m)
 
 
 def _phi_prime(h, activation):

@@ -272,10 +272,17 @@ class TestRng:
         assert bulk.shape == ((shape,) if isinstance(shape, int) else shape)
         assert bulk.reshape(-1).tolist() == [scalar.next_float() for _ in range(bulk.size)]
 
-    @pytest.mark.parametrize("shape", [(1,), (320,), (8, 40)])
+    @pytest.mark.parametrize("shape", [(1,), (320,), (8, 40), "rows", "columns"])
     def test_bulk_bounded_equal_scalar(self, shape):
         bounds = np.array([1, 2, 3, 7, 1000, 2**31 + 1, 2**32 - 2, 2**32 - 1] * 40)
-        bounds = bounds[: math.prod(shape)].reshape(shape)
+        if shape == "rows":
+            # one row of bounds repeated down 6 rows, as a mask draw passes it
+            bounds = np.broadcast_to(bounds[:40], (6, 40))
+        elif shape == "columns":
+            bounds = np.broadcast_to(bounds[:8, None], (8, 5))
+        else:
+            bounds = bounds[: math.prod(shape)].reshape(shape)
+        shape = bounds.shape
         bulk = Rng(23).below_array(bounds)
         scalar = Rng(23)
         assert bulk.shape == shape
@@ -315,6 +322,8 @@ class TestRng:
         for bounds in ([2, 2**32, 5], [2, 0, 5]):
             with pytest.raises(ContractError):
                 rng.below_array(np.array(bounds))
+            with pytest.raises(ContractError):
+                rng.below_array(np.broadcast_to(np.array(bounds), (4, 3)))
 
     @pytest.mark.parametrize("chunk", [3, 10, model._INIT_CHUNK])
     def test_init_fill_equals_scalar_uniforms(self, monkeypatch, chunk):

@@ -1,9 +1,9 @@
 """The training step's buffered kernels against plain expressions, bit for bit.
 
-``backward`` and ``adadelta_step`` write into reused buffers;
-step_reference.py computes the same values with a fresh array for every
-intermediate, and ``add_weight_decay``, applied between the two, is checked
-along with them.  ``np.array_equal`` treats -0.0 and +0.0 as equal, the
+``backward`` and ``adadelta_step`` write into reused buffers and the loss
+takes one log per coordinate; step_reference.py computes the same values
+with both logs and a fresh array for every intermediate, and
+``add_weight_decay``, applied between the two, is checked along with them.  ``np.array_equal`` treats -0.0 and +0.0 as equal, the
 one way the gradients may differ, so whole training runs are also compared
 by their checkpoint bytes.
 """
@@ -58,6 +58,21 @@ def _equal(got, want):
     for name in want:
         assert got[name].shape == want[name].shape, name
         assert np.array_equal(got[name], want[name]), name
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("objective", ["finetune", "pretrain"])
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+def test_loss_equals_two_log_form(activation, objective, k):
+    params, cfg, traj, x = _block(2, activation, k)
+    m = traj.mask
+    for v in traj.v_states[1:]:
+        # scored entries past the clamp, against the opposite bit
+        assert v[0, 0] > 1.0 - PROB_EPS and v[0, 1] < PROB_EPS
+        assert np.array_equal(training._row_ce(v, x, m), step_reference.row_ce(v, x, m))
+    got = training._row_losses(traj, x, objective)
+    assert np.array_equal(got, step_reference.row_losses(traj, x, objective))
+    assert got.shape == (len(x),) and np.all(np.isfinite(got))
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.03])

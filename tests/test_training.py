@@ -9,7 +9,17 @@ import pytest
 import row_reference
 from conftest import random_model
 
-from nadek import ModelParams, Rng, StructureConfig, forward, init_params, log_prob_ordering
+from nadek import (
+    ModelParams,
+    Rng,
+    StructureConfig,
+    forward,
+    init_params,
+    log_prob_ordering,
+    save_checkpoint,
+    training,
+)
+from nadek.checkpoint import encode_mean
 from nadek.evaluation import Ordering
 from nadek.model import Trajectory
 from nadek.numerics import ContractError
@@ -553,3 +563,49 @@ class TestTrainLoop:
             TrainConfig(finetune_epochs=-1)
         with pytest.raises(ContractError):
             TrainConfig(patience=-1)
+
+
+class TestGroupedMaskDraws:
+    """Masks drawn for a run of whole blocks at once equal one draw per block."""
+
+    CASES = {
+        # short last minibatch and validation chunk; an epoch is one group
+        "desk": (StructureConfig(D=16, hidden1=8, k=2), 230, 250, 25),
+        # an epoch spans two groups at the default budget
+        "wide": (StructureConfig(D=300, hidden1=6, k=1), 250, 130, 7),
+    }
+
+    def _run(self, case, budget, tmp_path, monkeypatch):
+        structure, n_train, n_valid, batch = self.CASES[case]
+        rng = Rng(41).stream(case)
+        data = (rng.uniform_array((n_train + n_valid, structure.D)) < 0.3).astype(np.float64)
+        calls = []
+
+        def counted(rng, D, rows):
+            calls.append(rows)
+            return sample_mask(rng, D, rows)
+
+        monkeypatch.setattr(training, "_MASK_DRAWS", budget)
+        monkeypatch.setattr(training, "sample_mask", counted)
+        config = TrainConfig(minibatch_size=batch, pretrain_epochs=1, finetune_epochs=2, seed=43)
+        result = train(structure, data[:n_train], data[n_train:], config)
+        path = tmp_path / f"{case}-{budget}.ckpt"
+        save_checkpoint(str(path), result.params, structure, {"mean": encode_mean(result.mean)})
+        valid = validation_score(result.params, structure, data[n_train:], result.mean, seed=44)
+        return (path.read_bytes(), result.history, valid), calls
+
+    @pytest.mark.parametrize("case", ["desk", "wide"])
+    @pytest.mark.parametrize("group", ["default", "three blocks"])
+    def test_groups_write_the_bytes_of_one_draw_per_block(self, case, group, tmp_path, monkeypatch):
+        structure, n_train, n_valid, batch = self.CASES[case]
+        budget = training._MASK_DRAWS if group == "default" else 3 * batch * structure.D
+        grouped, grouped_calls = self._run(case, budget, tmp_path, monkeypatch)
+        # a budget of one draw leaves one block per group: one call per block
+        per_block, block_calls = self._run(case, 1, tmp_path, monkeypatch)
+        chunks = [100] * (n_valid // 100) + [n_valid % 100]
+        epoch = [batch] * (n_train // batch) + [n_train % batch] + chunks
+        assert block_calls == epoch * 3 + chunks
+        assert len(grouped[1]) == 3
+        assert grouped == per_block
+        assert len(grouped_calls) < len(block_calls)
+        assert sum(grouped_calls) == sum(block_calls)

@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Alternating pairs of benchmark runs: a base revision against the working tree.
+
+    python3 tools/ab_pairs.py --base HEAD --workload train-desk --seed 31 --pairs 10
+
+The base revision is exported with ``git archive`` into a temporary
+directory, which is deleted at exit.  Each pair runs
+
+    python3 benchmarks/run.py --workload W --seed S --seconds T --trace 0
+
+once in the base tree and once in the working tree, each in a fresh
+process; the base runs first in even pairs and second in odd ones, so a
+drift of the host's speed falls on both sides.  Progress goes to standard
+error.  Standard output is one JSON object: for every end-to-end metric of
+BENCHMARK.json, each side's median and quartiles, the ratio of the medians
+(working tree over base), and the pairs the working tree won (strictly
+better, in the metric's direction), plus each side's raw values and failed
+operation counts.  The runs write their records under each tree's
+``.bench_out`` and ``.bench_work``, as any benchmark run does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def export(rev: str, dest: Path) -> str:
+    """Write the tree of ``rev`` into ``dest``; return the full commit id."""
+    sha = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", sha], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise SystemExit(f"git archive {sha} failed")
+    return sha
+
+
+def run(tree: Path, args) -> dict:
+    """One benchmark run in ``tree``; its final JSON line."""
+    argv = [
+        sys.executable, "benchmarks/run.py", "--workload", args.workload, "--seed", str(args.seed),
+        "--seconds", str(args.seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{tree}: run failed with status {proc.returncode}\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summary(results: dict[str, list[dict]], better: dict[str, str]) -> dict:
+    metrics = {}
+    for name, direction in better.items():
+        base = [r["metrics"][name]["value"] for r in results["base"]]
+        new = [r["metrics"][name]["value"] for r in results["new"]]
+        sign = 1.0 if direction == "higher" else -1.0
+        metrics[name] = {
+            "better": direction,
+            "base": spread(base),
+            "new": spread(new),
+            "ratio": statistics.median(new) / statistics.median(base),
+            "wins": sum(sign * (n - b) > 0 for b, n in zip(base, new)),
+            "values": {"base": base, "new": new},
+        }
+    return metrics
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="revision to compare against (default HEAD)")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be >= 2")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    results: dict[str, list[dict]] = {"base": [], "new": []}
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
+        sha = export(args.base, Path(tmp))
+        trees = {"base": Path(tmp), "new": ROOT}
+        for pair in range(args.pairs):
+            order = ("base", "new") if pair % 2 == 0 else ("new", "base")
+            for side in order:
+                results[side].append(run(trees[side], args))
+            readings = {
+                side: results[side][-1]["metrics"]["scaled_items_per_s"]["value"] for side in order
+            }
+            print(f"pair {pair + 1}/{args.pairs} {readings}", file=sys.stderr, flush=True)
+    out = {
+        "base": sha,
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "metrics": summary(results, better),
+        "failed": {side: [r["failed"] for r in rs] for side, rs in results.items()},
+        "attempted": {side: [r["attempted"] for r in rs] for side, rs in results.items()},
+    }
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
