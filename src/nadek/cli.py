@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -269,7 +270,13 @@ def cmd_enumcheck(args) -> int:
     return 0 if residual < 1e-8 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process.
+
+    ``parse_args`` leaves a parser as it found it, so each call of
+    :func:`main` shares this one.
+    """
     parser = argparse.ArgumentParser(
         prog="nadek",
         description="Iterative-inference autoregressive density model over binary vectors.",

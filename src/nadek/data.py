@@ -95,6 +95,12 @@ def load_text_matrix(path: str, name: str | None = None) -> Dataset:
     ``float`` accepts.  The first failing line in file order is reported,
     and within a line a non-numeric field comes before a wrong field
     count, which comes before a value outside [0, 1] (NaN included).
+
+    The file is read a chunk of whole lines at a time.  A chunk of plain
+    0/1 text (ASCII ``0`` and ``1`` fields, each one character, between
+    spaces, tabs and newlines) is parsed from its bytes; any other chunk
+    goes through ``float`` field by field.  Both give the same values and
+    the same errors.
     """
     chunks: list[np.ndarray] = []
     width = None
@@ -102,15 +108,12 @@ def load_text_matrix(path: str, name: str | None = None) -> Dataset:
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "rt") as fh:
         while lines := _read_lines(fh, path):
-            counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+            # lines end in "\n" except the file's last, so no field spans two lines
+            text = "".join(lines)
+            counts, values = _binary_fields(text) or _float_fields(lines, text)
             filled = counts > 0
             if width is None and filled.any():
                 width = int(counts[filled.argmax()])
-            try:
-                # lines end in "\n" except the file's last, so no token spans two lines
-                values = np.array("".join(lines).split(), dtype=np.float64)
-            except ValueError:
-                values = None
             # written so that NaN, which fails every comparison, fails it too
             if (
                 values is None
@@ -125,6 +128,41 @@ def load_text_matrix(path: str, name: str | None = None) -> Dataset:
     if not chunks:
         raise DataError(f"{path}: empty dataset")
     return Dataset(samples=np.concatenate(chunks), name=name if name is not None else str(path))
+
+
+def _binary_fields(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Field count of each line and the values of plain 0/1 text; else None.
+
+    Plain means ASCII bytes that are either a ``0`` or ``1`` standing
+    alone or a space, tab or newline (the file is read with universal
+    newlines, so every line ends in ``\n``).  Anything else, such as
+    ``00``, ``1.0``, a form feed or a non-ASCII space, is left to the
+    float path.
+    """
+    if not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), np.uint8)
+    digit = (raw | 1) == ord("1")
+    newline = raw == ord("\n")
+    separator = newline | (raw == ord(" ")) | (raw == ord("\t"))
+    if not np.all(digit | separator) or np.any(digit[1:] & digit[:-1]):
+        return None
+    fields = np.flatnonzero(digit)
+    # fields before each line end; the chunk's last byte ends its last line
+    ends = np.searchsorted(fields, np.flatnonzero(newline[:-1]))
+    counts = np.diff(ends, prepend=0, append=fields.size)
+    values = raw.take(fields) - ord("0")
+    return counts, values.astype(np.float64)
+
+
+def _float_fields(lines: list[str], text: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Field count of each line and the values as ``float`` reads them (None if one fails)."""
+    counts = np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+    try:
+        values = np.array(text.split(), dtype=np.float64)
+    except ValueError:
+        values = None
+    return counts, values
 
 
 def _read_lines(fh, path) -> list[str]:
@@ -155,10 +193,14 @@ def _first_fault(lines: list[str], width: int) -> tuple[int, str]:
 
 
 def save_text_matrix(path: str, samples: np.ndarray) -> None:
-    """Write one sample per line; binary values print as 0/1 exactly.
+    """Write one sample per line, with one space between fields.
 
-    The file is replaced in one step (see :func:`atomic_write`); a path
-    ending in ``.gz`` is written gzip-compressed.
+    0.0 and -0.0 print as ``0``, 1.0 as ``1`` and any other value as its
+    ``repr``, which reads back bit for bit.  A matrix of only 0s and 1s is
+    formatted as one byte array, any other value by value; the bytes are
+    the same either way.  The file is replaced in one step (see
+    :func:`atomic_write`); a path ending in ``.gz`` is written
+    gzip-compressed.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
@@ -168,9 +210,22 @@ def save_text_matrix(path: str, samples: np.ndarray) -> None:
         if gz:
             out = io.TextIOWrapper(gzip.GzipFile(filename=path, mode="wb", fileobj=out))
         with out:
-            for row in samples:
-                out.write(" ".join(_fmt_value(v) for v in row))
-                out.write("\n")
+            if np.all((samples == 0.0) | (samples == 1.0)):
+                out.write(_binary_text(samples))
+            else:
+                for row in samples:
+                    out.write(" ".join(_fmt_value(v) for v in row))
+                    out.write("\n")
+
+
+def _binary_text(samples: np.ndarray) -> str:
+    """Rows of 0/1 values as text: digits joined by spaces, each row ending in a newline."""
+    rows, D = samples.shape
+    text = np.full((rows, max(2 * D, 1)), ord(" "), np.uint8)
+    text[:, 0 : 2 * D : 2] = samples == 1.0
+    text[:, 0 : 2 * D : 2] += ord("0")
+    text[:, -1] = ord("\n")
+    return text.tobytes().decode("ascii")
 
 
 def _fmt_value(v: float) -> str:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import random_model
 
-from nadek import Rng, StructureConfig, init_params, load_checkpoint, save_checkpoint
+from nadek import Rng, StructureConfig, cli, init_params, load_checkpoint, save_checkpoint
 from nadek.checkpoint import encode_mean
 from nadek.cli import main
 from nadek.model import ModelParams, expected_shapes
@@ -307,6 +307,44 @@ def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv):
         main(argv[:1] + ["--model", str(ckpt)] + argv[1:])
     assert exc.value.code == 2
     assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_repeated_main_matches_fresh_parsers(tmp_path, capsys, monkeypatch):
+    """Calls of main share one parser, and each ends as with a parser of its own."""
+    ckpt, _, _ = _checkpoint(tmp_path, D=6, hidden1=4, k=2, seed=39)
+    data = _write_data(tmp_path / "d.amat", _toy_rows(12, seed=4))
+    report, out = tmp_path / "r.txt", tmp_path / "m.ckpt"
+    outputs = [report, out, tmp_path / "m.ckpt.history.log", tmp_path / "m.ckpt.manifest.json"]
+    common = ["--data", str(data)]
+    calls = [
+        ["eval", "--model", str(ckpt), *common, "--orderings", "0"],
+        ["eval", "--model", str(ckpt), *common, "--orderings", "3", "--ensemble",
+         "--report", str(report), "--seed", "5"],
+        ["train", *common, "--valid", str(data), "--out", str(out), "--hidden1", "5",
+         "--hidden2", "3", "--activation", "sigmoid", "--pretrain-epochs", "1", "--epochs", "1",
+         "--batch", "4", "--patience", "2", "--seed", "6"],
+        ["train", *common, "--valid", str(data), "--out", str(out), "--hidden1", "4",
+         "--epochs", "2", "--seed", "7"],
+    ]
+
+    def run_all():
+        ends = []
+        for argv in calls:
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            ends.append((rc, capsys.readouterr(), [p.read_bytes() for p in outputs if p.exists()]))
+            for p in outputs:
+                p.unlink(missing_ok=True)
+        return ends
+
+    shared = run_all()
+    assert cli.build_parser() is cli.build_parser()
+    assert [rc for rc, _, _ in shared] == [2, 0, 0, 0]
+    assert "must be >= 1" in shared[0][1].err
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert run_all() == shared
 
 
 class TestSample:

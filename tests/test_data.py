@@ -2,6 +2,7 @@
 
 import gzip
 import os
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -90,14 +91,22 @@ class TestLoad:
 
 
 VALID_FIELDS = st.one_of(
-    st.sampled_from(["0", "1", "0.0", "1.0", "-0", "+1", "1e0", "0_1", ".5", "5E-1", "\u0661"]),
+    st.sampled_from(
+        ["0", "1", "00", "01", "001", "0.0", "1.0", "-0", "+1", "1e0", "0_1", ".5", "5E-1", "\u0661"]
+    ),
     st.floats(min_value=0.0, max_value=1.0).map(repr),
 )
+PLAIN_FIELDS = st.sampled_from(["0", "1"])
+DIGIT_RUNS = st.sampled_from(["0", "1", "00", "01", "001"])
 FAULT_FIELDS = {
     "non-numeric": st.sampled_from(["x", "0x1", "1_", "0..5", "--1", "1,0", "nanx", "1e"]),
-    "range": st.sampled_from(["1.5", "-0.25", "nan", "inf", "-inf", "2", "1_0", "-1e-300"]),
+    "range": st.sampled_from(
+        ["1.5", "-0.25", "nan", "inf", "-inf", "2", "10", "11", "1_0", "-1e-300"]
+    ),
 }
-SEPARATORS = [" ", "\t", "  ", " \t", "\x0c"]
+# form feed and the three after it split fields as str.split does, but only
+# spaces, tabs and newlines separate plain 0/1 text
+SEPARATORS = [" ", "\t", "  ", " \t", "\x0c", "\xa0", "\x1c", "\u2003"]
 
 
 def _outcome(load, path):
@@ -141,7 +150,8 @@ def _write(path, rows, newline="\n", sep=" ", final_newline=True):
 def matrix_files(draw):
     """Rows of fields, blank lines among them, with up to three faults anywhere."""
     width = draw(st.sampled_from([1, 2, 3, 5, 784]))
-    field = st.sampled_from(["0", "1"]) if draw(st.booleans()) else VALID_FIELDS
+    # plain 0/1 text, plain text but for runs of digits, or any literal float reads
+    field = draw(st.sampled_from([PLAIN_FIELDS, DIGIT_RUNS, VALID_FIELDS]))
     rows = []
     for _ in range(draw(st.integers(0, 3 if width == 784 else 40))):
         if draw(st.integers(0, 4)) == 0:
@@ -240,6 +250,31 @@ class TestAgainstReference:
         assert raw == rows.tobytes()
 
 
+class TestPlainBinaryText:
+    """Plain 0/1 text is parsed from its bytes: the float path is never called."""
+
+    ROWS = [["0", "1", "1"], ["\t1", "0", "0 "], [""], ["1", "1", "1\t"], [" \t "], ["0", "0", "1"]]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    @pytest.mark.parametrize("name", ["m.amat", "m.amat.gz"])
+    @pytest.mark.parametrize("chunk", [1, data._CHUNK_CHARS])
+    def test_no_float_parse(self, tmp_path, newline, final_newline, name, chunk):
+        samples = np.array([[0, 1, 1], [1, 0, 0], [1, 1, 1], [0, 0, 1]], dtype=np.float64)
+        faulty = self.ROWS[:4] + [["0", "1"]] + self.ROWS[4:]
+        path = tmp_path / name
+        for rows, outcome in (
+            (self.ROWS, (samples.shape, samples.dtype, samples.tobytes())),
+            (faulty, f"{path}: line 5: expected 3 fields, got 2"),
+        ):
+            _write(path, rows, newline, final_newline=final_newline)
+            with (
+                mock.patch.object(data, "_CHUNK_CHARS", chunk),
+                mock.patch.object(data, "_float_fields", side_effect=AssertionError("float path")),
+            ):
+                assert _same_as_reference(path) == outcome
+
+
 class TestUnreadable:
     def test_truncated_gzip(self, tmp_path):
         path = tmp_path / "m.amat.gz"
@@ -276,6 +311,28 @@ class TestSave:
         mat = np.array([[1.0, 0.0, 1.0]])
         save_text_matrix(p, mat)
         assert np.array_equal(load_text_matrix(p).samples, mat)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [[0.0, -0.0, 1.0], [1.0, 1.0, -0.0]],
+            [[0.0, 0.5, 1.0], [-0.0, 1.0 / 3.0, 2.0 ** -40]],
+            [[1.0, 0.0, 1.0, 1.0]],
+            [[0.0], [1.0], [-0.0]],
+            [[0.25], [1.0]],
+            np.zeros((0, 3)),
+            np.zeros((2, 0)),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["m.amat", "m.amat.gz"])
+    def test_bytes_equal_value_by_value_writer(self, tmp_path, monkeypatch, samples, name):
+        # a fixed gzip header time, so that the two .gz files may be compared whole
+        monkeypatch.setattr(gzip, "time", SimpleNamespace(time=lambda: 1_000_000_000.0))
+        samples = np.asarray(samples, dtype=np.float64)
+        (tmp_path / "ref").mkdir()
+        save_text_matrix(tmp_path / name, samples)
+        text_reference.save_text_matrix(tmp_path / "ref" / name, samples)
+        assert (tmp_path / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
     def test_non_matrix_rejected(self, tmp_path):
         with pytest.raises(ContractError):
@@ -329,7 +386,8 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(data, "_fmt_value", failing)
         with pytest.raises(RuntimeError):
-            save_text_matrix(p, np.zeros((3, 2)))
+            # not 0/1, so written value by value
+            save_text_matrix(p, np.full((3, 2), 0.5))
         assert p.read_bytes() == before
         assert os.listdir(tmp_path) == [name]
 

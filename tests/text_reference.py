@@ -1,12 +1,16 @@
-"""Line-by-line reference of the text matrix loader.
+"""Line-by-line references of the text matrix loader and writer.
 
-One line at a time: split, ``float`` each field, check the field count,
-then the range.  The package parses a chunk of lines with a few numpy
-calls and scans line by line only inside a chunk that failed; tests
-require the two to return the same bits or raise the same message.
+The loader takes one line at a time: split, ``float`` each field, check
+the field count, then the range.  The package parses a chunk of lines
+with a few numpy calls (from the bytes when the chunk is plain 0/1
+text) and scans line by line only inside a chunk that failed; tests
+require the two to return the same bits or raise the same message.  The
+writer formats one value at a time; the package writes a 0/1 matrix
+from one byte array, and tests require the same file bytes.
 """
 
 import gzip
+import io
 
 import numpy as np
 
@@ -40,3 +44,24 @@ def load_text_matrix(path: str, name: str | None = None) -> Dataset:
     if not rows:
         raise DataError(f"{path}: empty dataset")
     return Dataset(samples=np.vstack(rows), name=name if name is not None else str(path))
+
+
+def save_text_matrix(path: str, samples: np.ndarray) -> None:
+    """Write one sample per line, one value at a time."""
+    samples = np.asarray(samples, dtype=np.float64)
+    gz = str(path).endswith(".gz")
+    with open(path, "wb" if gz else "w") as out:
+        if gz:
+            out = io.TextIOWrapper(gzip.GzipFile(filename=path, mode="wb", fileobj=out))
+        with out:
+            for row in samples:
+                out.write(" ".join(_fmt_value(v) for v in row))
+                out.write("\n")
+
+
+def _fmt_value(v: float) -> str:
+    if v == 0.0:
+        return "0"
+    if v == 1.0:
+        return "1"
+    return repr(float(v))
