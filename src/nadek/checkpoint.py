@@ -70,9 +70,13 @@ def save_checkpoint(
     """Write header, metadata and tensors; identical inputs give identical bytes.
 
     Metadata values must be free of whitespace and newlines; keys keep
-    their given order.
+    their given order.  A tensor with a non-finite entry, which
+    load_checkpoint would reject, is refused before the file is opened.
     """
     params.check_shapes(config)
+    for name, tensor in params.tensors().items():
+        if not np.all(np.isfinite(tensor)):
+            raise CheckpointShapeError(f"{path}: tensor {name} has non-finite entries")
     metadata = metadata or {}
     for key, value in metadata.items():
         if any(ch.isspace() for ch in key + value) or "=" in key:

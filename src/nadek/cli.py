@@ -155,11 +155,8 @@ def cmd_train(args) -> int:
     with atomic_write(args.out + ".history.log") as fh:
         for line in result.history:
             fh.write(line + "\n")
-    flags = {
-        k: v for k, v in vars(args).items() if k != "func" and not callable(v)
-    }
     write_manifest(
-        args.out + ".manifest.json", "train", flags, [args.data, args.valid]
+        args.out + ".manifest.json", "train", vars(args), [args.data, args.valid]
     )
     print(f"checkpoint {args.out}")
     return 0
@@ -321,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=0.95)
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="exact log-likelihood under sampled orderings")
     p.add_argument("--model", required=True)
@@ -332,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default="eval_report.txt")
     p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sample", help="draw vectors from the model")
     p.add_argument("--model", required=True)
@@ -344,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--img-h", type=int, help="tile height for --pgm")
     p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("inpaint", help="fill missing components of each data row")
     p.add_argument("--model", required=True)
@@ -353,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--trace", action="store_true", help="write per-step reconstructions")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_inpaint)
 
     p = sub.add_parser("stats", help="log-prob spread over orderings and samples")
     p.add_argument("--model", required=True)
@@ -362,20 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="stats_report.txt")
     p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("enumcheck", help="exhaustive normalization residual (small D)")
     p.add_argument("--model", required=True)
-    p.set_defaults(func=cmd_enumcheck)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a rebound cmd_* function is the one called
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

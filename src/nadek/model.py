@@ -14,9 +14,8 @@ encoder layer ``h2_t = phi(W2 h1_t + c2)`` feeds the decoder instead.
 The output ``v_k`` is read as the factorial conditional distribution over
 the missing components.
 
-The pass runs on one row (shape ``(D,)``) or on a block of rows (shape
-``(B, D)``) with a mask per row; every product is written ``act @ W.T``,
-which for a single row gives the same bits as the matrix-vector ``W @ v``.
+The pass runs on a block of rows (shape ``(B, D)``, one row being a block
+of one) with a mask per row; every product is written ``act @ W.T``.
 """
 
 from __future__ import annotations
@@ -135,9 +134,9 @@ def expected_shapes(config: StructureConfig) -> dict[str, tuple[int, ...]]:
 class Trajectory:
     """Full unrolled state of one inference run, kept for backprop.
 
-    ``v_states`` holds v_0 .. v_k (k+1 arrays shaped like the input: one
-    row of length D or a B x D block); ``h_states`` holds one tuple of
-    hidden activations per step (one array for n=2, two for n=3).
+    ``v_states`` holds v_0 .. v_k (k+1 B x D blocks, shaped like the
+    input); ``h_states`` holds one tuple of hidden activations per step
+    (one array for n=2, two for n=3).
     Observed coordinates of every v_t for t >= 1 equal the input bit
     exactly; missing coordinates are sigmoid outputs in (0, 1).
     """
@@ -189,13 +188,13 @@ def _check_binary(v: np.ndarray, name: str) -> None:
 def build_input(x: np.ndarray, m: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Initial state v_0: empirical mean at missing slots, x elsewhere.
 
-    ``x`` and ``m`` are one row or a block of rows of the same shape;
-    ``mean`` is one row of length D, shared by every row.
+    ``x`` and ``m`` are B x D blocks of the same shape; ``mean`` is one
+    row of length D, shared by every row.
     """
     x = np.asarray(x, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
-    if x.shape != m.shape or x.ndim not in (1, 2) or mean.shape != x.shape[-1:]:
+    if x.shape != m.shape or x.ndim != 2 or mean.shape != x.shape[1:]:
         raise ContractError(
             f"build_input length mismatch: x{x.shape} m{m.shape} mean{mean.shape}"
         )
@@ -213,9 +212,9 @@ def forward(
 ) -> Trajectory:
     """Run the k-step inference iteration and record the full trajectory.
 
-    ``x`` is one row of length D or a B x D block, and ``m`` its mask of
-    the same shape (1 marks a missing component).  To run a different
-    step count at inference time, pass ``dataclasses.replace(config, k=...)``.
+    ``x`` is a B x D block and ``m`` its mask of the same shape (1 marks
+    a missing component).  To run a different step count at inference
+    time, pass ``dataclasses.replace(config, k=...)``.
     """
     params.check_shapes(config)
     x = np.asarray(x, dtype=np.float64)

@@ -76,6 +76,8 @@ def _walk(
     read at the drawn coordinate only.
     """
     D = config.D
+    if not rngs:
+        raise ContractError("a walk needs at least one row and its generator")
     params.check_shapes(config)
     mean = np.asarray(mean, dtype=np.float64)
     if mean.shape != (D,):
@@ -126,13 +128,14 @@ def ancestral_sample(
     config: StructureConfig,
     o: Ordering,
     mean: np.ndarray,
-    rng: Rng,
+    rngs: list[Rng],
 ) -> np.ndarray:
-    """One binary vector drawn along the ordering; exactly D forwards."""
+    """len(rngs) binary vectors drawn along the ordering, row r from rngs[r]; D forwards a row."""
     D = config.D
     if len(o.perm) != D:
         raise ContractError("ordering length does not match D")
-    return _walk(params, config, np.zeros((1, D)), np.array([o.perm]), 0, mean, [rng])[0]
+    perms = np.broadcast_to(o.perm, (len(rngs), D))
+    return _walk(params, config, np.zeros((len(rngs), D)), perms, 0, mean, rngs)
 
 
 def sample_from_mixture(
@@ -165,22 +168,19 @@ def inpaint(
     x_obs: np.ndarray,
     obs_indices: list[int],
     mean: np.ndarray,
-    rng: Rng | list[Rng],
+    rngs: list[Rng],
 ) -> np.ndarray:
     """Fill the unobserved coordinates by conditional ancestral sampling.
 
-    ``x_obs`` is one row of length D with one generator, or a B x D block
-    with a list of B generators, one per row.  Observed coordinates are
-    returned bit-exact.  Each row's visit order puts the observed indices
-    first (in random order, from that row's generator), so the draws
-    follow the conditional distribution given the observations.
+    ``x_obs`` is a B x D block and ``rngs`` holds B generators, one per
+    row.  Observed coordinates are returned bit-exact.  Each row's visit
+    order puts the observed indices first (in random order, from that
+    row's generator), so the draws follow the conditional distribution
+    given the observations.
     """
     D = config.D
-    x_obs = np.asarray(x_obs, dtype=np.float64)
-    rngs = [rng] if isinstance(rng, Rng) else list(rng)
-    if x_obs.shape[-1:] != (D,) or x_obs.size != D * len(rngs):
+    x = np.array(x_obs, dtype=np.float64)
+    if x.shape != (len(rngs), D):
         raise ContractError("x_obs must hold one row of length D per generator")
-    x = x_obs.reshape(len(rngs), D).copy()
     perms = np.array([conditional_ordering(D, obs_indices, r).perm for r in rngs])
-    _walk(params, config, x, perms, len(obs_indices), mean, rngs)
-    return x.reshape(x_obs.shape)
+    return _walk(params, config, x, perms, len(obs_indices), mean, rngs)

@@ -49,8 +49,8 @@ OBJECTIVES = ("finetune", "pretrain")
 def _check_adadelta(rho: float, epsilon: float) -> None:
     if not 0.0 < rho < 1.0:
         raise ContractError("rho must lie in (0, 1)")
-    if epsilon <= 0.0:
-        raise ContractError("epsilon must be positive")
+    if not 0.0 < epsilon < np.inf:
+        raise ContractError("epsilon must be positive and finite")
 
 
 @dataclass
@@ -93,8 +93,8 @@ class TrainConfig:
             raise ContractError("epoch counts must be >= 0")
         if self.patience < 0:
             raise ContractError("patience must be >= 0")
-        if self.weight_decay < 0.0:
-            raise ContractError("weight_decay must be >= 0")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ContractError("weight_decay must be >= 0 and finite")
 
 
 @dataclass
@@ -194,7 +194,7 @@ def _row_losses(traj: Trajectory, x: np.ndarray, objective: str) -> np.ndarray:
 def stochastic_loss(traj: Trajectory, x: np.ndarray) -> float:
     """Scaled cross-entropy on the final state over missing components.
 
-    The mask is the trajectory's; for a block, the sum over its rows.
+    The mask is the trajectory's; summed over the rows of the block.
     """
     return float(np.sum(_row_losses(traj, np.asarray(x, dtype=np.float64), "finetune")))
 
@@ -202,8 +202,8 @@ def stochastic_loss(traj: Trajectory, x: np.ndarray) -> float:
 def pretrain_loss(traj: Trajectory, x: np.ndarray) -> float:
     """Mean of the scaled cross-entropy over every step's reconstruction.
 
-    At k=1 this is a single-term average and equals stochastic_loss.  For
-    a block, the sum over its rows.
+    At k=1 this is a single-term average and equals stochastic_loss.
+    Summed over the rows of the block.
     """
     return float(np.sum(_row_losses(traj, np.asarray(x, dtype=np.float64), "pretrain")))
 
@@ -243,12 +243,11 @@ def backward(
     """Exact gradient of the chosen loss, summed over the rows of the block.
 
     ``x`` is the block the trajectory was run on, under the trajectory's
-    mask (a single row counts as a block of one).  All k steps accumulate
-    into the shared tensors, one matrix-matrix product per tensor and step.
-    Observed coordinates carry no gradient: the clamp replaces them with
-    constants at every step.  Coordinates whose output probability left
-    the clamp range contribute zero loss gradient, matching the clamped
-    loss exactly.
+    mask.  All k steps accumulate into the shared tensors, one
+    matrix-matrix product per tensor and step.  Observed coordinates carry
+    no gradient: the clamp replaces them with constants at every step.
+    Coordinates whose output probability left the clamp range contribute
+    zero loss gradient, matching the clamped loss exactly.
 
     The steps write into buffers that the first step allocates and the
     later ones reuse, and every expression keeps its order of operations,
@@ -259,8 +258,10 @@ def backward(
     """
     if objective not in OBJECTIVES:
         raise ContractError(f"objective must be one of {OBJECTIVES}")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    m = np.atleast_2d(traj.mask)
+    x = np.asarray(x, dtype=np.float64)
+    m = traj.mask
+    if x.shape != m.shape:
+        raise ContractError(f"x{x.shape} does not match the trajectory's mask{m.shape}")
     k = traj.k_used
     # per-row loss weight of each scored step's reconstruction
     gamma = _gamma(m)[:, None]
@@ -272,7 +273,7 @@ def backward(
     # block-wide buffers, each allocated by its first write
     dz = dv = tmp = inclamp = below_top = dtop = datop = dh1 = da1 = None
     for t in range(k, 0, -1):
-        s = np.atleast_2d(traj.v_states[t])
+        s = traj.v_states[t]
         # dv is the gradient reaching v_t from step t + 1; none at t = k
         if t < k:
             np.multiply(m, dv, out=dz)
@@ -294,7 +295,7 @@ def backward(
             if t < k:
                 dz += term
         hidden = traj.h_states[t - 1]
-        h1, top = np.atleast_2d(hidden[0]), np.atleast_2d(hidden[-1])
+        h1, top = hidden[0], hidden[-1]
         into = None if t == k else scratch
         _accumulate(grads.V, grads.b, dz, top, into)
         dtop = np.matmul(dz, params.V, out=dtop)
@@ -305,7 +306,7 @@ def backward(
             dh1 = np.matmul(da, params.W2, out=dh1)
             da = da1 = _phi_prime(h1, act, da1)
             da *= dh1
-        _accumulate(grads.W, grads.c, da, np.atleast_2d(traj.v_states[t - 1]), into)
+        _accumulate(grads.W, grads.c, da, traj.v_states[t - 1], into)
         if t > 1:
             np.matmul(da, params.W, out=dv)
     return grads
@@ -313,8 +314,8 @@ def backward(
 
 def add_weight_decay(grads: ModelParams, params: ModelParams, lam: float) -> ModelParams:
     """L2 penalty gradient 2*lam*w on weight matrices; biases untouched."""
-    if lam < 0.0:
-        raise ContractError("weight decay must be >= 0")
+    if not 0.0 <= lam < np.inf:
+        raise ContractError("weight decay must be >= 0 and finite")
     if lam != 0.0:
         grads.W += 2.0 * lam * params.W
         grads.V += 2.0 * lam * params.V

@@ -59,3 +59,27 @@ def synthetic_splits():
         four_pattern_data(500, 102),
         four_pattern_data(500, 103),
     )
+
+
+def windows(rng: Rng, rows: int, per_row: int) -> list[Rng]:
+    """``rows`` generators over consecutive windows of ``per_row`` draws of ``rng``.
+
+    Generator r starts at draw ``rng.counter + r * per_row`` of ``rng``'s
+    stream, and ``rng`` then moves past all of them.  A block call whose
+    rows each read ``per_row`` draws from their own generator so makes the
+    draws of ``rows`` one-row calls in a loop over ``rng``.
+    """
+    out = []
+    for r in range(rows):
+        window = Rng(rng.seed)
+        window.counter = rng.counter + r * per_row
+        out.append(window)
+    rng.counter += rows * per_row
+    return out
+
+
+def index_counts(x: np.ndarray) -> np.ndarray:
+    """How often each 0/1 row of ``x`` occurs, indexed by the row read as a
+    binary number whose bit j is column j."""
+    index = (x @ (1 << np.arange(x.shape[1]))).astype(np.int64)
+    return np.bincount(index, minlength=1 << x.shape[1]).astype(np.float64)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import four_pattern_data, random_model
+from conftest import four_pattern_data, index_counts, random_model, windows
 
 from nadek import (
     Ordering,
@@ -98,8 +98,8 @@ def test_criterion_2_estimator_unbiasedness():
                 mask = np.ones(D)
                 for i in perm[: d - 1]:
                     mask[i] = 0.0
-                traj = forward(params, cfg, x, mask, mean)
-                total += stochastic_loss(traj, x)
+                traj = forward(params, cfg, x[None], mask[None], mean)
+                total += stochastic_loss(traj, x[None])
         estimate = total / (len(perms) * D)
         worst = max(worst, abs(estimate - exact))
     _report(
@@ -117,9 +117,9 @@ def _fd_worst(n: int, k: int, objective: str, seed: int) -> float:
         kwargs.update(hidden2=3)
     params, cfg = random_model(**kwargs)
     rng = Rng(seed).stream("case")
-    x = np.array([float(rng.next_below(2)) for _ in range(D)])
+    x = np.array([[float(rng.next_below(2)) for _ in range(D)]])
     mean = 0.2 + 0.6 * rng.uniform_array(D)
-    m = sample_mask(rng, D, 1)[0]
+    m = sample_mask(rng, D, 1)
     traj = forward(params, cfg, x, m, mean)
     grads = backward(params, cfg, traj, x, objective)
 
@@ -164,11 +164,6 @@ def test_criterion_3_gradient_correctness():
     )
 
 
-def _index3(x: np.ndarray) -> int:
-    return int(x[0]) | (int(x[1]) << 1) | (int(x[2]) << 2)
-
-
-@pytest.mark.slow
 def test_criterion_4_sampling_correctness():
     D = 3
     params, cfg = random_model(D=D, hidden1=6, k=2, seed=400, spread=1.5)
@@ -177,10 +172,10 @@ def test_criterion_4_sampling_correctness():
 
     o = Ordering(perm=(2, 0, 1))
     table = enumerate_distribution(params, cfg, o, mean)
-    rng = Rng(401).stream("draws")
-    counts = np.zeros(8)
-    for _ in range(n):
-        counts[_index3(ancestral_sample(params, cfg, o, mean, rng))] += 1
+    # one block call; row i takes the D draws of one-row call i in a loop
+    # over the generator
+    x = ancestral_sample(params, cfg, o, mean, windows(Rng(401).stream("draws"), n, D))
+    counts = index_counts(x)
     tv_ancestral = 0.5 * float(np.sum(np.abs(counts / n - table)))
 
     # conditional target: with component 0 clamped to 1, the sampler mixes
@@ -191,12 +186,11 @@ def test_criterion_4_sampling_correctness():
         joint = enumerate_distribution(params, cfg, Ordering(perm=perm), mean)
         restricted = np.array([joint[1], joint[3], joint[5], joint[7]])
         expected += 0.5 * restricted / restricted.sum()
-    x_obs = np.array([1.0, 0.0, 0.0])
-    rng = Rng(402).stream("draws")
-    counts = np.zeros(4)
-    for _ in range(n):
-        out = inpaint(params, cfg, x_obs, [0], mean, rng)
-        counts[int(out[1]) | (int(out[2]) << 1)] += 1
+    # per row: no shuffle draw for the one observed index, one for the two
+    # missing ones, then a uniform for each of them
+    x_obs = np.tile([1.0, 0.0, 0.0], (n, 1))
+    out = inpaint(params, cfg, x_obs, [0], mean, windows(Rng(402).stream("draws"), n, 3))
+    counts = index_counts(out[:, 1:])
     tv_conditional = 0.5 * float(np.sum(np.abs(counts / n - expected)))
 
     _report(

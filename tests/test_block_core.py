@@ -30,6 +30,8 @@ from nadek import (
 )
 from nadek import sampling
 from nadek.evaluation import conditional_ordering
+from nadek.model import build_input
+from nadek.numerics import ContractError
 from nadek.training import (
     backward,
     pretrain_loss,
@@ -93,16 +95,22 @@ def test_block_matches_per_row_sum(n, activation, objective):
 
 
 def test_single_row_is_a_block_of_one():
+    # one row goes in as a 1 x D block; a bare row of length D is refused
     params, cfg, x, m, mean = _case(2, "tanh")
-    row = forward(params, cfg, x[3], m[3], mean)
+    with pytest.raises(ContractError):
+        forward(params, cfg, x[3], m[3], mean)
+    with pytest.raises(ContractError):
+        build_input(x[3], m[3], mean)
     block = forward(params, cfg, x[3:4], m[3:4], mean)
-    for a, b in zip(row.v_states, block.v_states):
-        assert a.shape == (6,) and b.shape == (1, 6)
-        assert _close(a, b[0]) < TOL
-    ga = backward(params, cfg, row, x[3], "finetune").tensors()
-    gb = backward(params, cfg, block, x[3:4], "finetune").tensors()
-    for name in ga:
-        assert _close(ga[name], gb[name]) < TOL
+    vs, _ = forward_row(params, cfg, x[3], m[3], mean)
+    for a, b in zip(block.v_states, vs):
+        assert a.shape == (1, 6)
+        assert _close(a[0], b) < TOL
+    with pytest.raises(ContractError):
+        backward(params, cfg, block, x[3], "finetune")
+    got = backward(params, cfg, block, x[3:4], "finetune").tensors()
+    for name, g in gradient_row(params, cfg, x[3], m[3], mean, "finetune").items():
+        assert _close(got[name], g) < TOL
 
 
 def test_chunked_validation_matches_per_row_mean():
@@ -130,9 +138,9 @@ def _walk_case(n, activation):
     )
     params.b[0] = 60.0
     params.b[1] = -60.0
-    traj = forward(params, cfg, np.zeros(D), np.ones(D), np.full(D, 0.5))
-    assert traj.v_states[-1][0] > 1.0 - PROB_EPS
-    assert traj.v_states[-1][1] < PROB_EPS
+    traj = forward(params, cfg, np.zeros((1, D)), np.ones((1, D)), np.full(D, 0.5))
+    assert traj.v_states[-1][0, 0] > 1.0 - PROB_EPS
+    assert traj.v_states[-1][0, 1] < PROB_EPS
     return params, cfg, 0.2 + 0.6 * Rng(43).stream("mean").uniform_array(D)
 
 
@@ -201,9 +209,9 @@ def test_walk_draws_match_per_position_walk(n, activation, k):
     params.b[0] = 60.0
     params.b[1] = -60.0
     mean = 0.2 + 0.6 * Rng(73).stream("mean").uniform_array(D)
-    traj = forward(params, cfg, np.zeros(D), np.ones(D), mean)
-    assert traj.v_states[-1][0] > 1.0 - PROB_EPS
-    assert traj.v_states[-1][1] < PROB_EPS
+    traj = forward(params, cfg, np.zeros((1, D)), np.ones((1, D)), mean)
+    assert traj.v_states[-1][0, 0] > 1.0 - PROB_EPS
+    assert traj.v_states[-1][0, 1] < PROB_EPS
     batch = sample_from_mixture(params, cfg, 5, mean, Rng(79))
     for i in range(5):
         sub = Rng(79).stream("sample", i)

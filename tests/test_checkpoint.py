@@ -168,6 +168,21 @@ class TestCorruption:
             assert issubclass(cls, CheckpointError)
             assert issubclass(cls, ValueError)
 
+    def test_non_finite_tensor_refused_before_writing(self, tmp_path):
+        # the loader would reject the file, so it is never written, and an
+        # existing file at the path keeps its bytes
+        params, cfg = random_model(D=3, hidden1=2, seed=17)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, params, cfg)
+        before = p.read_bytes()
+        for value in (np.nan, np.inf, -np.inf):
+            bad = params.copy()
+            bad.V[1, 0] = value
+            with pytest.raises(CheckpointShapeError, match="tensor V has non-finite"):
+                save_checkpoint(p, bad, cfg)
+            assert p.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [p]
+
     def test_unwritable_metadata(self, tmp_path):
         params, cfg = random_model(D=3, hidden1=2, seed=17)
         with pytest.raises(CheckpointShapeError):

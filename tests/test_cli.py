@@ -149,6 +149,30 @@ class TestTrain:
         assert "must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--weight-decay", "nan"),
+            ("--weight-decay", "inf"),
+            ("--epsilon", "nan"),
+            ("--epsilon", "inf"),
+            # finite, but the decay term overflows the weights
+            ("--weight-decay", "1e308"),
+        ],
+    )
+    def test_non_finite_training_writes_nothing(self, tmp_path, capsys, flag, value):
+        data = _write_data(tmp_path / "t.amat", _toy_rows(8))
+        out = tmp_path / "m.ckpt"
+        rc = main(
+            [
+                "train", "--data", str(data), "--valid", str(data), "--out", str(out),
+                "--hidden1", "4", "--epochs", "1", "--batch", "4", flag, value,
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.amat"]
+
     @pytest.mark.parametrize("fault", ["truncated gzip", "not utf-8"])
     def test_unreadable_data_file(self, tmp_path, capsys, fault):
         valid = _write_data(tmp_path / "v.amat", _toy_rows(4))
@@ -345,6 +369,15 @@ def test_repeated_main_matches_fresh_parsers(tmp_path, capsys, monkeypatch):
     assert "must be >= 1" in shared[0][1].err
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert run_all() == shared
+
+
+def test_main_dispatches_by_name(monkeypatch):
+    """main calls the cmd_* function the module holds when it runs."""
+    cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_enumcheck", lambda args: seen.append(args.model) or 7)
+    assert main(["enumcheck", "--model", "m.ckpt"]) == 7
+    assert seen == ["m.ckpt"]
 
 
 class TestSample:

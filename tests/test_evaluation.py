@@ -116,8 +116,8 @@ class TestLogProbOrdering:
         mean = np.array([0.5])
         from nadek import forward
 
-        traj = forward(params, cfg, np.zeros(1), np.ones(1), mean)
-        p = float(traj.v_states[-1][0])
+        traj = forward(params, cfg, np.zeros((1, 1)), np.ones((1, 1)), mean)
+        p = float(traj.v_states[-1][0, 0])
         lp1 = log_prob_ordering(params, cfg, np.ones(1), identity_ordering(1), mean)
         lp0 = log_prob_ordering(params, cfg, np.zeros(1), identity_ordering(1), mean)
         assert abs(lp1 - math.log(p)) < 1e-12

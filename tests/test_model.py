@@ -68,32 +68,40 @@ class TestInitParams:
 
 class TestBuildInput:
     def test_nothing_missing(self):
-        x = np.array([1.0, 0.0, 1.0])
-        v0 = build_input(x, np.zeros(3), np.array([0.2, 0.4, 0.9]))
+        x = np.array([[1.0, 0.0, 1.0]])
+        v0 = build_input(x, np.zeros((1, 3)), np.array([0.2, 0.4, 0.9]))
         assert np.array_equal(v0, x)
 
     def test_everything_missing(self):
         mean = np.array([0.2, 0.4, 0.9])
-        v0 = build_input(np.zeros(3), np.ones(3), mean)
-        assert np.array_equal(v0, mean)
+        v0 = build_input(np.zeros((1, 3)), np.ones((1, 3)), mean)
+        assert np.array_equal(v0, [mean])
 
     def test_mixture(self):
-        x = np.array([1.0, 0.0])
-        m = np.array([0.0, 1.0])
+        x = np.array([[1.0, 0.0]])
+        m = np.array([[0.0, 1.0]])
         v0 = build_input(x, m, np.array([0.3, 0.7]))
-        assert np.array_equal(v0, np.array([1.0, 0.7]))
+        assert np.array_equal(v0, np.array([[1.0, 0.7]]))
 
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
-            build_input(np.zeros(3), np.zeros(2), np.zeros(3))
+            build_input(np.zeros((1, 3)), np.zeros((1, 2)), np.zeros(3))
+
+    def test_bare_row_rejected(self):
+        # one row is a 1 x D block
+        with pytest.raises(ContractError):
+            build_input(np.zeros(3), np.zeros(3), np.zeros(3))
+        params, cfg = random_model(3, 2, seed=40)
+        with pytest.raises(ContractError):
+            forward(params, cfg, np.zeros(3), np.ones(3), np.full(3, 0.5))
 
     def test_non_binary_mask(self):
         with pytest.raises(ContractError):
-            build_input(np.zeros(2), np.array([0.5, 0.0]), np.zeros(2))
+            build_input(np.zeros((1, 2)), np.array([[0.5, 0.0]]), np.zeros(2))
 
     def test_non_binary_input(self):
         with pytest.raises(ContractError):
-            build_input(np.array([0.4, 0.0]), np.zeros(2), np.zeros(2))
+            build_input(np.array([[0.4, 0.0]]), np.zeros((1, 2)), np.zeros(2))
 
 
 def _zero_model(D, hidden1, k):
@@ -107,8 +115,8 @@ def _zero_model(D, hidden1, k):
 class TestForward:
     def test_zero_params_give_half(self):
         params, cfg = _zero_model(4, 3, 3)
-        x = np.array([1.0, 0.0, 1.0, 0.0])
-        m = np.array([1.0, 0.0, 1.0, 1.0])
+        x = np.array([[1.0, 0.0, 1.0, 0.0]])
+        m = np.array([[1.0, 0.0, 1.0, 1.0]])
         traj = forward(params, cfg, x, m, np.full(4, 0.25))
         for t in range(1, 4):
             v = traj.v_states[t]
@@ -117,16 +125,16 @@ class TestForward:
 
     def test_observed_clamped_bit_exact(self):
         params, cfg = random_model(6, 5, k=4, seed=21, spread=3.0)
-        x = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 0.0])
-        m = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+        x = np.array([[1.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+        m = np.array([[1.0, 0.0, 1.0, 0.0, 0.0, 1.0]])
         traj = forward(params, cfg, x, m, np.full(6, 0.5))
         for t in range(1, cfg.k + 1):
             assert np.array_equal(traj.v_states[t][m == 0.0], x[m == 0.0])
 
     def test_states_stay_in_unit_interval(self):
         params, cfg = random_model(5, 4, k=3, seed=31, spread=50.0)
-        x = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-        m = np.ones(5)
+        x = np.array([[0.0, 1.0, 1.0, 0.0, 1.0]])
+        m = np.ones((1, 5))
         traj = forward(params, cfg, x, m, np.full(5, 0.5))
         for v in traj.v_states:
             assert np.all(v >= 0.0) and np.all(v <= 1.0)
@@ -137,7 +145,7 @@ class TestForward:
         x = np.array([1.0, 0.0, 1.0])
         m = np.array([1.0, 1.0, 0.0])
         mean = np.array([0.3, 0.6, 0.8])
-        traj = forward(params, cfg, x, m, mean)
+        traj = forward(params, cfg, x[None], m[None], mean)
 
         v = [m[i] * mean[i] + (1 - m[i]) * x[i] for i in range(3)]
         for _ in range(2):
@@ -150,14 +158,14 @@ class TestForward:
                 for i in range(3)
             ]
             v = [m[i] * s[i] + (1 - m[i]) * x[i] for i in range(3)]
-        assert np.max(np.abs(traj.v_states[-1] - np.array(v))) < 1e-14
+        assert np.max(np.abs(traj.v_states[-1][0] - np.array(v))) < 1e-14
 
     def test_straight_line_oracle_three_layer(self):
         params, cfg = random_model(3, 2, k=2, hidden2=2, seed=43)
         x = np.array([0.0, 1.0, 1.0])
         m = np.array([1.0, 0.0, 1.0])
         mean = np.array([0.5, 0.2, 0.7])
-        traj = forward(params, cfg, x, m, mean)
+        traj = forward(params, cfg, x[None], m[None], mean)
 
         v = [m[i] * mean[i] + (1 - m[i]) * x[i] for i in range(3)]
         for _ in range(2):
@@ -174,16 +182,16 @@ class TestForward:
                 for i in range(3)
             ]
             v = [m[i] * s[i] + (1 - m[i]) * x[i] for i in range(3)]
-        assert np.max(np.abs(traj.v_states[-1] - np.array(v))) < 1e-14
+        assert np.max(np.abs(traj.v_states[-1][0] - np.array(v))) < 1e-14
 
     def test_sigmoid_activation_variant(self):
         params, cfg = random_model(4, 3, k=1, activation="sigmoid", seed=44)
-        x = np.array([1.0, 0.0, 0.0, 1.0])
-        traj = forward(params, cfg, x, np.ones(4), np.full(4, 0.5))
+        x = np.array([[1.0, 0.0, 0.0, 1.0]])
+        traj = forward(params, cfg, x, np.ones((1, 4)), np.full(4, 0.5))
         v0 = np.full(4, 0.5)
         h = 1.0 / (1.0 + np.exp(-(params.W @ v0 + params.c)))
         s = 1.0 / (1.0 + np.exp(-(params.V @ h + params.b)))
-        assert np.max(np.abs(traj.v_states[-1] - s)) < 1e-14
+        assert np.max(np.abs(traj.v_states[-1][0] - s)) < 1e-14
 
     def test_weight_sharing_across_steps(self):
         # each step applies the same tensors to the previous state
@@ -191,17 +199,17 @@ class TestForward:
         x = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
         m = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
         mean = np.full(5, 0.4)
-        traj = forward(params, cfg, x, m, mean)
+        traj = forward(params, cfg, x[None], m[None], mean)
         for t in range(3):
-            h = np.tanh(params.W @ traj.v_states[t] + params.c)
-            assert np.array_equal(h, traj.h_states[t][0])
+            h = np.tanh(params.W @ traj.v_states[t][0] + params.c)
+            assert np.array_equal(h, traj.h_states[t][0][0])
             s = 1.0 / (1.0 + np.exp(-(params.V @ h + params.b)))
             want = m * s + (1 - m) * x
-            assert np.max(np.abs(traj.v_states[t + 1] - want)) < 1e-15
+            assert np.max(np.abs(traj.v_states[t + 1][0] - want)) < 1e-15
 
     def test_trajectory_bookkeeping(self):
         params, cfg = random_model(4, 3, k=3, hidden2=2, seed=46)
-        traj = forward(params, cfg, np.zeros(4), np.ones(4), np.full(4, 0.5))
+        traj = forward(params, cfg, np.zeros((1, 4)), np.ones((1, 4)), np.full(4, 0.5))
         assert len(traj.v_states) == 4
         assert len(traj.h_states) == 3
         assert all(len(step) == 2 for step in traj.h_states)
@@ -209,7 +217,9 @@ class TestForward:
 
     def test_k_override(self):
         params, cfg = random_model(4, 3, k=2, seed=47)
-        traj = forward(params, replace(cfg, k=5), np.zeros(4), np.ones(4), np.full(4, 0.5))
+        traj = forward(
+            params, replace(cfg, k=5), np.zeros((1, 4)), np.ones((1, 4)), np.full(4, 0.5)
+        )
         assert traj.k_used == 5
         assert len(traj.v_states) == 6
         assert cfg.k == 2
@@ -218,8 +228,8 @@ class TestForward:
 
     def test_more_steps_change_output(self):
         params, cfg = random_model(4, 3, k=1, seed=48)
-        x = np.zeros(4)
-        m = np.ones(4)
+        x = np.zeros((1, 4))
+        m = np.ones((1, 4))
         mean = np.full(4, 0.5)
         one = forward(params, cfg, x, m, mean)
         five = forward(params, replace(cfg, k=5), x, m, mean)

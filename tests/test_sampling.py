@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import random_model
+from conftest import index_counts, random_model, windows
 
 from nadek import (
     Ordering,
@@ -30,20 +30,21 @@ def _tv(emp_counts, probs, n):
     return 0.5 * float(np.sum(np.abs(emp_counts / n - probs)))
 
 
+def _inpaint_draws(D, observed):
+    """Draws one inpainted row reads: its two shuffles, then a uniform per missing index."""
+    return max(observed - 1, 0) + max(D - observed - 1, 0) + D - observed
+
+
 class TestAncestral:
-    @pytest.mark.slow
     def test_zero_params_uniform(self):
-        # fair coin per coordinate: all 8 outcomes near 1/8
+        # fair coin per coordinate: all 8 outcomes near 1/8; row i takes the
+        # D=3 draws of loop call i over one generator
         params, cfg = _zero_model(3, 1)
         mean = np.full(3, 0.5)
         rng = Rng(42).stream("draws")
         o = identity_ordering(3)
         n = 100000
-        counts = np.zeros(8)
-        for _ in range(n):
-            x = ancestral_sample(params, cfg, o, mean, rng)
-            idx = int(x[0]) | (int(x[1]) << 1) | (int(x[2]) << 2)
-            counts[idx] += 1
+        counts = index_counts(ancestral_sample(params, cfg, o, mean, windows(rng, n, 3)))
         assert np.max(np.abs(counts / n - 0.125)) < 0.005
 
     def test_degenerate_mode(self):
@@ -53,17 +54,16 @@ class TestAncestral:
         mean = np.full(4, 0.5)
         rng = Rng(43).stream("draws")
         o = identity_ordering(4)
-        for _ in range(200):
-            x = ancestral_sample(params, cfg, o, mean, rng)
-            assert np.array_equal(x, np.ones(4))
+        x = ancestral_sample(params, cfg, o, mean, windows(rng, 200, 4))
+        assert np.array_equal(x, np.ones((200, 4)))
 
     def test_outputs_binary(self):
         params, cfg = random_model(5, 4, k=2, seed=44)
         mean = np.full(5, 0.5)
         rng = Rng(45).stream("draws")
-        for _ in range(50):
-            x = ancestral_sample(params, cfg, identity_ordering(5), mean, rng)
-            assert np.all((x == 0.0) | (x == 1.0))
+        x = ancestral_sample(params, cfg, identity_ordering(5), mean, windows(rng, 50, 5))
+        assert x.shape == (50, 5)
+        assert np.all((x == 0.0) | (x == 1.0))
 
     def test_matches_enumeration(self):
         params, cfg = random_model(3, 4, k=2, seed=46, spread=1.5)
@@ -72,17 +72,18 @@ class TestAncestral:
         table = enumerate_distribution(params, cfg, o, mean)
         rng = Rng(47).stream("draws")
         n = 30000
-        counts = np.zeros(8)
-        for _ in range(n):
-            x = ancestral_sample(params, cfg, o, mean, rng)
-            idx = int(x[0]) | (int(x[1]) << 1) | (int(x[2]) << 2)
-            counts[idx] += 1
+        counts = index_counts(ancestral_sample(params, cfg, o, mean, windows(rng, n, 3)))
         assert _tv(counts, table, n) < 0.02
 
     def test_wrong_ordering_length(self):
         params, cfg = random_model(4, 2, seed=48)
         with pytest.raises(ContractError):
-            ancestral_sample(params, cfg, identity_ordering(3), np.full(4, 0.5), Rng(1))
+            ancestral_sample(params, cfg, identity_ordering(3), np.full(4, 0.5), [Rng(1)])
+
+    def test_no_generators(self):
+        params, cfg = random_model(4, 2, seed=48)
+        with pytest.raises(ContractError):
+            ancestral_sample(params, cfg, identity_ordering(4), np.full(4, 0.5), [])
 
 
 class TestMixture:
@@ -109,9 +110,9 @@ class TestMixture:
         batch = sample_from_mixture(params, cfg, 7, mean, Rng(54))
         sub = Rng(54).stream("sample", 3)
         o = Ordering(perm=tuple(sub.permutation(5)))
-        x = ancestral_sample(params, cfg, o, mean, sub)
+        x = ancestral_sample(params, cfg, o, mean, [sub])
         assert o.perm == batch.orderings_used[3].perm
-        assert np.array_equal(x, batch.vectors[3])
+        assert np.array_equal(x, batch.vectors[3:4])
 
     def test_count_validation(self):
         params, cfg = random_model(3, 2, seed=55)
@@ -140,75 +141,80 @@ class TestMixture:
 class TestInpaint:
     def test_all_observed_verbatim(self):
         params, cfg = random_model(4, 3, seed=58)
-        x = np.array([1.0, 0.0, 0.0, 1.0])
-        out = inpaint(params, cfg, x, [0, 1, 2, 3], np.full(4, 0.5), Rng(59))
+        x = np.array([[1.0, 0.0, 0.0, 1.0]])
+        out = inpaint(params, cfg, x, [0, 1, 2, 3], np.full(4, 0.5), [Rng(59)])
         assert np.array_equal(out, x)
 
     def test_observed_bit_exact(self):
         params, cfg = random_model(6, 4, k=2, seed=60, spread=2.0)
         mean = np.full(6, 0.5)
-        x = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+        x = np.tile([1.0, 0.0, 1.0, 1.0, 0.0, 0.0], (100, 1))
         rng = Rng(61).stream("draws")
-        for _ in range(100):
-            out = inpaint(params, cfg, x, [0, 3], mean, rng)
-            assert out[0] == 1.0 and out[3] == 1.0
-            assert np.all((out == 0.0) | (out == 1.0))
+        out = inpaint(params, cfg, x, [0, 3], mean, windows(rng, 100, _inpaint_draws(6, 2)))
+        assert np.all(out[:, 0] == 1.0) and np.all(out[:, 3] == 1.0)
+        assert np.all((out == 0.0) | (out == 1.0))
 
     def test_no_observed_full_sample(self):
         params, cfg = random_model(4, 3, seed=62)
-        out = inpaint(params, cfg, np.zeros(4), [], np.full(4, 0.5), Rng(63))
+        out = inpaint(params, cfg, np.zeros((1, 4)), [], np.full(4, 0.5), [Rng(63)])
+        assert out.shape == (1, 4)
         assert np.all((out == 0.0) | (out == 1.0))
 
     def test_unobserved_input_values_ignored(self):
         # garbage in unobserved slots must not influence the draw
         params, cfg = random_model(4, 3, k=2, seed=64)
         mean = np.full(4, 0.5)
-        xa = np.array([1.0, 0.0, 0.0, 0.0])
-        xb = np.array([1.0, 1.0, 1.0, 1.0])
-        out_a = inpaint(params, cfg, xa, [0], mean, Rng(65).stream("d"))
-        out_b = inpaint(params, cfg, xb, [0], mean, Rng(65).stream("d"))
+        xa = np.array([[1.0, 0.0, 0.0, 0.0]])
+        xb = np.array([[1.0, 1.0, 1.0, 1.0]])
+        out_a = inpaint(params, cfg, xa, [0], mean, [Rng(65).stream("d")])
+        out_b = inpaint(params, cfg, xb, [0], mean, [Rng(65).stream("d")])
         assert np.array_equal(out_a, out_b)
 
     def test_conditional_uniform_case(self):
         # zero parameters: conditional over the free coordinates is uniform
         params, cfg = _zero_model(3, 1)
         mean = np.full(3, 0.5)
-        x = np.array([1.0, 0.0, 0.0])
         rng = Rng(66).stream("draws")
         n = 20000
-        counts = np.zeros(4)
-        for _ in range(n):
-            out = inpaint(params, cfg, x, [0], mean, rng)
-            assert out[0] == 1.0
-            counts[int(out[1]) | (int(out[2]) << 1)] += 1
+        x = np.tile([1.0, 0.0, 0.0], (n, 1))
+        out = inpaint(params, cfg, x, [0], mean, windows(rng, n, _inpaint_draws(3, 1)))
+        assert np.all(out[:, 0] == 1.0)
+        counts = index_counts(out[:, 1:])
         assert np.max(np.abs(counts / n - 0.25)) < 0.015
 
     def test_length_validation(self):
         params, cfg = random_model(4, 3, seed=67)
         with pytest.raises(ContractError):
-            inpaint(params, cfg, np.zeros(3), [0], np.full(4, 0.5), Rng(1))
+            inpaint(params, cfg, np.zeros((1, 3)), [0], np.full(4, 0.5), [Rng(1)])
         with pytest.raises(ContractError):
-            inpaint(params, cfg, np.zeros(4), [9], np.full(4, 0.5), Rng(1))
+            inpaint(params, cfg, np.zeros((1, 4)), [9], np.full(4, 0.5), [Rng(1)])
         # D distinct indices, all observed, are checked like any others
         with pytest.raises(ContractError):
-            inpaint(params, cfg, np.zeros(4), [0, 1, 2, 99], np.full(4, 0.5), Rng(1))
+            inpaint(params, cfg, np.zeros((1, 4)), [0, 1, 2, 99], np.full(4, 0.5), [Rng(1)])
+        # one generator per row, and at least one row
+        with pytest.raises(ContractError):
+            inpaint(params, cfg, np.zeros(4), [0], np.full(4, 0.5), [Rng(1)])
+        with pytest.raises(ContractError):
+            inpaint(params, cfg, np.zeros((2, 4)), [0], np.full(4, 0.5), [Rng(1)])
+        with pytest.raises(ContractError):
+            inpaint(params, cfg, np.zeros((0, 4)), [0], np.full(4, 0.5), [])
 
     def test_non_binary_observed_value(self):
         params, cfg = random_model(4, 3, seed=68)
-        x = np.array([1.0, 0.5, 0.0, 0.0])
+        x = np.array([[1.0, 0.5, 0.0, 0.0]])
         with pytest.raises(ContractError):
-            inpaint(params, cfg, x, [0, 1], np.full(4, 0.5), Rng(1))
+            inpaint(params, cfg, x, [0, 1], np.full(4, 0.5), [Rng(1)])
         with pytest.raises(ContractError):
-            inpaint(params, cfg, x, [0, 1, 2, 3], np.full(4, 0.5), Rng(1))
+            inpaint(params, cfg, x, [0, 1, 2, 3], np.full(4, 0.5), [Rng(1)])
         # an unobserved slot may hold anything
-        inpaint(params, cfg, x, [0, 2], np.full(4, 0.5), Rng(1))
+        inpaint(params, cfg, x, [0, 2], np.full(4, 0.5), [Rng(1)])
 
 
 def _walks(params, cfg, mean):
     """One call of each walk entry point, at D=4."""
-    yield lambda: ancestral_sample(params, cfg, identity_ordering(4), mean, Rng(1))
+    yield lambda: ancestral_sample(params, cfg, identity_ordering(4), mean, [Rng(1)])
     yield lambda: sample_from_mixture(params, cfg, 2, mean, Rng(1))
-    yield lambda: inpaint(params, cfg, np.zeros(4), [0], mean, Rng(1))
+    yield lambda: inpaint(params, cfg, np.zeros((1, 4)), [0], mean, [Rng(1)])
 
 
 def test_walks_reject_wrong_length_mean_or_params():
@@ -222,3 +228,29 @@ def test_walks_reject_wrong_length_mean_or_params():
     for walk in _walks(wide, cfg, np.full(4, 0.5)):
         with pytest.raises(ContractError):
             walk()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("D", [3, 250])
+def test_block_rows_equal_loop_calls(D, k):
+    # row r of one block call makes the draws of one-row call r in a loop
+    # over one generator; 130 rows walk as blocks of 100 and 30
+    rows = 130
+    params, cfg = random_model(D, 5, k=k, seed=113 + k)
+    mean = 0.2 + 0.6 * Rng(127).stream("mean").uniform_array(D)
+    o = Ordering(perm=tuple(int(i) for i in Rng(131).stream("perm").permutation(D)))
+    block_rng, loop_rng = Rng(137).stream("draws"), Rng(137).stream("draws")
+    block = ancestral_sample(params, cfg, o, mean, windows(block_rng, rows, D))
+    for r in range(rows):
+        assert np.array_equal(block[r : r + 1], ancestral_sample(params, cfg, o, mean, [loop_rng]))
+    assert loop_rng.counter == block_rng.counter
+    data = (Rng(139).stream("rows").uniform_array((rows, D)) < 0.5) * 1.0
+    for observed in sorted({0, 1, D // 2, D}):
+        obs = [int(i) for i in Rng(149).stream("obs").permutation(D)[:observed]]
+        rngs = windows(block_rng, rows, _inpaint_draws(D, observed))
+        block = inpaint(params, cfg, data, obs, mean, rngs)
+        assert np.array_equal(block[:, obs], data[:, obs])
+        for r in range(rows):
+            want = inpaint(params, cfg, data[r : r + 1], obs, mean, [loop_rng])
+            assert np.array_equal(block[r : r + 1], want)
+        assert loop_rng.counter == block_rng.counter

@@ -40,9 +40,9 @@ LN2 = math.log(2.0)
 
 
 def _mask_for(D, observed):
-    mask = np.ones(D)
-    for i in observed:
-        mask[i] = 0.0
+    """A 1 x D mask block with the given indices observed."""
+    mask = np.ones((1, D))
+    mask[0, observed] = 0.0
     return mask
 
 
@@ -178,24 +178,24 @@ class TestLosses:
     def test_stochastic_hand_value_d2(self):
         # D=4, one observed, all probabilities at one half
         params, cfg = _zero_model(4, 3, 2)
-        x = np.array([1.0, 0.0, 1.0, 1.0])
+        x = np.array([[1.0, 0.0, 1.0, 1.0]])
         m = _mask_for(4, observed=[1])
         traj = forward(params, cfg, x, m, np.full(4, 0.5))
         assert abs(stochastic_loss(traj, x) - 4 * LN2) < 1e-12
 
     def test_stochastic_hand_value_d1(self):
         params, cfg = _zero_model(2, 2, 1)
-        x = np.array([1.0, 0.0])
+        x = np.array([[1.0, 0.0]])
         m = _mask_for(2, observed=[])
         traj = forward(params, cfg, x, m, np.full(2, 0.5))
         assert abs(stochastic_loss(traj, x) - 2 * LN2) < 1e-12
 
     def test_perfect_reconstruction_near_zero(self):
-        x = np.array([1.0, 0.0, 1.0])
+        x = np.array([[1.0, 0.0, 1.0]])
         m = _mask_for(3, observed=[])
         traj = Trajectory(
-            v_states=[np.full(3, 0.5), x.copy()],
-            h_states=[(np.zeros(2),)],
+            v_states=[np.full((1, 3), 0.5), x.copy()],
+            h_states=[(np.zeros((1, 2)),)],
             mask=m,
         )
         loss = stochastic_loss(traj, x)
@@ -205,15 +205,15 @@ class TestLosses:
         params, cfg = random_model(5, 4, k=1, seed=61)
         rng = Rng(62).stream("masks")
         for _ in range(20):
-            x = np.array([float(rng.bernoulli(0.5)) for _ in range(5)])
-            m = sample_mask(rng, 5, 1)[0]
+            x = np.array([[float(rng.bernoulli(0.5)) for _ in range(5)]])
+            m = sample_mask(rng, 5, 1)
             traj = forward(params, cfg, x, m, np.full(5, 0.5))
             assert pretrain_loss(traj, x) == stochastic_loss(traj, x)
 
     def test_pretrain_hand_value(self):
         # every step outputs one half on missing coords
         params, cfg = _zero_model(4, 3, 3)
-        x = np.array([0.0, 1.0, 1.0, 0.0])
+        x = np.array([[0.0, 1.0, 1.0, 0.0]])
         m = _mask_for(4, observed=[2])
         traj = forward(params, cfg, x, m, np.full(4, 0.5))
         assert abs(pretrain_loss(traj, x) - 4 * LN2) < 1e-12
@@ -226,8 +226,8 @@ class TestBackward:
         x = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
         m = _mask_for(5, observed=[])
         mean = np.array([0.2, 0.5, 0.7, 0.4, 0.6])
-        traj = forward(params, cfg, x, m, mean)
-        got = backward(params, cfg, traj, x, "finetune")
+        traj = forward(params, cfg, x[None], m, mean)
+        got = backward(params, cfg, traj, x[None], "finetune")
 
         h = np.tanh(params.W @ mean + params.c)
         s = 1.0 / (1.0 + np.exp(-(params.V @ h + params.b)))
@@ -244,11 +244,11 @@ class TestBackward:
 
     def test_zero_gradient_at_exact_reconstruction(self):
         params, cfg = random_model(4, 3, k=1, seed=72)
-        x = np.array([1.0, 0.0, 1.0, 0.0])
+        x = np.array([[1.0, 0.0, 1.0, 0.0]])
         m = _mask_for(4, observed=[])
         traj = Trajectory(
-            v_states=[np.full(4, 0.5), x.copy()],
-            h_states=[(np.zeros(3),)],
+            v_states=[np.full((1, 4), 0.5), x.copy()],
+            h_states=[(np.zeros((1, 3)),)],
             mask=m,
         )
         got = backward(params, cfg, traj, x, "finetune")
@@ -261,7 +261,7 @@ class TestBackward:
         params, cfg = random_model(5, 4, k=3, seed=73)
         m = _mask_for(5, observed=[0, 2])
         mean = np.full(5, 0.5)
-        x = np.array([1.0, 1.0, 0.0, 0.0, 1.0])
+        x = np.array([[1.0, 1.0, 0.0, 0.0, 1.0]])
         traj = forward(params, cfg, x, m, mean)
         for objective in ("finetune", "pretrain"):
             g = backward(params, cfg, traj, x, objective)
@@ -271,7 +271,7 @@ class TestBackward:
 
     def test_invalid_objective(self):
         params, cfg = random_model(3, 2, k=1, seed=74)
-        x = np.zeros(3)
+        x = np.zeros((1, 3))
         m = _mask_for(3, observed=[])
         traj = forward(params, cfg, x, m, np.full(3, 0.5))
         with pytest.raises(ContractError):
@@ -286,7 +286,7 @@ def finite_difference_check(n, k, objective, seed, h=1e-5):
     hidden2 = 4 if n == 3 else None
     params, cfg = random_model(6, 5, k=k, hidden2=hidden2, seed=seed)
     rng = Rng(seed + 1).stream("case")
-    x = np.array([float(rng.bernoulli(0.5)) for _ in range(6)])
+    x = np.array([[float(rng.bernoulli(0.5)) for _ in range(6)]])
     m = _mask_for(6, observed=[1, 4])
     mean = np.array([0.3, 0.5, 0.2, 0.8, 0.6, 0.4])
     loss_fn = stochastic_loss if objective == "finetune" else pretrain_loss
@@ -349,6 +349,12 @@ class TestWeightDecay:
         params, _ = random_model(3, 2, seed=93)
         with pytest.raises(ContractError):
             add_weight_decay(params.zeros_like(), params, -0.1)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_rejected(self, lam):
+        params, _ = random_model(3, 2, seed=93)
+        with pytest.raises(ContractError):
+            add_weight_decay(params.zeros_like(), params, lam)
 
 
 def _unit_params():
@@ -435,6 +441,9 @@ class TestAdaDelta:
             AdaDeltaState.zeros_like(params, rho=1.0)
         with pytest.raises(ContractError):
             AdaDeltaState.zeros_like(params, epsilon=0.0)
+        for epsilon in (np.nan, np.inf):
+            with pytest.raises(ContractError):
+                AdaDeltaState.zeros_like(params, epsilon=epsilon)
 
 
 class TestEstimatorUnbiasedness:
@@ -453,8 +462,8 @@ class TestEstimatorUnbiasedness:
         for p in itertools.permutations(range(4)):
             for d in range(1, 5):
                 m = _mask_for(4, observed=list(p[: d - 1]))
-                traj = forward(params, cfg, x, m, mean)
-                total += stochastic_loss(traj, x)
+                traj = forward(params, cfg, x[None], m, mean)
+                total += stochastic_loss(traj, x[None])
                 count += 1
         assert abs(total / count - exact) < 1e-10
 
@@ -559,6 +568,11 @@ class TestTrainLoop:
             TrainConfig(rho=1.0)
         with pytest.raises(ContractError):
             TrainConfig(weight_decay=-0.5)
+        for value in (np.nan, np.inf):
+            with pytest.raises(ContractError):
+                TrainConfig(weight_decay=value)
+            with pytest.raises(ContractError):
+                TrainConfig(epsilon=value)
         with pytest.raises(ContractError):
             TrainConfig(finetune_epochs=-1)
         with pytest.raises(ContractError):
