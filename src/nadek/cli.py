@@ -203,8 +203,7 @@ def cmd_sample(args) -> int:
     if args.count == 0:
         save_text_matrix(args.out, np.empty((0, config.D)))
         return 0
-    rng = Rng(args.seed)
-    vectors = sample_from_mixture(params, config, args.count, mean, rng, args.threads).vectors
+    vectors = sample_from_mixture(params, config, args.count, mean, Rng(args.seed), args.threads)
     save_text_matrix(args.out, vectors)
     if args.pgm is not None:
         rows, cols = args.grid

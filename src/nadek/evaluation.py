@@ -24,7 +24,6 @@ __all__ = [
     "EnsembleSpec",
     "EvalReport",
     "Ordering",
-    "conditional_ordering",
     "draw_orderings",
     "ensemble_log_prob",
     "enumerate_distribution",
@@ -89,24 +88,6 @@ def draw_orderings(D: int, count: int, seed: int) -> EnsembleSpec:
         seen.add(perm)
         out.append(Ordering(perm=perm))
     return EnsembleSpec(orderings=tuple(out))
-
-
-def conditional_ordering(D: int, obs_indices: list[int], rng: Rng) -> Ordering:
-    """An ordering that visits every observed index before any missing one.
-
-    Both segments are independently shuffled so repeated draws cover the
-    conditional orderings uniformly.
-    """
-    obs = list(dict.fromkeys(obs_indices))
-    if len(obs) != len(obs_indices):
-        raise ContractError("observed indices must be distinct")
-    if any(i < 0 or i >= D for i in obs):
-        raise ContractError("observed index out of range")
-    obs_set = set(obs)
-    mis = [i for i in range(D) if i not in obs_set]
-    rng.shuffle(obs)
-    rng.shuffle(mis)
-    return Ordering(perm=tuple(obs + mis))
 
 
 def log_prob_ordering(

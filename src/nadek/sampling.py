@@ -3,37 +3,31 @@
 A sample is drawn one coordinate at a time along an ordering: run the
 inference pass with the still-unvisited coordinates masked missing,
 Bernoulli-draw the current coordinate from its conditional, then clamp
-it as observed.  Conditioning on known values only changes the ordering:
-observed indices are visited first, so the remaining draws follow
-p(x_mis | x_obs).  Many rows take each step together as one block, each
-along its own ordering and from its own generator.  A block works only on
-the coordinates that at least one of its rows has still to draw, and
-narrows to them again every BLOCK_ROWS positions; the rest are folded into
-each row's hidden bias.
+it as observed.  Conditioning on known values folds them into the hidden
+bias, and the walk visits only the missing coordinates, so the draws
+follow p(x_mis | x_obs).  Many rows take each step together as one block,
+each along its own visit order and from its own generator.  A block works
+only on the coordinates that at least one of its rows has still to draw,
+and narrows to them again every BLOCK_ROWS positions; the rest are folded
+into each row's hidden bias.  Every sampler returns its rows as one
+rows x D array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .evaluation import Ordering, conditional_ordering
+from .evaluation import Ordering
 from .model import ModelParams, StructureConfig, _check_binary, _conditionals
 from .numerics import BLOCK_ROWS, ContractError, Rng, map_in_order
 
 __all__ = [
-    "SampleBatch",
     "ancestral_sample",
     "inpaint",
     "sample_from_mixture",
 ]
-
-
-@dataclass
-class SampleBatch:
-    vectors: np.ndarray
-    orderings_used: tuple[Ordering, ...]
 
 
 def _slice(params: ModelParams, cols: np.ndarray, c: np.ndarray) -> ModelParams:
@@ -50,21 +44,22 @@ def _walk(
     params: ModelParams,
     config: StructureConfig,
     x: np.ndarray,
-    perms: np.ndarray,
-    start: int,
+    kept: np.ndarray,
+    orders: np.ndarray,
     mean: np.ndarray,
     rngs: list[Rng],
     threads: int = 1,
 ) -> np.ndarray:
-    """Keep x[r, perms[r, :start]] and draw the rest of each row r in place.
+    """Keep x[:, kept] and draw the other coordinates of each row r in place.
 
-    The kept indices must be the same set in every row.  Row r takes one
-    uniform per position from rngs[r] alone, all drawn before the walk
-    starts, and a bit is 1 when its uniform falls below the conditional
-    (``Rng.bernoulli``).  Rows walk in fixed blocks of BLOCK_ROWS in index
-    order, the unit of work for ``threads`` workers.  Draws use the clamped
-    conditional, so every produced vector has finite log-probability under
-    evaluation.
+    ``kept`` holds the observed coordinates of every row, in ascending
+    order, and orders[r] is row r's visit order over the other coordinates.
+    Row r takes one uniform per position from rngs[r] alone, all drawn
+    before the walk starts, and a bit is 1 when its uniform falls below the
+    conditional (``Rng.bernoulli``).  Rows walk in fixed blocks of
+    BLOCK_ROWS in index order, the unit of work for ``threads`` workers.
+    Draws use the clamped conditional, so every produced vector has finite
+    log-probability under evaluation.
 
     The kept coordinates are folded into a per-row hidden bias
     c + W[:, kept] @ x[r, kept] once per block, and the walk runs on the
@@ -82,9 +77,8 @@ def _walk(
     mean = np.asarray(mean, dtype=np.float64)
     if mean.shape != (D,):
         raise ContractError("mean must have length D")
-    kept = np.sort(perms[:1, :start].ravel())
     _check_binary(x[:, kept], "observed values")
-    free = np.sort(perms[:1, start:].ravel())
+    free = np.sort(orders[0])
     col = np.empty(D, dtype=np.int64)
     col[free] = np.arange(len(free))
 
@@ -95,7 +89,7 @@ def _walk(
         # order holds each row's visit order as slice columns
         live, mu = free, mean[free]
         sub = _slice(params, free, params.c + x[span, kept] @ params.W[:, kept].T)
-        order = col[perms[span, start:]]
+        order = col[orders[span]]
         a1 = sub.c + sub.W @ mu
         mask = np.ones(order.shape)
         drawn = np.zeros(order.shape)
@@ -134,8 +128,8 @@ def ancestral_sample(
     D = config.D
     if len(o.perm) != D:
         raise ContractError("ordering length does not match D")
-    perms = np.broadcast_to(o.perm, (len(rngs), D))
-    return _walk(params, config, np.zeros((len(rngs), D)), perms, 0, mean, rngs)
+    x, none = np.zeros((len(rngs), D)), np.empty(0, np.int64)
+    return _walk(params, config, x, none, np.broadcast_to(o.perm, x.shape), mean, rngs)
 
 
 def sample_from_mixture(
@@ -145,21 +139,21 @@ def sample_from_mixture(
     mean: np.ndarray,
     rng: Rng,
     threads: int = 1,
-) -> SampleBatch:
-    """Independent draws, each under a fresh uniform ordering.
+) -> np.ndarray:
+    """count independent draws, each under a fresh uniform ordering.
 
-    Sample i consumes its own child stream of the given generator's seed,
-    and samples are drawn in fixed blocks of BLOCK_ROWS, so batches are
-    reproducible and independent of any scheduling.
+    Sample i consumes its own child stream ``rng.stream("sample", i)`` of
+    the given generator's seed: first its ordering, ``permutation(D)``,
+    then its draws.  Samples are drawn in fixed blocks of BLOCK_ROWS, so
+    batches are reproducible and independent of any scheduling.
     """
     if count < 1:
         raise ContractError("count must be >= 1")
     D = config.D
     subs = [rng.stream("sample", i) for i in range(count)]
-    perms = np.array([sub.permutation(D) for sub in subs])
-    vectors = _walk(params, config, np.zeros((count, D)), perms, 0, mean, subs, threads)
-    orderings = tuple(Ordering(perm=tuple(perm)) for perm in perms)
-    return SampleBatch(vectors=vectors, orderings_used=orderings)
+    orders = np.array([sub.permutation(D) for sub in subs])
+    x, none = np.zeros((count, D)), np.empty(0, np.int64)
+    return _walk(params, config, x, none, orders, mean, subs, threads)
 
 
 def inpaint(
@@ -173,14 +167,26 @@ def inpaint(
     """Fill the unobserved coordinates by conditional ancestral sampling.
 
     ``x_obs`` is a B x D block and ``rngs`` holds B generators, one per
-    row.  Observed coordinates are returned bit-exact.  Each row's visit
-    order puts the observed indices first (in random order, from that
-    row's generator), so the draws follow the conditional distribution
-    given the observations.
+    row.  Observed coordinates are returned bit-exact.  The observed values
+    are folded into the walk, and each row visits the missing coordinates
+    in a uniform random order from its own generator, so the draws follow
+    the conditional distribution given the observations.
     """
     D = config.D
     x = np.array(x_obs, dtype=np.float64)
     if x.shape != (len(rngs), D):
         raise ContractError("x_obs must hold one row of length D per generator")
-    perms = np.array([conditional_ordering(D, obs_indices, r).perm for r in rngs])
-    return _walk(params, config, x, perms, len(obs_indices), mean, rngs)
+    if len(set(obs_indices)) != len(obs_indices):
+        raise ContractError("observed indices must be distinct")
+    if any(i < 0 or i >= D for i in obs_indices):
+        raise ContractError("observed index out of range")
+    observed = np.zeros(D, dtype=bool)
+    observed[list(obs_indices)] = True
+    mis = np.flatnonzero(~observed)
+    orders = np.empty((len(rngs), len(mis)), dtype=np.int64)
+    for r, rng in enumerate(rngs):
+        # skip the draws a shuffle of the observed indices takes, so every
+        # seeded output keeps the bits of rows that visited them first
+        rng.counter += max(len(obs_indices) - 1, 0)
+        orders[r] = mis[rng.permutation(len(mis))]
+    return _walk(params, config, x, np.flatnonzero(observed), orders, mean, rngs)

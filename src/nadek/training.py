@@ -20,6 +20,7 @@ gradient is a sum of matrix-matrix products over the rows.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -36,7 +37,6 @@ __all__ = [
     "adadelta_step",
     "add_weight_decay",
     "backward",
-    "pretrain_loss",
     "sample_mask",
     "stochastic_loss",
     "train",
@@ -181,31 +181,22 @@ def _gamma(m: np.ndarray) -> np.ndarray:
     return m.shape[-1] / np.sum(m, axis=-1)
 
 
-def _row_losses(traj: Trajectory, x: np.ndarray, objective: str) -> np.ndarray:
-    """Scaled loss of each row of the trajectory under the objective."""
+def stochastic_loss(traj: Trajectory, x: np.ndarray, objective: str = "finetune") -> float:
+    """Scaled cross-entropy over the missing components, summed over the block's rows.
+
+    The mask is the trajectory's.  "finetune" scores the final state;
+    "pretrain" averages the same scaled term over every step's
+    reconstruction v_1 .. v_k, and equals "finetune" at k=1.
+    """
+    if objective not in OBJECTIVES:
+        raise ContractError(f"objective must be one of {OBJECTIVES}")
+    x = np.asarray(x, dtype=np.float64)
     m = traj.mask
     if objective == "pretrain":
         k = traj.k_used
         total = sum(_row_ce(traj.v_states[t], x, m) for t in range(1, k + 1))
-        return _gamma(m) * total / k
-    return _gamma(m) * _row_ce(traj.v_states[-1], x, m)
-
-
-def stochastic_loss(traj: Trajectory, x: np.ndarray) -> float:
-    """Scaled cross-entropy on the final state over missing components.
-
-    The mask is the trajectory's; summed over the rows of the block.
-    """
-    return float(np.sum(_row_losses(traj, np.asarray(x, dtype=np.float64), "finetune")))
-
-
-def pretrain_loss(traj: Trajectory, x: np.ndarray) -> float:
-    """Mean of the scaled cross-entropy over every step's reconstruction.
-
-    At k=1 this is a single-term average and equals stochastic_loss.
-    Summed over the rows of the block.
-    """
-    return float(np.sum(_row_losses(traj, np.asarray(x, dtype=np.float64), "pretrain")))
+        return float(np.sum(_gamma(m) * total / k))
+    return float(np.sum(_gamma(m) * _row_ce(traj.v_states[-1], x, m)))
 
 
 def _phi_prime(h: np.ndarray, activation: str, out: np.ndarray | None) -> np.ndarray:
@@ -353,9 +344,7 @@ def _adadelta_update(p, g, eg2, edx2, rho, eps, tmp=None, delta=None) -> None:
     p += delta
 
 
-def adadelta_step(
-    state: AdaDeltaState, params: ModelParams, grads: ModelParams
-) -> tuple[ModelParams, AdaDeltaState]:
+def adadelta_step(state: AdaDeltaState, params: ModelParams, grads: ModelParams) -> None:
     """One in-place update of every parameter tensor.
 
     Per scalar: E[g2] <- rho E[g2] + (1-rho) g^2,
@@ -379,7 +368,6 @@ def adadelta_step(
             part = [t[lo : lo + step] for t in tensors]
             n = part[0].shape[0]
             _adadelta_update(*part, rho, eps, pair[0, :n], pair[1, :n])
-    return params, state
 
 
 #: Mask draws (rows x D) per sample_mask call when the masks of several
@@ -451,7 +439,7 @@ def _block_step(
     caller updates the parameters.
     """
     traj = forward(params, structure, x, m, mean)
-    loss = float(np.sum(_row_losses(traj, x, objective)))
+    loss = stochastic_loss(traj, x, objective)
     return backward(params, structure, traj, x, objective), loss
 
 
@@ -477,12 +465,14 @@ def train(
     draw per minibatch would make.  BLAS runs on one thread throughout,
     so the result does not depend on the BLAS thread setting.
     Fine-tuning tracks the validation score each epoch and the result
-    carries the first best-epoch parameters (the final ones if no score
-    fell below +inf); patience > 0 stops the phase after that many
-    consecutive epochs without strict improvement.  The pretraining phase runs its full
-    budget with no early stopping and resets the optimizer state at the
-    handoff.  History lines are `epoch <n> phase <p> train <loss> valid
-    <loss>` with global epoch numbers across phases.
+    carries the first best-epoch parameters (the final ones when no
+    fine-tuning epoch ran); patience > 0 stops the phase after that many
+    consecutive epochs without strict improvement.  The pretraining phase
+    runs its full budget with no early stopping and resets the optimizer
+    state at the handoff.  History lines are `epoch <n> phase <p> train
+    <loss> valid <loss>` with global epoch numbers across phases.  A
+    non-finite minibatch or validation loss stops training with a
+    ValueError that names the phase, the epoch and the block.
     """
     train_data = _check_split(train_data, structure.D, "training")
     valid_data = _check_split(valid_data, structure.D, "validation")
@@ -512,9 +502,13 @@ def train(
                 total = 0.0
                 blocks = minibatches(n_train, config.minibatch_size, shuffle_rng)
                 masks = _block_masks(mask_rng, structure.D, [len(b) for b in blocks])
-                for block, m in zip(blocks, masks):
+                for b, (block, m) in enumerate(zip(blocks, masks), 1):
                     x = train_data[block]
                     grads, loss = _block_step(params, structure, x, m, mean, phase)
+                    if not math.isfinite(loss):
+                        raise ValueError(
+                            f"training diverged: {phase} epoch {epoch} block {b} loss {loss}"
+                        )
                     total += loss
                     scale = 1.0 / len(block)
                     for g in grads.tensors().values():
@@ -524,6 +518,10 @@ def train(
                     del grads  # not kept alive through the next block's backward
                 train_loss = total / n_train
                 valid_loss = validation_score(params, structure, valid_data, mean, config.seed)
+                if not math.isfinite(valid_loss):
+                    raise ValueError(
+                        f"training diverged: {phase} epoch {epoch} validation loss {valid_loss}"
+                    )
                 history.append(
                     f"epoch {epoch} phase {phase} train {train_loss:.6f} valid {valid_loss:.6f}"
                 )

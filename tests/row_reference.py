@@ -9,9 +9,17 @@ require the two to agree to 1e-12 after summing over rows.
 ``sample_mask`` is the mask draw done the direct way, one swap of every
 row per step; the package makes the same swaps slot-major, and tests
 require equal masks and equal draw counts.
+
+``conditional_ordering`` is an inpainted row's whole visit order: the
+observed indices shuffled, then the missing ones shuffled, both from the
+row's generator.  ``draw_row`` along it keeps the observed prefix, and
+the package's ``inpaint`` must make the same draws.
 """
 
 import numpy as np
+
+from nadek import Ordering, Rng
+from nadek.numerics import ContractError
 
 PROB_EPS = 1e-12
 
@@ -79,6 +87,24 @@ def draw_row(params, config, x, perm, start, mean, rng):
         x[i] = float(rng.bernoulli(_conditional(params, config, x, m, mean, i)))
         m[i] = 0.0
     return x
+
+
+def conditional_ordering(D: int, obs_indices: list[int], rng: Rng) -> Ordering:
+    """An ordering that visits every observed index before any missing one.
+
+    Both segments are independently shuffled so repeated draws cover the
+    conditional orderings uniformly.
+    """
+    obs = list(dict.fromkeys(obs_indices))
+    if len(obs) != len(obs_indices):
+        raise ContractError("observed indices must be distinct")
+    if any(i < 0 or i >= D for i in obs):
+        raise ContractError("observed index out of range")
+    obs_set = set(obs)
+    mis = [i for i in range(D) if i not in obs_set]
+    rng.shuffle(obs)
+    rng.shuffle(mis)
+    return Ordering(perm=tuple(obs + mis))
 
 
 def _ce(v, x, m):

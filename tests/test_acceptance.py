@@ -41,7 +41,7 @@ from nadek.checkpoint import (
 from nadek.cli import build_parser
 from nadek.numerics import clamp_prob
 from nadek.sampling import ancestral_sample
-from nadek.training import backward, pretrain_loss, sample_mask, stochastic_loss
+from nadek.training import backward, sample_mask, stochastic_loss
 
 _CACHE = {}
 
@@ -125,7 +125,7 @@ def _fd_worst(n: int, k: int, objective: str, seed: int) -> float:
 
     def loss() -> float:
         t = forward(params, cfg, x, m, mean)
-        return stochastic_loss(t, x) if objective == "finetune" else pretrain_loss(t, x)
+        return stochastic_loss(t, x, objective)
 
     h = 1e-5
     worst = 0.0

@@ -9,6 +9,7 @@ from conftest import random_model
 from row_reference import (
     PROB_EPS,
     adadelta,
+    conditional_ordering,
     draw_row,
     forward_row,
     gradient_row,
@@ -29,16 +30,9 @@ from nadek import (
     train,
 )
 from nadek import sampling
-from nadek.evaluation import conditional_ordering
 from nadek.model import build_input
 from nadek.numerics import ContractError
-from nadek.training import (
-    backward,
-    pretrain_loss,
-    sample_mask,
-    stochastic_loss,
-    validation_score,
-)
+from nadek.training import backward, sample_mask, stochastic_loss, validation_score
 
 TOL = 1e-12
 
@@ -81,9 +75,8 @@ def test_block_matches_per_row_sum(n, activation, objective):
         want = np.stack([vs[t] for vs, _ in rows])
         assert _close(traj.v_states[t], want) < TOL
 
-    loss_fn = stochastic_loss if objective == "finetune" else pretrain_loss
     want_loss = sum(loss_row(vs, x[r], m[r], objective) for r, (vs, _) in enumerate(rows))
-    assert _close(loss_fn(traj, x), want_loss) < TOL
+    assert _close(stochastic_loss(traj, x, objective), want_loss) < TOL
 
     got = backward(params, cfg, traj, x, objective).tensors()
     want = {name: np.zeros_like(t) for name, t in got.items()}
@@ -181,13 +174,11 @@ def test_block_draws_match_per_position_walk(n):
     params, cfg, mean = _walk_case(n, "tanh")
     D = cfg.D
     # 130 samples: draw blocks of 100 and 30
-    batch = sample_from_mixture(params, cfg, 130, mean, Rng(53))
+    samples = sample_from_mixture(params, cfg, 130, mean, Rng(53))
     for i in range(130):
         sub = Rng(53).stream("sample", i)
-        perm = tuple(int(j) for j in sub.permutation(D))
-        assert perm == batch.orderings_used[i].perm
-        want = draw_row(params, cfg, np.zeros(D), perm, 0, mean, sub)
-        assert np.array_equal(batch.vectors[i], want)
+        want = draw_row(params, cfg, np.zeros(D), sub.permutation(D), 0, mean, sub)
+        assert np.array_equal(samples[i], want)
     rng = Rng(59).stream("rows")
     rows = np.array([[float(rng.bernoulli(0.5)) for _ in range(D)] for _ in range(3)])
     obs = [5, 0, 77, 1]
@@ -212,13 +203,11 @@ def test_walk_draws_match_per_position_walk(n, activation, k):
     traj = forward(params, cfg, np.zeros((1, D)), np.ones((1, D)), mean)
     assert traj.v_states[-1][0, 0] > 1.0 - PROB_EPS
     assert traj.v_states[-1][0, 1] < PROB_EPS
-    batch = sample_from_mixture(params, cfg, 5, mean, Rng(79))
+    samples = sample_from_mixture(params, cfg, 5, mean, Rng(79))
     for i in range(5):
         sub = Rng(79).stream("sample", i)
-        perm = tuple(int(j) for j in sub.permutation(D))
-        assert perm == batch.orderings_used[i].perm
-        want = draw_row(params, cfg, np.zeros(D), perm, 0, mean, sub)
-        assert np.array_equal(batch.vectors[i], want)
+        want = draw_row(params, cfg, np.zeros(D), sub.permutation(D), 0, mean, sub)
+        assert np.array_equal(samples[i], want)
     # 130 rows: inpaint blocks of 100 and 30, each folding its rows' observed values
     rng = Rng(83).stream("rows")
     rows = np.array([[float(rng.bernoulli(0.5)) for _ in range(D)] for _ in range(130)])
@@ -233,6 +222,26 @@ def test_walk_draws_match_per_position_walk(n, activation, k):
 
 def _streams(seed, name, count):
     return [Rng(seed).stream(name, i) for i in range(count)]
+
+
+@pytest.mark.parametrize("D", [1, 3, 250])
+def test_inpaint_draws_match_conditional_ordering(D):
+    # row r draws what draw_row draws along the whole ordering that the
+    # reference deals from row r's generator, observed indices first, and
+    # consumes as many draws; 130 rows inpaint as blocks of 100 and 30
+    rows = 130
+    params, cfg = random_model(D, 5, k=2, seed=151)
+    mean = 0.2 + 0.6 * Rng(157).stream("mean").uniform_array(D)
+    data = (Rng(163).stream("rows").uniform_array((rows, D)) < 0.5) * 1.0
+    for observed in sorted({0, 1, D - 1, D}):
+        obs = [int(i) for i in Rng(167).stream("obs", observed).permutation(D)[:observed]]
+        rngs = _streams(173, "inpaint", rows)
+        filled = inpaint(params, cfg, data, obs, mean, rngs)
+        for r, sub in enumerate(_streams(173, "inpaint", rows)):
+            perm = conditional_ordering(D, obs, sub).perm
+            want = draw_row(params, cfg, data[r], perm, observed, mean, sub)
+            assert np.array_equal(filled[r], want)
+            assert rngs[r].counter == sub.counter
 
 
 def _check_walk(walk, ref, got, rows, perms, start, rngs, params, cfg, mean):
@@ -284,11 +293,11 @@ def test_walk_narrows_to_still_missing_union(n, activation, inpaint_rows, monkey
     for count in (1, 2, 5):
         walk.clear()
         widths.clear()
-        batch = sample_from_mixture(params, cfg, count, mean, Rng(101 + count))
+        samples = sample_from_mixture(params, cfg, count, mean, Rng(101 + count))
         subs = _streams(101 + count, "sample", count)
         perms = [sub.permutation(D) for sub in subs]
         zeros = np.zeros((count, D))
-        _check_walk(walk, ref, batch.vectors, zeros, perms, 0, subs, params, cfg, mean)
+        _check_walk(walk, ref, samples, zeros, perms, 0, subs, params, cfg, mean)
         assert widths[0] == D and widths[-1] < D
         if count == 1:
             # one row walks on exactly the coordinates it has still to draw

@@ -10,6 +10,7 @@ import pytest
 from conftest import random_model
 
 from nadek import Rng, StructureConfig, cli, init_params, load_checkpoint, save_checkpoint
+from nadek import training
 from nadek.checkpoint import encode_mean
 from nadek.cli import main
 from nadek.model import ModelParams, expected_shapes
@@ -171,6 +172,29 @@ class TestTrain:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.amat"]
+
+    def test_divergence_stops_at_the_first_non_finite_block(self, tmp_path, capsys, monkeypatch):
+        # block 1's loss and update are computed from finite weights, and the
+        # overflowing decay term makes block 2's loss NaN: no block runs after it
+        calls = []
+        block_step = training._block_step
+
+        def counted(*args):
+            calls.append(args)
+            return block_step(*args)
+
+        monkeypatch.setattr(training, "_block_step", counted)
+        data = _write_data(tmp_path / "t.amat", _toy_rows(8))
+        argv = [
+            "train", "--data", str(data), "--valid", str(data), "--out", str(tmp_path / "m"),
+            "--hidden1", "4", "--epochs", "1", "--batch", "4", "--weight-decay", "1e308",
+        ]
+        with pytest.warns(RuntimeWarning):  # block 1's update overflows the weights
+            rc = main(argv)
+        assert rc == 1
+        assert "finetune epoch 1 block 2 loss nan" in capsys.readouterr().err
+        assert len(calls) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.amat"]
 
     @pytest.mark.parametrize("fault", ["truncated gzip", "not utf-8"])

@@ -19,12 +19,7 @@ from nadek import (
     log_prob_ordering,
     ordering_stats,
 )
-from nadek.evaluation import (
-    conditional_ordering,
-    identity_ordering,
-    render_report,
-    stats_from_matrix,
-)
+from nadek.evaluation import identity_ordering, render_report, stats_from_matrix
 from nadek.numerics import ContractError
 
 
@@ -72,27 +67,6 @@ class TestDrawOrderings:
             draw_orderings(3, 7, seed=0)
         with pytest.raises(ContractError):
             draw_orderings(3, 0, seed=0)
-
-
-class TestConditionalOrdering:
-    def test_observed_always_first(self):
-        rng = Rng(5).stream("cond")
-        for _ in range(50):
-            o = conditional_ordering(7, [1, 4, 6], rng)
-            assert set(o.perm[:3]) == {1, 4, 6}
-            assert set(o.perm[3:]) == {0, 2, 3, 5}
-
-    def test_validation(self):
-        rng = Rng(6).stream("cond")
-        with pytest.raises(ContractError):
-            conditional_ordering(4, [0, 0], rng)
-        with pytest.raises(ContractError):
-            conditional_ordering(4, [4], rng)
-
-    def test_no_observed_is_uniform_shuffle(self):
-        rng = Rng(7).stream("cond")
-        o = conditional_ordering(5, [], rng)
-        assert sorted(o.perm) == list(range(5))
 
 
 def _zero_model(D, hidden1, k=1):

@@ -14,6 +14,7 @@ from nadek import (
     inpaint,
     sample_from_mixture,
 )
+from nadek import sampling
 from nadek.evaluation import identity_ordering
 from nadek.numerics import ContractError
 
@@ -31,8 +32,13 @@ def _tv(emp_counts, probs, n):
 
 
 def _inpaint_draws(D, observed):
-    """Draws one inpainted row reads: its two shuffles, then a uniform per missing index."""
+    """Draws one inpainted row reads: a skipped shuffle of its observed indices,
+    its visit order's shuffle, then a uniform per missing index."""
     return max(observed - 1, 0) + max(D - observed - 1, 0) + D - observed
+
+
+def _streams(seed, count):
+    return [Rng(seed).stream("cond", i) for i in range(count)]
 
 
 class TestAncestral:
@@ -89,30 +95,26 @@ class TestAncestral:
 class TestMixture:
     def test_batch_shape_and_fields(self):
         params, cfg = random_model(4, 3, k=1, seed=49)
-        batch = sample_from_mixture(params, cfg, 5, np.full(4, 0.5), Rng(50))
-        assert len(batch.vectors) == 5
-        assert batch.vectors.shape == (5, 4)
-        assert len(batch.orderings_used) == 5
-        assert np.all((batch.vectors == 0.0) | (batch.vectors == 1.0))
+        samples = sample_from_mixture(params, cfg, 5, np.full(4, 0.5), Rng(50))
+        assert samples.shape == (5, 4)
+        assert np.all((samples == 0.0) | (samples == 1.0))
 
     def test_deterministic(self):
         params, cfg = random_model(4, 3, k=1, seed=51)
         a = sample_from_mixture(params, cfg, 6, np.full(4, 0.5), Rng(52))
         b = sample_from_mixture(params, cfg, 6, np.full(4, 0.5), Rng(52))
-        assert np.array_equal(a.vectors, b.vectors)
-        assert [o.perm for o in a.orderings_used] == [o.perm for o in b.orderings_used]
+        assert np.array_equal(a, b)
 
     def test_sample_streams_independent_of_schedule(self):
         # sample i depends only on (seed, i), so recomputing it alone
         # reproduces the batch entry
         params, cfg = random_model(5, 3, k=2, seed=53)
         mean = np.full(5, 0.5)
-        batch = sample_from_mixture(params, cfg, 7, mean, Rng(54))
+        samples = sample_from_mixture(params, cfg, 7, mean, Rng(54))
         sub = Rng(54).stream("sample", 3)
         o = Ordering(perm=tuple(sub.permutation(5)))
         x = ancestral_sample(params, cfg, o, mean, [sub])
-        assert o.perm == batch.orderings_used[3].perm
-        assert np.array_equal(x, batch.vectors[3:4])
+        assert np.array_equal(x, samples[3:4])
 
     def test_count_validation(self):
         params, cfg = random_model(3, 2, seed=55)
@@ -123,16 +125,18 @@ class TestMixture:
         params, cfg = random_model(3, 4, k=2, seed=56, spread=1.5)
         mean = np.full(3, 0.5)
         n = 30000
-        batch = sample_from_mixture(params, cfg, n, mean, Rng(57))
+        samples = sample_from_mixture(params, cfg, n, mean, Rng(57))
         tables = {}
         probs = np.zeros(8)
-        for o in batch.orderings_used:
-            if o.perm not in tables:
-                tables[o.perm] = enumerate_distribution(params, cfg, o, mean)
-            probs += tables[o.perm]
+        for i in range(n):
+            # sample i was drawn under the first permutation of its stream
+            perm = tuple(Rng(57).stream("sample", i).permutation(3))
+            if perm not in tables:
+                tables[perm] = enumerate_distribution(params, cfg, Ordering(perm=perm), mean)
+            probs += tables[perm]
         probs /= n
         counts = np.zeros(8)
-        for x in batch.vectors:
+        for x in samples:
             idx = int(x[0]) | (int(x[1]) << 1) | (int(x[2]) << 2)
             counts[idx] += 1
         assert _tv(counts, probs, n) < 0.02
@@ -198,6 +202,34 @@ class TestInpaint:
             inpaint(params, cfg, np.zeros((2, 4)), [0], np.full(4, 0.5), [Rng(1)])
         with pytest.raises(ContractError):
             inpaint(params, cfg, np.zeros((0, 4)), [0], np.full(4, 0.5), [])
+
+    def test_observed_index_validation(self):
+        params, cfg = random_model(4, 3, seed=67)
+        for obs in ([0, 0], [4], [-1]):
+            with pytest.raises(ContractError):
+                inpaint(params, cfg, np.zeros((1, 4)), obs, np.full(4, 0.5), [Rng(1)])
+
+    def test_walk_visits_only_the_missing_coordinates(self, monkeypatch):
+        # the walk keeps the observed set and each row visits the rest
+        params, cfg = random_model(7, 3, seed=70)
+        walks = []
+        monkeypatch.setattr(sampling, "_walk", lambda *args: walks.append(args))
+        inpaint(params, cfg, np.zeros((50, 7)), [6, 1, 4], np.full(7, 0.5), _streams(5, 50))
+        [(_, _, _, kept, orders, _, _)] = walks
+        assert kept.tolist() == [1, 4, 6]
+        assert orders.shape == (50, 4)
+        assert all(sorted(order) == [0, 2, 3, 5] for order in orders.tolist())
+        assert len({tuple(order) for order in orders.tolist()}) > 1
+
+    def test_no_observed_visits_a_uniform_shuffle(self, monkeypatch):
+        # with nothing observed, a row's visit order is its generator's permutation(D)
+        params, cfg = random_model(5, 3, seed=71)
+        walks = []
+        monkeypatch.setattr(sampling, "_walk", lambda *args: walks.append(args))
+        inpaint(params, cfg, np.zeros((3, 5)), [], np.full(5, 0.5), _streams(7, 3))
+        [(_, _, _, kept, orders, _, _)] = walks
+        assert kept.size == 0
+        assert np.array_equal(orders, [rng.permutation(5) for rng in _streams(7, 3)])
 
     def test_non_binary_observed_value(self):
         params, cfg = random_model(4, 3, seed=68)

@@ -29,7 +29,6 @@ from nadek.training import (
     adadelta_step,
     add_weight_decay,
     backward,
-    pretrain_loss,
     sample_mask,
     stochastic_loss,
     train,
@@ -208,7 +207,15 @@ class TestLosses:
             x = np.array([[float(rng.bernoulli(0.5)) for _ in range(5)]])
             m = sample_mask(rng, 5, 1)
             traj = forward(params, cfg, x, m, np.full(5, 0.5))
-            assert pretrain_loss(traj, x) == stochastic_loss(traj, x)
+            assert stochastic_loss(traj, x, "pretrain") == stochastic_loss(traj, x)
+
+    def test_unknown_objective_rejected(self):
+        params, cfg = _zero_model(4, 3, 2)
+        x = np.array([[0.0, 1.0, 1.0, 0.0]])
+        traj = forward(params, cfg, x, _mask_for(4, observed=[2]), np.full(4, 0.5))
+        for call in (stochastic_loss, lambda t, x, o: backward(params, cfg, t, x, o)):
+            with pytest.raises(ContractError):
+                call(traj, x, "finetuned")
 
     def test_pretrain_hand_value(self):
         # every step outputs one half on missing coords
@@ -216,7 +223,7 @@ class TestLosses:
         x = np.array([[0.0, 1.0, 1.0, 0.0]])
         m = _mask_for(4, observed=[2])
         traj = forward(params, cfg, x, m, np.full(4, 0.5))
-        assert abs(pretrain_loss(traj, x) - 4 * LN2) < 1e-12
+        assert abs(stochastic_loss(traj, x, "pretrain") - 4 * LN2) < 1e-12
 
 
 class TestBackward:
@@ -289,7 +296,6 @@ def finite_difference_check(n, k, objective, seed, h=1e-5):
     x = np.array([[float(rng.bernoulli(0.5)) for _ in range(6)]])
     m = _mask_for(6, observed=[1, 4])
     mean = np.array([0.3, 0.5, 0.2, 0.8, 0.6, 0.4])
-    loss_fn = stochastic_loss if objective == "finetune" else pretrain_loss
 
     traj = forward(params, cfg, x, m, mean)
     grads = backward(params, cfg, traj, x, objective)
@@ -300,9 +306,9 @@ def finite_difference_check(n, k, objective, seed, h=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = loss_fn(forward(params, cfg, x, m, mean), x)
+            up = stochastic_loss(forward(params, cfg, x, m, mean), x, objective)
             flat[i] = orig - h
-            down = loss_fn(forward(params, cfg, x, m, mean), x)
+            down = stochastic_loss(forward(params, cfg, x, m, mean), x, objective)
             flat[i] = orig
             numeric = (up - down) / (2.0 * h)
             rel = abs(gflat[i] - numeric) / max(1e-6, abs(gflat[i]), abs(numeric))

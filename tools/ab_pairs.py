@@ -3,26 +3,30 @@
 
     python3 tools/ab_pairs.py --base HEAD --workload train-desk --seed 31 --pairs 10
 
-The base revision is exported with ``git archive`` into a temporary
-directory, which is deleted at exit.  Each pair runs
+Both sides run from copies in one temporary directory, which is deleted at
+exit: the base revision is exported with ``git archive``, and the working
+tree by copying the files ``git ls-files -co --exclude-standard`` names
+(tracked and untracked, not ignored), skipping deleted ones.  So neither
+side carries build or run leftovers that the other lacks.  Each pair runs
 
     python3 benchmarks/run.py --workload W --seed S --seconds T --trace 0
 
-once in the base tree and once in the working tree, each in a fresh
+once in the base copy and once in the working-tree copy, each in a fresh
 process; the base runs first in even pairs and second in odd ones, so a
 drift of the host's speed falls on both sides.  Progress goes to standard
 error.  Standard output is one JSON object: for every end-to-end metric of
 BENCHMARK.json, each side's median and quartiles, the ratio of the medians
 (working tree over base), and the pairs the working tree won (strictly
 better, in the metric's direction), plus each side's raw values and failed
-operation counts.  The runs write their records under each tree's
-``.bench_out`` and ``.bench_work``, as any benchmark run does.
+operation counts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +48,20 @@ def export(rev: str, dest: Path) -> str:
     if archive.wait() != 0:
         raise SystemExit(f"git archive {sha} failed")
     return sha
+
+
+def export_worktree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, not ignored, files into ``dest``."""
+    names = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-z", "-co", "--exclude-standard"],
+        check=True, capture_output=True,
+    ).stdout.split(b"\0")
+    for name in filter(None, names):
+        src, target = ROOT / os.fsdecode(name), dest / os.fsdecode(name)
+        if not os.path.lexists(src):  # deleted in the working tree
+            continue
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(src, target, follow_symlinks=False)
 
 
 def run(tree: Path, args) -> dict:
@@ -95,8 +113,10 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     results: dict[str, list[dict]] = {"base": [], "new": []}
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
-        sha = export(args.base, Path(tmp))
-        trees = {"base": Path(tmp), "new": ROOT}
+        trees = {"base": Path(tmp) / "base", "new": Path(tmp) / "new"}
+        trees["base"].mkdir()
+        sha = export(args.base, trees["base"])
+        export_worktree(trees["new"])
         for pair in range(args.pairs):
             order = ("base", "new") if pair % 2 == 0 else ("new", "base")
             for side in order:
