@@ -21,7 +21,7 @@ of one) with a mask per row; every product is written ``act @ W.T``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,6 +72,13 @@ class ModelParams:
 
     Shapes: W is hidden1 x D, c is hidden1, V is D x (last hidden width),
     b is D, W2 is hidden2 x hidden1, c2 is hidden2.
+
+    Every ModelParams the package builds (``init_params``, ``zeros_like``,
+    ``copy``, ``load_checkpoint`` and the gradients of ``backward``) holds
+    its tensors as views of one private contiguous float64 vector, in
+    canonical order, so a whole-model operation is one pass over it.  One
+    built from separate arrays keeps them as given and has no vector, nor
+    does a ``dataclasses.replace`` of one that has.
     """
 
     W: np.ndarray
@@ -80,6 +87,7 @@ class ModelParams:
     b: np.ndarray
     W2: np.ndarray | None = None
     c2: np.ndarray | None = None
+    _flat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Named tensors in canonical (serialization) order."""
@@ -91,32 +99,54 @@ class ModelParams:
         out["b"] = self.b
         return out
 
+    def _vector(self) -> np.ndarray | None:
+        """The backing vector, or None when a tensor is no longer a view of it."""
+        flat = self._flat
+        if flat is None or any(t.base is not flat for t in self.tensors().values()):
+            return None
+        return flat
+
     def zeros_like(self) -> "ModelParams":
         """Zero tensors of the same shapes, e.g. optimizer state.
 
-        The tensors are views of one block, which at paper shape takes
-        about a third of the page faults of one allocation per tensor.  The
-        zeros are written, not mapped lazily as ``np.zeros`` would: an
+        The zeros are written, not mapped lazily as ``np.zeros`` would: an
         in-place update reads each lazy page before writing it, faulting it
         twice.
         """
-        tensors = self.tensors()
-        block = np.empty(sum(t.size for t in tensors.values()))
-        block.fill(0.0)
-        views, start = {}, 0
-        for name, t in tensors.items():
-            views[name] = block[start : start + t.size].reshape(t.shape)
-            start += t.size
-        return ModelParams(**views)
+        zeros = _flat_params({name: t.shape for name, t in self.tensors().items()})
+        zeros._flat.fill(0.0)
+        return zeros
 
     def copy(self) -> "ModelParams":
-        return ModelParams(**{n: t.copy() for n, t in self.tensors().items()})
+        out = _flat_params({name: t.shape for name, t in self.tensors().items()})
+        for t, src in zip(out.tensors().values(), self.tensors().values()):
+            t[...] = src
+        return out
 
     def check_shapes(self, config: StructureConfig) -> None:
         want = expected_shapes(config)
         got = {name: t.shape for name, t in self.tensors().items()}
         if got != want:
             raise ContractError(f"parameter shapes {got} do not match config {want}")
+
+
+def _flat_params(
+    shapes: dict[str, tuple[int, ...]], flat: np.ndarray | None = None
+) -> ModelParams:
+    """Params whose tensors of the given shapes tile ``flat`` in the given order.
+
+    ``flat`` is a new uninitialized vector when None.
+    """
+    if flat is None:
+        flat = np.empty(sum(math.prod(shape) for shape in shapes.values()))
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[start : start + size].reshape(shape)
+        start += size
+    params = ModelParams(**views)
+    params._flat = flat
+    return params
 
 
 def expected_shapes(config: StructureConfig) -> dict[str, tuple[int, ...]]:
@@ -162,22 +192,20 @@ def init_params(config: StructureConfig, rng: Rng) -> ModelParams:
     tensor order from the given stream, a chunk of whole rows at a time,
     so a fixed seed reproduces the initialization exactly.
     """
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in expected_shapes(config).items():
-        if len(shape) == 1:
-            tensors[name] = np.zeros(shape[0])
+    params = _flat_params(expected_shapes(config))
+    for t in params.tensors().values():
+        if t.ndim == 1:
+            t.fill(0.0)
             continue
-        fan_out, fan_in = shape
+        fan_out, fan_in = t.shape
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         low, high = -bound, bound
-        mat = np.empty(shape)
         step = max(1, _INIT_CHUNK // fan_in)
         for start in range(0, fan_out, step):
-            rows = mat[start : start + step]
+            rows = t[start : start + step]
             # the same arithmetic as Rng.uniform, one chunk of rows at a time
             rows[...] = low + (high - low) * rng.uniform_array(rows.shape)
-        tensors[name] = mat
-    return ModelParams(**tensors)
+    return params
 
 
 def _check_binary(v: np.ndarray, name: str) -> None:
@@ -185,12 +213,10 @@ def _check_binary(v: np.ndarray, name: str) -> None:
         raise ContractError(f"{name} must be exactly binary (0/1)")
 
 
-def build_input(x: np.ndarray, m: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Initial state v_0: empirical mean at missing slots, x elsewhere.
-
-    ``x`` and ``m`` are B x D blocks of the same shape; ``mean`` is one
-    row of length D, shared by every row.
-    """
+def _check_input(
+    x: np.ndarray, m: np.ndarray, mean: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``x``, ``m`` and ``mean`` as float64, once their shapes and 0/1 values are checked."""
     x = np.asarray(x, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
@@ -200,6 +226,16 @@ def build_input(x: np.ndarray, m: np.ndarray, mean: np.ndarray) -> np.ndarray:
         )
     _check_binary(m, "mask")
     _check_binary(x, "input")
+    return x, m, mean
+
+
+def build_input(x: np.ndarray, m: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Initial state v_0: empirical mean at missing slots, x elsewhere.
+
+    ``x`` and ``m`` are B x D blocks of the same shape; ``mean`` is one
+    row of length D, shared by every row.
+    """
+    x, m, mean = _check_input(x, m, mean)
     return m * mean + (1.0 - m) * x
 
 
@@ -217,10 +253,20 @@ def forward(
     time, pass ``dataclasses.replace(config, k=...)``.
     """
     params.check_shapes(config)
-    x = np.asarray(x, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    v = build_input(x, m, mean)
+    return _forward(params, config, *_check_input(x, m, mean))
+
+
+def _forward(
+    params: ModelParams,
+    config: StructureConfig,
+    x: np.ndarray,
+    m: np.ndarray,
+    mean: np.ndarray,
+) -> Trajectory:
+    """The body of :func:`forward`, unchecked: the caller has checked what it checks."""
     keep_x = (1.0 - m) * x
+    # the operands build_input sums, so v_0 has its bits
+    v = m * mean + keep_x
     a1 = v @ params.W.T + params.c
     h_states, v_states = _steps(params, config, a1, m, keep_x)
     v_states = [v, *v_states, _decode(params, h_states[-1][-1], m, keep_x)]

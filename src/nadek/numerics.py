@@ -67,18 +67,24 @@ def sigmoid_vec(v: np.ndarray) -> np.ndarray:
     so no exponential overflows and the result stays positive down to the
     subnormal range.  One formula covers both signs, with no branch or
     gather, and gives the same bits as evaluating each sign separately.
+    Both exponentials come from one: e = exp(min(x, -x)) is exp(-|x|), and
+    exp(min(x, 0)) is max(e, [x >= 0]), that is e where x < 0 and 1.0
+    elsewhere, since 0 <= e <= 1 (a NaN passes through min and max as it
+    is, as through min(x, 0)).
     Below roughly -745 the value underflows to exactly 0.0; callers that
     take logs must go through :func:`clamp_prob`, which covers that case.
     The input is never modified.
     """
     v = np.asarray(v, dtype=np.float64)
-    out = np.minimum(v, 0.0, out=np.empty_like(v))
-    np.exp(out, out=out)
-    den = np.abs(v, out=np.empty_like(v))
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    den += 1.0
-    out /= den
+    # the result is allocated before the temporary, as in the two-exp form:
+    # the other order raised the peak RSS of paper-shape training by ~0.3 MB
+    out = np.greater_equal(v, 0.0, out=np.empty_like(v), casting="unsafe")
+    e = np.negative(v, out=np.empty_like(v))
+    np.minimum(v, e, out=e)
+    np.exp(e, out=e)
+    np.maximum(out, e, out=out)
+    e += 1.0
+    out /= e
     return out
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import minibatches
-from .model import ModelParams, StructureConfig, Trajectory, forward, init_params
+from .model import ModelParams, StructureConfig, Trajectory, _check_binary, _forward, init_params
 from .numerics import BLOCK_ROWS, PROB_EPS, ContractError, Rng, clamp_prob, single_threaded_blas
 
 __all__ = [
@@ -230,6 +230,8 @@ def backward(
     traj: Trajectory,
     x: np.ndarray,
     objective: str,
+    *,
+    out: ModelParams | None = None,
 ) -> ModelParams:
     """Exact gradient of the chosen loss, summed over the rows of the block.
 
@@ -246,6 +248,9 @@ def backward(
     of a zero: the first term of each sum (a tensor's product at step k,
     the scored term at step k) is taken as it is rather than added to
     0.0, so a -0.0 there stays -0.0 where 0.0 + -0.0 would give +0.0.
+
+    The gradient is written into ``out``, params-shaped, overwriting every
+    entry, and returned; without ``out`` it goes into ``params.zeros_like()``.
     """
     if objective not in OBJECTIVES:
         raise ContractError(f"objective must be one of {OBJECTIVES}")
@@ -258,7 +263,7 @@ def backward(
     gamma = _gamma(m)[:, None]
     coeff = gamma / k if objective == "pretrain" else gamma
     act = config.activation
-    grads = ModelParams(**{name: np.empty_like(t) for name, t in params.tensors().items()})
+    grads = params.zeros_like() if out is None else out
     # products after a tensor's first go through scratch
     scratch = np.empty(max(t.size for t in params.tensors().values())) if k > 1 else None
     # block-wide buffers, each allocated by its first write
@@ -320,17 +325,13 @@ def add_weight_decay(grads: ModelParams, params: ModelParams, lam: float) -> Mod
 _ADADELTA_CHUNK = 1 << 15
 
 
-def _adadelta_update(p, g, eg2, edx2, rho, eps, tmp=None, delta=None) -> None:
-    """The AdaDelta update of one tensor or slice, in place.
-
-    ``tmp`` and ``delta`` are buffers shaped like ``g``, or None to
-    allocate them.
-    """
-    tmp = np.multiply(1.0 - rho, g, out=tmp)
+def _adadelta_update(p, g, eg2, edx2, rho, eps, tmp, delta) -> None:
+    """The AdaDelta update of one slice, in place, through buffers ``tmp`` and ``delta``."""
+    np.multiply(1.0 - rho, g, out=tmp)
     tmp *= g
     eg2 *= rho
     eg2 += tmp
-    delta = np.add(edx2, eps, out=delta)
+    np.add(edx2, eps, out=delta)
     np.sqrt(delta, out=delta)
     np.negative(delta, out=delta)
     np.add(eg2, eps, out=tmp)
@@ -345,28 +346,31 @@ def _adadelta_update(p, g, eg2, edx2, rho, eps, tmp=None, delta=None) -> None:
 
 
 def adadelta_step(state: AdaDeltaState, params: ModelParams, grads: ModelParams) -> None:
-    """One in-place update of every parameter tensor.
+    """One in-place update of every parameter.
 
     Per scalar: E[g2] <- rho E[g2] + (1-rho) g^2,
     dx = -sqrt(E[dx2]+eps)/sqrt(E[g2]+eps) * g, then the dx average and
     the parameter advance.  The operations run in the order the formula
-    is written, so the values match the plain expression bit for bit.  A
-    tensor larger than _ADADELTA_CHUNK elements is updated a slice of
-    whole rows at a time, through one pair of slice-sized temporaries.
+    is written, so the values match the plain expression bit for bit.  The
+    update walks the four sets' backing vectors as one segment when all
+    have one, else tensor by tensor, _ADADELTA_CHUNK elements at a time
+    through one pair of chunk-sized temporaries.
     """
     rho = state.rho
     eps = state.epsilon
-    tensor_sets = (params, grads, state.eg2, state.edx2)
-    for tensors in zip(*(t.tensors().values() for t in tensor_sets)):
-        size, rows = tensors[0].size, tensors[0].shape[0]
-        if size <= _ADADELTA_CHUNK:
-            _adadelta_update(*tensors, rho, eps)
-            continue
-        step = max(1, _ADADELTA_CHUNK * rows // size)
-        pair = np.empty((2, step, *tensors[0].shape[1:]))
-        for lo in range(0, rows, step):
-            part = [t[lo : lo + step] for t in tensors]
-            n = part[0].shape[0]
+    sets = (params, grads, state.eg2, state.edx2)
+    flats = tuple(s._vector() for s in sets)
+    if any(f is None for f in flats):
+        # a tensor that cannot be viewed flat raises rather than update a copy
+        flat_tensors = ([t.reshape(-1, copy=False) for t in s.tensors().values()] for s in sets)
+        segments = list(zip(*flat_tensors))
+    else:
+        segments = [flats]
+    pair = np.empty((2, min(_ADADELTA_CHUNK, max(seg[0].size for seg in segments))))
+    for seg in segments:
+        for lo in range(0, seg[0].size, _ADADELTA_CHUNK):
+            part = [t[lo : lo + _ADADELTA_CHUNK] for t in seg]
+            n = part[0].size
             _adadelta_update(*part, rho, eps, pair[0, :n], pair[1, :n])
 
 
@@ -412,15 +416,20 @@ def validation_score(
     order, D mask draws per row in row order; the masks of consecutive
     chunks are drawn by one sample_mask call up to _MASK_DRAWS draws,
     which leaves every mask as a draw per chunk would make it.
+    The data, mean and shapes are checked once per call.
     """
     data = _check_split(data, structure.D, "validation")
+    params.check_shapes(structure)
+    mean = np.asarray(mean, dtype=np.float64)
+    if mean.shape != (structure.D,):
+        raise ContractError(f"mean{mean.shape} does not match D={structure.D}")
     rng = Rng(seed).stream("valid-masks")
     starts = range(0, data.shape[0], BLOCK_ROWS)
     sizes = [min(BLOCK_ROWS, data.shape[0] - start) for start in starts]
     total = 0.0
     for start, m in zip(starts, _block_masks(rng, structure.D, sizes)):
         x = data[start : start + BLOCK_ROWS]
-        traj = forward(params, structure, x, m, mean)
+        traj = _forward(params, structure, x, m, mean)
         total += stochastic_loss(traj, x)
     return total / len(data)
 
@@ -432,21 +441,24 @@ def _block_step(
     m: np.ndarray,
     mean: np.ndarray,
     objective: str,
-) -> tuple[ModelParams, float]:
-    """Gradient and loss of one minibatch, both summed over its rows.
+    grads: ModelParams,
+) -> float:
+    """Loss of one minibatch, summed over its rows; its gradient goes into ``grads``.
 
     The trajectory lives only in this frame, so it is freed before the
     caller updates the parameters.
     """
-    traj = forward(params, structure, x, m, mean)
+    traj = _forward(params, structure, x, m, mean)
     loss = stochastic_loss(traj, x, objective)
-    return backward(params, structure, traj, x, objective), loss
+    backward(params, structure, traj, x, objective, out=grads)
+    return loss
 
 
 def _check_split(data: np.ndarray, D: int, name: str) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] != D:
         raise ContractError(f"{name} data must be a non-empty matrix with {D} columns")
+    _check_binary(data, "input")
     return data
 
 
@@ -471,8 +483,10 @@ def train(
     runs its full budget with no early stopping and resets the optimizer
     state at the handoff.  History lines are `epoch <n> phase <p> train
     <loss> valid <loss>` with global epoch numbers across phases.  A
-    non-finite minibatch or validation loss stops training with a
-    ValueError that names the phase, the epoch and the block.
+    non-finite minibatch loss, gradient or validation loss stops training
+    with a ValueError that names the phase, the epoch and the block, before
+    any update from it.  Both data sets are checked once per run; the
+    minibatches then run unchecked.
     """
     train_data = _check_split(train_data, structure.D, "training")
     valid_data = _check_split(valid_data, structure.D, "validation")
@@ -485,37 +499,50 @@ def train(
 
     phases = (("pretrain", config.pretrain_epochs), ("finetune", config.finetune_epochs))
     history: list[str] = []
-    best_params: ModelParams | None = None
+    # the best epoch's params are the live ones until an epoch after it
+    # starts; only then are they copied into the snapshot
+    best: ModelParams | None = None
+    best_live = False
     best_valid = np.inf
     stale = 0
     epoch = 0
     n_train = train_data.shape[0]
     state = AdaDeltaState.zeros_like(params, rho=config.rho, epsilon=config.epsilon)
+    # the one gradient vector of the run, overwritten by every block
+    grads = params.zeros_like()
     with single_threaded_blas():
         for phase, budget in phases:
             if phase == "finetune" and epoch:
                 # the handoff restarts the optimizer from zero, in the same memory
-                for t in (*state.eg2.tensors().values(), *state.edx2.tensors().values()):
-                    t.fill(0.0)
+                state.eg2._flat.fill(0.0)
+                state.edx2._flat.fill(0.0)
             for _ in range(budget):
+                if best_live:
+                    if best is None:
+                        best = params.copy()
+                    else:
+                        np.copyto(best._flat, params._flat)
+                    best_live = False
                 epoch += 1
                 total = 0.0
                 blocks = minibatches(n_train, config.minibatch_size, shuffle_rng)
                 masks = _block_masks(mask_rng, structure.D, [len(b) for b in blocks])
                 for b, (block, m) in enumerate(zip(blocks, masks), 1):
                     x = train_data[block]
-                    grads, loss = _block_step(params, structure, x, m, mean, phase)
+                    loss = _block_step(params, structure, x, m, mean, phase, grads)
                     if not math.isfinite(loss):
                         raise ValueError(
                             f"training diverged: {phase} epoch {epoch} block {b} loss {loss}"
                         )
                     total += loss
-                    scale = 1.0 / len(block)
-                    for g in grads.tensors().values():
-                        g *= scale
+                    grads._flat *= 1.0 / len(block)
                     add_weight_decay(grads, params, config.weight_decay)
+                    if not np.isfinite(grads._flat).all():
+                        raise ValueError(
+                            f"training diverged: {phase} epoch {epoch} block {b}"
+                            " gradient non-finite"
+                        )
                     adadelta_step(state, params, grads)
-                    del grads  # not kept alive through the next block's backward
                 train_loss = total / n_train
                 valid_loss = validation_score(params, structure, valid_data, mean, config.seed)
                 if not math.isfinite(valid_loss):
@@ -528,16 +555,17 @@ def train(
                 if phase == "finetune":
                     if valid_loss < best_valid:
                         best_valid = valid_loss
-                        best_params = params.copy()
+                        best_live = True
                         stale = 0
                     else:
                         stale += 1
                         if config.patience > 0 and stale >= config.patience:
                             break
+    found = best_valid < np.inf
     return TrainResult(
-        params=params if best_params is None else best_params,
+        params=best if found and not best_live else params,
         history=history,
         mean=mean,
-        best_valid=None if best_params is None else best_valid,
+        best_valid=best_valid if found else None,
         epochs_run=epoch,
     )

@@ -34,7 +34,7 @@ def _phi_prime(h, activation):
     return h * (1.0 - h)
 
 
-def backward(params, config, traj, x, objective):
+def backward(params, config, traj, x, objective, *, out=None):
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     m = np.atleast_2d(traj.mask)
     k = traj.k_used
@@ -70,7 +70,12 @@ def backward(params, config, traj, x, objective):
         grads.c += da1.sum(axis=0)
         if t > 1:
             dv = da1 @ params.W
-    return grads
+    if out is None:
+        return grads
+    # the package's backward writes into the caller's params when given them
+    for name, t in out.tensors().items():
+        t[...] = grads.tensors()[name]
+    return out
 
 
 def add_weight_decay(grads, params, lam):

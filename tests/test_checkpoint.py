@@ -55,6 +55,16 @@ class TestRoundTrip:
         save_checkpoint(b, loaded, loaded_cfg, meta)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_separate_arrays_write_the_bytes_of_the_vector(self, tmp_path):
+        # one write of the backing vector, or one per tensor, are the same bytes
+        params, cfg = random_model(D=6, hidden1=4, k=2, hidden2=3, seed=14)
+        separate = ModelParams(**{name: t.copy() for name, t in params.tensors().items()})
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(a, params, cfg, {"seed": "14"})
+        save_checkpoint(b, separate, cfg, {"seed": "14"})
+        assert params._vector() is not None and separate._vector() is None
+        assert a.read_bytes() == b.read_bytes()
+
     def test_payload_size_arithmetic(self, tmp_path):
         # W(500x784)+c(500)+V(784x500)+b(784) = 785284 values, 8 bytes each
         cfg = StructureConfig(D=784, hidden1=500, k=5)

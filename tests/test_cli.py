@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -175,8 +176,8 @@ class TestTrain:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.amat"]
 
     def test_divergence_stops_at_the_first_non_finite_block(self, tmp_path, capsys, monkeypatch):
-        # block 1's loss and update are computed from finite weights, and the
-        # overflowing decay term makes block 2's loss NaN: no block runs after it
+        # block 1's loss is finite, but the decay term 2 * 1e308 * W makes its
+        # gradient infinite: the run stops before that update, with no warning
         calls = []
         block_step = training._block_step
 
@@ -190,11 +191,12 @@ class TestTrain:
             "train", "--data", str(data), "--valid", str(data), "--out", str(tmp_path / "m"),
             "--hidden1", "4", "--epochs", "1", "--batch", "4", "--weight-decay", "1e308",
         ]
-        with pytest.warns(RuntimeWarning):  # block 1's update overflows the weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main(argv)
         assert rc == 1
-        assert "finetune epoch 1 block 2 loss nan" in capsys.readouterr().err
-        assert len(calls) == 2
+        assert "finetune epoch 1 block 1 gradient non-finite" in capsys.readouterr().err
+        assert len(calls) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.amat"]
 
     @pytest.mark.parametrize("fault", ["truncated gzip", "not utf-8"])

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from conftest import random_model
 
-from nadek import Rng, StructureConfig, forward, init_params
-from nadek.model import build_input
+from nadek import Rng, StructureConfig, forward, init_params, load_checkpoint, save_checkpoint
+from nadek.model import ModelParams, build_input, expected_shapes
 from nadek.numerics import ContractError
+from nadek.sampling import _slice
+from nadek.training import backward
 
 
 class TestStructureConfig:
@@ -64,6 +66,60 @@ class TestInitParams:
         p.check_shapes(cfg)
         with pytest.raises(ContractError):
             p.check_shapes(StructureConfig(D=7, hidden1=5, k=2, hidden2=3))
+
+
+def _assert_tiles(params, config):
+    """The tensors are views of one float64 vector, in canonical order."""
+    flat = params._flat
+    assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
+    base = flat.__array_interface__["data"][0]
+    start = 0
+    for name, shape in expected_shapes(config).items():
+        t = params.tensors()[name]
+        assert t.base is flat and t.shape == shape and t.flags.c_contiguous, name
+        assert t.__array_interface__["data"][0] - base == 8 * start, name
+        start += math.prod(shape)
+    assert start == flat.size
+    assert params._vector() is flat
+
+
+class TestParamVector:
+    @pytest.mark.parametrize("hidden2", [None, 3])
+    def test_built_params_tile_one_vector(self, hidden2, tmp_path):
+        cfg = StructureConfig(D=5, hidden1=4, k=2, hidden2=hidden2)
+        params = init_params(cfg, Rng(7).stream("init"))
+        params.b[...] = np.arange(5.0)  # distinct values in every tensor
+        separate = ModelParams(**{name: t.copy() for name, t in params.tensors().items()})
+        assert separate._flat is None and separate._vector() is None
+        save_checkpoint(tmp_path / "m.ckpt", params, cfg)
+        x = np.array([[1.0, 0, 1, 1, 0], [0, 0, 1, 0, 1]])
+        m = np.array([[1.0, 1, 0, 1, 0], [0, 1, 1, 1, 1]])
+        traj = forward(params, cfg, x, m, np.full(5, 0.5))
+        copies = [params.copy(), separate.copy(), load_checkpoint(tmp_path / "m.ckpt")[0]]
+        zeros = params.zeros_like()
+        grads = backward(params, cfg, traj, x, "finetune")
+        for built in (params, zeros, grads, *copies):
+            _assert_tiles(built, cfg)
+        assert not np.any(zeros._flat)
+        for copy in copies:
+            assert not np.shares_memory(copy._flat, params._flat)
+            assert np.array_equal(copy._flat, params._flat)
+        # backward into given params overwrites every entry with the same values
+        out = params.zeros_like()
+        out._flat.fill(np.nan)
+        assert backward(params, cfg, traj, x, "finetune", out=out) is out
+        assert np.array_equal(out._flat, grads._flat)
+
+    def test_sub_models_and_rebound_tensors_have_no_vector(self):
+        cfg = StructureConfig(D=5, hidden1=4, k=2)
+        params = init_params(cfg, Rng(8).stream("init"))
+        sub = replace(params, W=params.W[:, 1:], V=params.V[1:], b=params.b[1:])
+        assert sub._flat is None and sub._vector() is None
+        assert _slice(params, np.array([0, 3]), params.c)._flat is None
+        # a field rebound to an array outside the vector retires the vector
+        params.c = params.c.copy()
+        assert params._flat is not None and params._vector() is None
+        assert params.copy()._vector() is not None
 
 
 class TestBuildInput:

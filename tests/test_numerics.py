@@ -80,6 +80,21 @@ class TestNonlinearities:
         assert np.array_equal(got.view(np.uint64), row_reference.sigmoid(xs).view(np.uint64))
         assert np.array_equal(xs.view(np.uint64), before.view(np.uint64))
 
+    def test_sigmoid_bits_equal_two_exp_form(self):
+        # sigmoid_vec takes one exp; this form takes exp(min(x, 0)) and exp(-|x|)
+        def two_exp(v):
+            return np.exp(np.minimum(v, 0.0)) / (1.0 + np.exp(-np.abs(v)))
+
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+        edges += [s * e for e in (708.0, 709.0, 745.0, 746.0) for s in (1.0, -1.0)]
+        edges += [s * e for e in (5e-324, 1e-310, 2.2250738585072014e-308) for s in (1.0, -1.0)]
+        rng = Rng(19).stream("sigmoid")
+        xs = np.concatenate([edges, 1600.0 * rng.uniform_array(1_000_000) - 800.0])
+        before = xs.copy()
+        got = sigmoid_vec(xs)
+        assert np.array_equal(got.view(np.uint64), two_exp(xs).view(np.uint64))
+        assert np.array_equal(xs.view(np.uint64), before.view(np.uint64))
+
     def test_sigmoid_nan_in_nan_out(self):
         got = sigmoid_vec(np.array([np.nan, 0.0, -np.nan]))
         assert np.isnan(got[0]) and got[1] == 0.5 and np.isnan(got[2])

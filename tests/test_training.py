@@ -538,6 +538,43 @@ class TestTrainLoop:
         assert res.epochs_run == 4
         assert res.best_valid == 2.0
 
+    @pytest.mark.parametrize(
+        "script, best",
+        [
+            # the best epoch is the last: the live params are returned
+            ([3.0, 2.5, 2.0], 3),
+            # best at epoch 4, after earlier bests at epochs 1 and 2
+            ([3.0, 2.0, 2.5, 1.5, 1.7, 1.8], 4),
+        ],
+    )
+    def test_result_holds_the_best_epochs_params(self, monkeypatch, script, best):
+        td, vd = self._toy()
+        seen, scores = [], iter(script)
+
+        def scripted(params, *args):
+            seen.append(params.copy())
+            return next(scores)
+
+        monkeypatch.setattr(training, "validation_score", scripted)
+        cfg = StructureConfig(D=4, hidden1=4, k=1)
+        tc = TrainConfig(minibatch_size=8, finetune_epochs=len(script), seed=31)
+        res = train(cfg, td, vd, tc)
+        assert res.epochs_run == len(script) and res.best_valid == script[best - 1]
+        assert np.array_equal(res.params._flat, seen[best - 1]._flat)
+        assert not np.array_equal(seen[best - 1]._flat, seen[best - 2]._flat)
+
+    def test_non_binary_data_rejected_before_any_block(self, monkeypatch):
+        td, vd = self._toy()
+        monkeypatch.setattr(training, "_block_step", None)  # not reached
+        cfg = StructureConfig(D=4, hidden1=4, k=1)
+        tc = TrainConfig(minibatch_size=8, finetune_epochs=1, seed=1)
+        for bad_td, bad_vd in ((td * 0.5, vd), (td, vd * 0.5)):
+            with pytest.raises(ContractError, match=r"input must be exactly binary \(0/1\)"):
+                train(cfg, bad_td, bad_vd, tc)
+        params, cfg = random_model(4, 5, k=1, seed=37)
+        with pytest.raises(ContractError, match=r"input must be exactly binary \(0/1\)"):
+            validation_score(params, cfg, vd * 0.5, np.full(4, 0.5), seed=7)
+
     def test_validation_masks_fixed_across_calls(self):
         td, vd = self._toy()
         params, cfg = random_model(4, 5, k=1, seed=37)
