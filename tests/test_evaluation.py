@@ -214,6 +214,20 @@ class TestStats:
         direct = log_prob_ordering(params, cfg, samples[1], spec.orderings[2], mean)
         assert report.matrix[1, 2] == direct
 
+    @pytest.mark.parametrize("threads", [1, 2, 5, 20])
+    def test_matrix_equals_direct_pairs_at_any_thread_count(self, threads):
+        # 12 pairs in runs of unequal length (and more workers than pairs),
+        # each run scoring its pairs through one pair of reused buffers
+        params, cfg = random_model(5, 4, k=2, seed=24)
+        mean = np.full(5, 0.4)
+        samples = np.array([[1.0, 0, 0, 1, 0], [0.0, 1, 1, 0, 1], [1.0, 1, 0, 0, 1]])
+        spec = draw_orderings(5, 4, seed=25)
+        got = ordering_stats(params, cfg, samples, spec, mean, threads).matrix
+        want = [
+            [log_prob_ordering(params, cfg, x, o, mean) for o in spec.orderings] for x in samples
+        ]
+        assert np.array_equal(got, np.array(want))
+
     def test_ensemble_mean_consistent(self):
         from nadek.numerics import log_sum_exp
 
