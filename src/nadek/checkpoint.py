@@ -9,8 +9,6 @@ reproduces the file byte for byte.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .data import atomic_write
@@ -74,7 +72,6 @@ def save_checkpoint(
     Metadata values must be free of whitespace and newlines; keys keep
     their given order.  A tensor with a non-finite entry, which
     load_checkpoint would reject, is refused before the file is opened.
-    Params with a backing vector go out in one write of its buffer.
     """
     params.check_shapes(config)
     for name, tensor in params.tensors().items():
@@ -88,8 +85,7 @@ def save_checkpoint(
     with atomic_write(path, binary=True) as fh:
         fh.write((_header_line(config) + "\n").encode("ascii"))
         fh.write((meta_line + "\n").encode("ascii"))
-        flat = params._vector()
-        for tensor in params.tensors().values() if flat is None else (flat,):
+        for tensor in params.tensors().values():
             fh.write(np.ascontiguousarray(tensor, dtype="<f8"))
 
 
@@ -130,46 +126,45 @@ def _parse_header(line: bytes, path: str) -> StructureConfig:
 def load_checkpoint(path: str) -> tuple[ModelParams, StructureConfig, dict[str, str]]:
     """Inverse of save_checkpoint, with distinct errors per failure kind.
 
-    The payload is read straight into the backing vector of the returned
-    params.
+    The payload is converted by one copy into the backing vector of the
+    returned params.
     """
     with open(path, "rb") as fh:
-        header = fh.readline()
-        if not header.endswith(b"\n"):
-            raise CheckpointTruncatedError(f"{path}: no header line")
-        config = _parse_header(header[:-1], path)
-        meta_line = fh.readline()
-        if not meta_line.endswith(b"\n"):
-            raise CheckpointTruncatedError(f"{path}: no metadata line")
-        try:
-            meta_text = meta_line[:-1].decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise CheckpointShapeError(f"{path}: metadata is not ASCII") from exc
-        metadata: dict[str, str] = {}
-        for token in meta_text.split():
-            key, eq, value = token.partition("=")
-            if not eq:
-                raise CheckpointShapeError(f"{path}: malformed metadata field {token!r}")
-            metadata[key] = value
+        blob = fh.read()
+    # offsets into the blob, not partitions of it: each partition copies the payload
+    header_end = blob.find(b"\n")
+    if header_end < 0:
+        raise CheckpointTruncatedError(f"{path}: no header line")
+    config = _parse_header(blob[:header_end], path)
+    meta_end = blob.find(b"\n", header_end + 1)
+    if meta_end < 0:
+        raise CheckpointTruncatedError(f"{path}: no metadata line")
+    meta_line = blob[header_end + 1 : meta_end]
+    try:
+        meta_text = meta_line.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise CheckpointShapeError(f"{path}: metadata is not ASCII") from exc
+    metadata: dict[str, str] = {}
+    for token in meta_text.split():
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise CheckpointShapeError(f"{path}: malformed metadata field {token!r}")
+        metadata[key] = value
 
-        shapes = expected_shapes(config)
-        expected_bytes = sum(int(np.prod(s)) for s in shapes.values()) * 8
-        payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload_bytes < expected_bytes:
-            raise CheckpointTruncatedError(
-                f"{path}: payload holds {payload_bytes} bytes, tensors need {expected_bytes}"
-            )
-        if payload_bytes > expected_bytes:
-            raise CheckpointShapeError(
-                f"{path}: {payload_bytes - expected_bytes} trailing bytes after tensors"
-            )
-        flat = np.empty(expected_bytes // 8, dtype="<f8")
-        read = fh.readinto(flat)
-    if read != expected_bytes:
+    shapes = expected_shapes(config)
+    expected_bytes = sum(int(np.prod(s)) for s in shapes.values()) * 8
+    offset = meta_end + 1
+    payload_bytes = len(blob) - offset
+    if payload_bytes < expected_bytes:
         raise CheckpointTruncatedError(
-            f"{path}: payload holds {read} bytes, tensors need {expected_bytes}"
+            f"{path}: payload holds {payload_bytes} bytes, tensors need {expected_bytes}"
         )
-    params = _flat_params(shapes, flat.astype(np.float64, copy=False))
+    if payload_bytes > expected_bytes:
+        raise CheckpointShapeError(
+            f"{path}: {payload_bytes - expected_bytes} trailing bytes after tensors"
+        )
+    flat = np.frombuffer(blob, dtype="<f8", count=expected_bytes // 8, offset=offset)
+    params = _flat_params(shapes, flat.astype(np.float64))
     if not np.isfinite(params._flat).all():
         name = next(n for n, t in params.tensors().items() if not np.isfinite(t).all())
         raise CheckpointShapeError(f"{path}: tensor {name} has non-finite entries")

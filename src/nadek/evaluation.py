@@ -111,14 +111,6 @@ def log_prob_ordering(
     per row.  The blocks depend on (x, o) alone, so the result has the
     same bits whatever else is being scored beside it.
     """
-    return _log_prob_ordering(params, config, x, o, mean, None)
-
-
-def _log_prob_ordering(params, config, x, o, mean, buffers) -> float:
-    """:func:`log_prob_ordering`, gathering W and V in visit order into
-    ``buffers`` (float64 arrays of their shapes), or into new arrays when
-    ``buffers`` is None.
-    """
     D = config.D
     if len(o.perm) != D:
         raise ContractError("ordering length does not match D")
@@ -129,12 +121,7 @@ def _log_prob_ordering(params, config, x, o, mean, buffers) -> float:
     _check_binary(x, "x")
     params.check_shapes(config)
     perm = np.array(o.perm)
-    if buffers is None:
-        buffers = (np.empty(params.W.shape), np.empty(params.V.shape))
-    # mode="clip" writes straight into out (perm is a checked permutation)
-    W = np.take(params.W, perm, axis=1, out=buffers[0], mode="clip")
-    V = np.take(params.V, perm, axis=0, out=buffers[1], mode="clip")
-    b = params.b[perm]
+    W, V, b = params.W[:, perm], params.V[perm], params.b[perm]
     x, mean = x[perm], mean[perm]
     total = 0.0
     with single_threaded_blas():
@@ -213,11 +200,8 @@ def ordering_stats(
 ) -> EvalReport:
     """Fill the log-prob matrix over samples x orderings and aggregate it.
 
-    The (sample, ordering) pairs are split into ``threads`` runs of
-    consecutive pairs, one per worker, and a pair's value depends on the
-    pair alone, so the matrix is the same at any thread count.  A run
-    gathers every pair's permuted W and V into one pair of buffers, so
-    their pages are mapped once per run, not once per pair.  Aggregates
+    Each (sample, ordering) pair is one unit of work for ``threads``
+    workers, so the matrix is the same at any thread count.  Aggregates
     use unbiased (n-1) variances: the mean over samples of the
     across-ordering variance, and the mean over orderings of the
     across-sample variance, each reported as a square root.
@@ -226,14 +210,7 @@ def ordering_stats(
     if samples.ndim != 2 or samples.shape[0] < 1:
         raise ContractError("samples must be a non-empty matrix")
     pairs = [(x, o) for x in samples for o in spec.orderings]
-    n, k = len(pairs), min(threads, len(pairs))
-    runs = [pairs[i * n // k : (i + 1) * n // k] for i in range(k)]
-
-    def score(run):
-        buffers = (np.empty(params.W.shape), np.empty(params.V.shape))
-        return [_log_prob_ordering(params, config, x, o, mean, buffers) for x, o in run]
-
-    logs = [v for part in map_in_order(score, runs, threads) for v in part]
+    logs = map_in_order(lambda xo: log_prob_ordering(params, config, *xo, mean), pairs, threads)
     return stats_from_matrix(np.reshape(logs, (samples.shape[0], len(spec.orderings))))
 
 

@@ -345,6 +345,14 @@ def _adadelta_update(p, g, eg2, edx2, rho, eps, tmp, delta) -> None:
     p += delta
 
 
+def _flat_view(t: np.ndarray) -> np.ndarray:
+    """``t`` as a 1-D view in C order; raises rather than return a copy to update."""
+    flat = t.reshape(-1)
+    if not np.may_share_memory(flat, t):
+        raise ValueError("a parameter tensor cannot be viewed as one flat segment")
+    return flat
+
+
 def adadelta_step(state: AdaDeltaState, params: ModelParams, grads: ModelParams) -> None:
     """One in-place update of every parameter.
 
@@ -361,8 +369,7 @@ def adadelta_step(state: AdaDeltaState, params: ModelParams, grads: ModelParams)
     sets = (params, grads, state.eg2, state.edx2)
     flats = tuple(s._vector() for s in sets)
     if any(f is None for f in flats):
-        # a tensor that cannot be viewed flat raises rather than update a copy
-        flat_tensors = ([t.reshape(-1, copy=False) for t in s.tensors().values()] for s in sets)
+        flat_tensors = ([_flat_view(t) for t in s.tensors().values()] for s in sets)
         segments = list(zip(*flat_tensors))
     else:
         segments = [flats]

@@ -1,5 +1,8 @@
 """Persistence format: byte-exact round trips and corruption diagnostics."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from conftest import random_model
@@ -55,15 +58,22 @@ class TestRoundTrip:
         save_checkpoint(b, loaded, loaded_cfg, meta)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_separate_arrays_write_the_bytes_of_the_vector(self, tmp_path):
-        # one write of the backing vector, or one per tensor, are the same bytes
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_loads_through_a_pipe(self, tmp_path):
+        # a non-seekable path (a pipe, as from `--model <(zcat m.ckpt.gz)`) loads too
         params, cfg = random_model(D=6, hidden1=4, k=2, hidden2=3, seed=14)
-        separate = ModelParams(**{name: t.copy() for name, t in params.tensors().items()})
-        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(a, params, cfg, {"seed": "14"})
-        save_checkpoint(b, separate, cfg, {"seed": "14"})
-        assert params._vector() is not None and separate._vector() is None
-        assert a.read_bytes() == b.read_bytes()
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(p, params, cfg, {"seed": "14"})
+        r, w = os.pipe()
+        writer = threading.Thread(target=lambda: (os.write(w, p.read_bytes()), os.close(w)))
+        writer.start()
+        try:
+            loaded, _, _ = load_checkpoint(f"/proc/self/fd/{r}")
+        finally:
+            writer.join()
+            os.close(r)
+        for name, tensor in params.tensors().items():
+            assert np.array_equal(loaded.tensors()[name], tensor)
 
     def test_payload_size_arithmetic(self, tmp_path):
         # W(500x784)+c(500)+V(784x500)+b(784) = 785284 values, 8 bytes each

@@ -214,10 +214,9 @@ class TestStats:
         direct = log_prob_ordering(params, cfg, samples[1], spec.orderings[2], mean)
         assert report.matrix[1, 2] == direct
 
-    @pytest.mark.parametrize("threads", [1, 2, 5, 20])
+    @pytest.mark.parametrize("threads", [0, 1, 2, 5, 20])
     def test_matrix_equals_direct_pairs_at_any_thread_count(self, threads):
-        # 12 pairs in runs of unequal length (and more workers than pairs),
-        # each run scoring its pairs through one pair of reused buffers
+        # 12 pairs; 0 threads runs them in order, 20 has more workers than pairs
         params, cfg = random_model(5, 4, k=2, seed=24)
         mean = np.full(5, 0.4)
         samples = np.array([[1.0, 0, 0, 1, 0], [0.0, 1, 1, 0, 1], [1.0, 1, 0, 0, 1]])

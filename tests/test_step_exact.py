@@ -149,6 +149,17 @@ def test_adadelta_layouts_equal_plain_expressions(n, layout, monkeypatch):
     _equal(state.edx2, plain_state.edx2)
 
 
+def test_adadelta_refuses_a_tensor_with_no_flat_view():
+    # a Fortran-order W has no C-order flat view: raise rather than update a copy
+    cfg = StructureConfig(D=7, hidden1=6)
+    params = init_params(cfg, Rng(65).stream("init"))
+    params = ModelParams(**{name: t.copy(order="F") for name, t in params.tensors().items()})
+    before = params.W.copy()
+    with pytest.raises(ValueError, match="flat segment"):
+        adadelta_step(AdaDeltaState.zeros_like(params), params, params.zeros_like())
+    assert np.array_equal(params.W, before)
+
+
 def _checkpoint_bytes(path, structure, splits, config):
     result = train(structure, *splits, config)
     save_checkpoint(str(path), result.params, structure, {"mean": encode_mean(result.mean)})
