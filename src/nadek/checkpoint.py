@@ -4,7 +4,9 @@ Layout: one ASCII header line `NADEK1 n=<n> k=<k> D=<D> h1=<..> [h2=<..>]
 act=<tanh|sigmoid>`, one ASCII metadata line of key=value pairs, then the
 parameter tensors as raw row-major little-endian 64-bit floats in fixed
 order (W, c, [W2, c2,] V, b).  Loading a checkpoint and saving it again
-reproduces the file byte for byte.
+reproduces the file byte for byte: a header or metadata line that its
+parsed values would not re-encode to, such as one with a repeated or
+reordered field, a zero-padded number or a doubled space, is refused.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import atomic_write
-from .model import ModelParams, StructureConfig, _flat_params, expected_shapes
+from .model import ModelParams, StructureConfig, _tile, expected_shapes
 
 __all__ = [
     "CheckpointError",
@@ -52,6 +54,10 @@ def _header_line(config: StructureConfig) -> str:
     return " ".join(parts)
 
 
+def _meta_line(metadata: dict[str, str]) -> str:
+    return " ".join(f"{k}={v}" for k, v in metadata.items())
+
+
 def encode_mean(mean: np.ndarray) -> str:
     """Comma-joined repr floats; repr round-trips real64 exactly."""
     return ",".join(repr(float(v)) for v in np.asarray(mean))
@@ -74,19 +80,15 @@ def save_checkpoint(
     load_checkpoint would reject, is refused before the file is opened.
     """
     params.check_shapes(config)
-    for name, tensor in params.tensors().items():
-        if not np.all(np.isfinite(tensor)):
-            raise CheckpointShapeError(f"{path}: tensor {name} has non-finite entries")
+    _check_finite(params, path)
     metadata = metadata or {}
     for key, value in metadata.items():
         if any(ch.isspace() for ch in key + value) or "=" in key:
             raise CheckpointShapeError(f"metadata pair {key!r}={value!r} not encodable")
-    meta_line = " ".join(f"{k}={v}" for k, v in metadata.items())
     with atomic_write(path, binary=True) as fh:
         fh.write((_header_line(config) + "\n").encode("ascii"))
-        fh.write((meta_line + "\n").encode("ascii"))
-        for tensor in params.tensors().values():
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8"))
+        fh.write((_meta_line(metadata) + "\n").encode("ascii"))
+        fh.write(params.vector.astype("<f8", copy=False))
 
 
 def _parse_header(line: bytes, path: str) -> StructureConfig:
@@ -120,6 +122,8 @@ def _parse_header(line: bytes, path: str) -> StructureConfig:
         raise CheckpointShapeError(f"{path}: inconsistent header ({exc})") from exc
     if n != config.n:
         raise CheckpointShapeError(f"{path}: inconsistent header (n={n} with h2={h2})")
+    if text != _header_line(config):
+        raise CheckpointShapeError(f"{path}: header {text!r} is not in canonical form")
     return config
 
 
@@ -150,6 +154,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, StructureConfig, dict[str, 
         if not eq:
             raise CheckpointShapeError(f"{path}: malformed metadata field {token!r}")
         metadata[key] = value
+    if meta_text != _meta_line(metadata):
+        raise CheckpointShapeError(f"{path}: metadata line is not in canonical form")
 
     shapes = expected_shapes(config)
     expected_bytes = sum(int(np.prod(s)) for s in shapes.values()) * 8
@@ -163,9 +169,14 @@ def load_checkpoint(path: str) -> tuple[ModelParams, StructureConfig, dict[str, 
         raise CheckpointShapeError(
             f"{path}: {payload_bytes - expected_bytes} trailing bytes after tensors"
         )
-    flat = np.frombuffer(blob, dtype="<f8", count=expected_bytes // 8, offset=offset)
-    params = _flat_params(shapes, flat.astype(np.float64))
-    if not np.isfinite(params._flat).all():
+    payload = np.frombuffer(blob, dtype="<f8", count=expected_bytes // 8, offset=offset)
+    params = ModelParams(**_tile(payload, shapes))
+    _check_finite(params, path)
+    return params, config, metadata
+
+
+def _check_finite(params: ModelParams, path: str) -> None:
+    """Raise naming the first tensor with a non-finite entry, after one pass over the vector."""
+    if not np.isfinite(params.vector).all():
         name = next(n for n, t in params.tensors().items() if not np.isfinite(t).all())
         raise CheckpointShapeError(f"{path}: tensor {name} has non-finite entries")
-    return params, config, metadata

@@ -12,11 +12,11 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, StructureConfig, _check_binary, _conditionals
+from .model import ModelParams, StructureConfig, _check_binary, _conditionals, _Net
 from .numerics import BLOCK_ROWS, ContractError, Rng, log_sum_exp, map_in_order
 from .numerics import single_threaded_blas
 
@@ -128,7 +128,7 @@ def log_prob_ordering(
         for start in range(0, D, BLOCK_ROWS):
             rows = np.arange(min(BLOCK_ROWS, D - start))
             c = params.c + W[:, :start] @ x[:start]
-            sub = replace(params, W=W[:, start:], c=c, V=V[start:], b=b[start:])
+            sub = _Net(W[:, start:], c, V[start:], b[start:], params.W2, params.c2)
             a1 = np.zeros((len(rows), len(c)))
             step = W[:, start + rows[:-1]].T * (x - mean)[start + rows[:-1], None]
             np.cumsum(step, axis=0, out=a1[1:])

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,6 @@ __all__ = [
     "ModelParams",
     "StructureConfig",
     "Trajectory",
-    "build_input",
     "forward",
     "init_params",
 ]
@@ -66,19 +66,18 @@ class StructureConfig:
         return 2 if self.hidden2 is None else 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
     """Learned tensors. W2/c2 are present exactly for n=3 structures.
 
     Shapes: W is hidden1 x D, c is hidden1, V is D x (last hidden width),
     b is D, W2 is hidden2 x hidden1, c2 is hidden2.
 
-    Every ModelParams the package builds (``init_params``, ``zeros_like``,
-    ``copy``, ``load_checkpoint`` and the gradients of ``backward``) holds
-    its tensors as views of one private contiguous float64 vector, in
-    canonical order, so a whole-model operation is one pass over it.  One
-    built from separate arrays keeps them as given and has no vector, nor
-    does a ``dataclasses.replace`` of one that has.
+    Construction copies the given tensors into one new contiguous float64
+    ``vector``, in canonical order, and binds each field to its C-order
+    view of it, so a whole-model operation is one pass over the vector.
+    The fields are frozen: a tensor is written into (``params.W[...] += d``),
+    never rebound.
     """
 
     W: np.ndarray
@@ -87,7 +86,22 @@ class ModelParams:
     b: np.ndarray
     W2: np.ndarray | None = None
     c2: np.ndarray | None = None
-    _flat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if (self.W2 is None) != (self.c2 is None):
+            raise ContractError("W2 and c2 must be given together")
+        given = self.tensors()
+        shapes = {name: np.shape(t) for name, t in given.items()}
+        vector = np.empty(sum(math.prod(shape) for shape in shapes.values()))
+        for name, view in _tile(vector, shapes).items():
+            view[...] = given[name]
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "vector", vector)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, so the fields stay views of a vector
+        return ModelParams, (self.W, self.c, self.V, self.b, self.W2, self.c2)
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Named tensors in canonical (serialization) order."""
@@ -99,13 +113,6 @@ class ModelParams:
         out["b"] = self.b
         return out
 
-    def _vector(self) -> np.ndarray | None:
-        """The backing vector, or None when a tensor is no longer a view of it."""
-        flat = self._flat
-        if flat is None or any(t.base is not flat for t in self.tensors().values()):
-            return None
-        return flat
-
     def zeros_like(self) -> "ModelParams":
         """Zero tensors of the same shapes, e.g. optimizer state.
 
@@ -113,15 +120,10 @@ class ModelParams:
         in-place update reads each lazy page before writing it, faulting it
         twice.
         """
-        zeros = _flat_params({name: t.shape for name, t in self.tensors().items()})
-        zeros._flat.fill(0.0)
-        return zeros
+        return ModelParams(**{n: np.broadcast_to(0.0, t.shape) for n, t in self.tensors().items()})
 
     def copy(self) -> "ModelParams":
-        out = _flat_params({name: t.shape for name, t in self.tensors().items()})
-        for t, src in zip(out.tensors().values(), self.tensors().values()):
-            t[...] = src
-        return out
+        return ModelParams(**self.tensors())
 
     def check_shapes(self, config: StructureConfig) -> None:
         want = expected_shapes(config)
@@ -130,23 +132,29 @@ class ModelParams:
             raise ContractError(f"parameter shapes {got} do not match config {want}")
 
 
-def _flat_params(
-    shapes: dict[str, tuple[int, ...]], flat: np.ndarray | None = None
-) -> ModelParams:
-    """Params whose tensors of the given shapes tile ``flat`` in the given order.
+class _Net(NamedTuple):
+    """A model restricted to the coordinates a staircase or a walk has in play.
 
-    ``flat`` is a new uninitialized vector when None.
+    Fields as in ModelParams, but ``c`` may be one row per block row, and
+    the arrays are whatever slices the caller made.
     """
-    if flat is None:
-        flat = np.empty(sum(math.prod(shape) for shape in shapes.values()))
+
+    W: np.ndarray
+    c: np.ndarray
+    V: np.ndarray
+    b: np.ndarray
+    W2: np.ndarray | None
+    c2: np.ndarray | None
+
+
+def _tile(vector: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Views of ``vector`` of the given shapes, consecutive in the given order."""
     views, start = {}, 0
     for name, shape in shapes.items():
         size = math.prod(shape)
-        views[name] = flat[start : start + size].reshape(shape)
+        views[name] = vector[start : start + size].reshape(shape)
         start += size
-    params = ModelParams(**views)
-    params._flat = flat
-    return params
+    return views
 
 
 def expected_shapes(config: StructureConfig) -> dict[str, tuple[int, ...]]:
@@ -192,10 +200,10 @@ def init_params(config: StructureConfig, rng: Rng) -> ModelParams:
     tensor order from the given stream, a chunk of whole rows at a time,
     so a fixed seed reproduces the initialization exactly.
     """
-    params = _flat_params(expected_shapes(config))
+    shapes = expected_shapes(config)
+    params = ModelParams(**{name: np.broadcast_to(0.0, shape) for name, shape in shapes.items()})
     for t in params.tensors().values():
         if t.ndim == 1:
-            t.fill(0.0)
             continue
         fan_out, fan_in = t.shape
         bound = math.sqrt(6.0 / (fan_in + fan_out))
@@ -222,21 +230,11 @@ def _check_input(
     mean = np.asarray(mean, dtype=np.float64)
     if x.shape != m.shape or x.ndim != 2 or mean.shape != x.shape[1:]:
         raise ContractError(
-            f"build_input length mismatch: x{x.shape} m{m.shape} mean{mean.shape}"
+            f"input length mismatch: x{x.shape} m{m.shape} mean{mean.shape}"
         )
     _check_binary(m, "mask")
     _check_binary(x, "input")
     return x, m, mean
-
-
-def build_input(x: np.ndarray, m: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Initial state v_0: empirical mean at missing slots, x elsewhere.
-
-    ``x`` and ``m`` are B x D blocks of the same shape; ``mean`` is one
-    row of length D, shared by every row.
-    """
-    x, m, mean = _check_input(x, m, mean)
-    return m * mean + (1.0 - m) * x
 
 
 def forward(
@@ -265,7 +263,7 @@ def _forward(
 ) -> Trajectory:
     """The body of :func:`forward`, unchecked: the caller has checked what it checks."""
     keep_x = (1.0 - m) * x
-    # the operands build_input sums, so v_0 has its bits
+    # v_0: the mean at missing coordinates, x at observed ones
     v = m * mean + keep_x
     a1 = v @ params.W.T + params.c
     h_states, v_states = _steps(params, config, a1, m, keep_x)
@@ -289,8 +287,8 @@ def _steps(
 
     Returns every step's hidden activations and the states v_1 .. v_{k-1}
     between the steps; the last step's output is not decoded, so a caller
-    reads it only where it needs it.  ``params`` may be the model restricted
-    to the coordinates still in play: its ``c`` then carries the
+    reads it only where it needs it.  ``params`` may be a _Net, the model
+    restricted to the coordinates still in play: its ``c`` then carries the
     contribution of the coordinates left out because they are observed
     throughout, as one vector or one row per block row.  Inputs must
     satisfy what :func:`forward` checks.

@@ -15,12 +15,10 @@ rows x D array.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .evaluation import Ordering
-from .model import ModelParams, StructureConfig, _check_binary, _conditionals
+from .model import ModelParams, StructureConfig, _check_binary, _conditionals, _Net
 from .numerics import BLOCK_ROWS, ContractError, Rng, map_in_order
 
 __all__ = [
@@ -30,14 +28,14 @@ __all__ = [
 ]
 
 
-def _slice(params: ModelParams, cols: np.ndarray, c: np.ndarray) -> ModelParams:
+def _slice(params: ModelParams, cols: np.ndarray, c: np.ndarray) -> _Net:
     """The model on coordinates ``cols`` alone, with hidden bias ``c``.
 
     V is column-major: the decoder product ``top @ V.T`` is fastest on it
     when a block has few rows, and no slower when it has many.
     """
     V = np.asfortranarray(params.V[cols])
-    return replace(params, W=params.W[:, cols], c=c, V=V, b=params.b[cols])
+    return _Net(params.W[:, cols], c, V, params.b[cols], params.W2, params.c2)
 
 
 def _walk(

@@ -313,10 +313,10 @@ def add_weight_decay(grads: ModelParams, params: ModelParams, lam: float) -> Mod
     if not 0.0 <= lam < np.inf:
         raise ContractError("weight decay must be >= 0 and finite")
     if lam != 0.0:
-        grads.W += 2.0 * lam * params.W
-        grads.V += 2.0 * lam * params.V
+        grads.W[...] += 2.0 * lam * params.W
+        grads.V[...] += 2.0 * lam * params.V
         if grads.W2 is not None:
-            grads.W2 += 2.0 * lam * params.W2
+            grads.W2[...] += 2.0 * lam * params.W2
     return grads
 
 
@@ -345,14 +345,6 @@ def _adadelta_update(p, g, eg2, edx2, rho, eps, tmp, delta) -> None:
     p += delta
 
 
-def _flat_view(t: np.ndarray) -> np.ndarray:
-    """``t`` as a 1-D view in C order; raises rather than return a copy to update."""
-    flat = t.reshape(-1)
-    if not np.may_share_memory(flat, t):
-        raise ValueError("a parameter tensor cannot be viewed as one flat segment")
-    return flat
-
-
 def adadelta_step(state: AdaDeltaState, params: ModelParams, grads: ModelParams) -> None:
     """One in-place update of every parameter.
 
@@ -360,25 +352,16 @@ def adadelta_step(state: AdaDeltaState, params: ModelParams, grads: ModelParams)
     dx = -sqrt(E[dx2]+eps)/sqrt(E[g2]+eps) * g, then the dx average and
     the parameter advance.  The operations run in the order the formula
     is written, so the values match the plain expression bit for bit.  The
-    update walks the four sets' backing vectors as one segment when all
-    have one, else tensor by tensor, _ADADELTA_CHUNK elements at a time
-    through one pair of chunk-sized temporaries.
+    update walks the four sets' vectors together, _ADADELTA_CHUNK elements
+    at a time through one pair of chunk-sized temporaries.
     """
-    rho = state.rho
-    eps = state.epsilon
-    sets = (params, grads, state.eg2, state.edx2)
-    flats = tuple(s._vector() for s in sets)
-    if any(f is None for f in flats):
-        flat_tensors = ([_flat_view(t) for t in s.tensors().values()] for s in sets)
-        segments = list(zip(*flat_tensors))
-    else:
-        segments = [flats]
-    pair = np.empty((2, min(_ADADELTA_CHUNK, max(seg[0].size for seg in segments))))
-    for seg in segments:
-        for lo in range(0, seg[0].size, _ADADELTA_CHUNK):
-            part = [t[lo : lo + _ADADELTA_CHUNK] for t in seg]
-            n = part[0].size
-            _adadelta_update(*part, rho, eps, pair[0, :n], pair[1, :n])
+    vectors = [s.vector for s in (params, grads, state.eg2, state.edx2)]
+    size = vectors[0].size
+    pair = np.empty((2, min(_ADADELTA_CHUNK, size)))
+    for lo in range(0, size, _ADADELTA_CHUNK):
+        part = [v[lo : lo + _ADADELTA_CHUNK] for v in vectors]
+        n = part[0].size
+        _adadelta_update(*part, state.rho, state.epsilon, pair[0, :n], pair[1, :n])
 
 
 #: Mask draws (rows x D) per sample_mask call when the masks of several
@@ -521,14 +504,14 @@ def train(
         for phase, budget in phases:
             if phase == "finetune" and epoch:
                 # the handoff restarts the optimizer from zero, in the same memory
-                state.eg2._flat.fill(0.0)
-                state.edx2._flat.fill(0.0)
+                state.eg2.vector.fill(0.0)
+                state.edx2.vector.fill(0.0)
             for _ in range(budget):
                 if best_live:
                     if best is None:
                         best = params.copy()
                     else:
-                        np.copyto(best._flat, params._flat)
+                        np.copyto(best.vector, params.vector)
                     best_live = False
                 epoch += 1
                 total = 0.0
@@ -542,9 +525,9 @@ def train(
                             f"training diverged: {phase} epoch {epoch} block {b} loss {loss}"
                         )
                     total += loss
-                    grads._flat *= 1.0 / len(block)
+                    grads.vector[...] *= 1.0 / len(block)
                     add_weight_decay(grads, params, config.weight_decay)
-                    if not np.isfinite(grads._flat).all():
+                    if not np.isfinite(grads.vector).all():
                         raise ValueError(
                             f"training diverged: {phase} epoch {epoch} block {b}"
                             " gradient non-finite"

@@ -56,18 +56,18 @@ def backward(params, config, traj, x, objective, *, out=None):
         else:
             (h1,) = hidden
             top = h1
-        grads.V += dz.T @ top
-        grads.b += dz.sum(axis=0)
+        grads.V[...] += dz.T @ top
+        grads.b[...] += dz.sum(axis=0)
         dtop = dz @ params.V
         if config.n == 3:
             da2 = dtop * _phi_prime(h2, act)
-            grads.W2 += da2.T @ h1
-            grads.c2 += da2.sum(axis=0)
+            grads.W2[...] += da2.T @ h1
+            grads.c2[...] += da2.sum(axis=0)
             da1 = (da2 @ params.W2) * _phi_prime(h1, act)
         else:
             da1 = dtop * _phi_prime(h1, act)
-        grads.W += da1.T @ np.atleast_2d(traj.v_states[t - 1])
-        grads.c += da1.sum(axis=0)
+        grads.W[...] += da1.T @ np.atleast_2d(traj.v_states[t - 1])
+        grads.c[...] += da1.sum(axis=0)
         if t > 1:
             dv = da1 @ params.W
     if out is None:
@@ -80,10 +80,10 @@ def backward(params, config, traj, x, objective, *, out=None):
 
 def add_weight_decay(grads, params, lam):
     if lam != 0.0:
-        grads.W += 2.0 * lam * params.W
-        grads.V += 2.0 * lam * params.V
+        grads.W[...] += 2.0 * lam * params.W
+        grads.V[...] += 2.0 * lam * params.V
         if grads.W2 is not None:
-            grads.W2 += 2.0 * lam * params.W2
+            grads.W2[...] += 2.0 * lam * params.W2
     return grads
 
 

@@ -30,7 +30,6 @@ from nadek import (
     train,
 )
 from nadek import sampling
-from nadek.model import build_input
 from nadek.numerics import ContractError
 from nadek.training import backward, sample_mask, stochastic_loss, validation_score
 
@@ -92,8 +91,6 @@ def test_single_row_is_a_block_of_one():
     params, cfg, x, m, mean = _case(2, "tanh")
     with pytest.raises(ContractError):
         forward(params, cfg, x[3], m[3], mean)
-    with pytest.raises(ContractError):
-        build_input(x[3], m[3], mean)
     block = forward(params, cfg, x[3:4], m[3:4], mean)
     vs, _ = forward_row(params, cfg, x[3], m[3], mean)
     for a, b in zip(block.v_states, vs):

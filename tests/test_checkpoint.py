@@ -172,6 +172,35 @@ class TestCorruption:
         with pytest.raises(CheckpointShapeError):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b"k=2", b"k=5 k=2"),
+            (b"k=2", b"k=02"),
+            (b"k=2 D=4", b"D=4 k=2"),
+            (b"k=2 D=4", b"k=2  D=4"),
+            (b"epochs=3", b"epochs=9 epochs=3"),
+            (b"epochs=3", b" epochs=3"),
+        ],
+        ids=[
+            "repeated-field",
+            "zero-padded",
+            "reordered",
+            "doubled-space",
+            "repeated-metadata-key",
+            "metadata-leading-space",
+        ],
+    )
+    def test_non_canonical_lines_refused(self, tmp_path, old, new):
+        # each would load and re-save to other bytes; a repeated field would
+        # silently take its last value
+        raw = self._good(tmp_path).read_bytes()
+        assert raw.count(old) == 1
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw.replace(old, new, 1))
+        with pytest.raises(CheckpointShapeError, match="canonical"):
+            load_checkpoint(bad)
+
     def test_non_finite_payload(self, tmp_path):
         p = self._good(tmp_path)
         raw = bytearray(p.read_bytes())

@@ -1,14 +1,28 @@
 """Structure validation and the k-step inference pass."""
 
+import copy
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from conftest import random_model
 
-from nadek import Rng, StructureConfig, forward, init_params, load_checkpoint, save_checkpoint
-from nadek.model import ModelParams, build_input, expected_shapes
+from nadek import (
+    Rng,
+    StructureConfig,
+    evaluation,
+    forward,
+    init_params,
+    load_checkpoint,
+    log_prob_ordering,
+    sample_from_mixture,
+    sampling,
+    save_checkpoint,
+)
+from nadek.evaluation import identity_ordering
+from nadek.model import ModelParams, _Net, expected_shapes
 from nadek.numerics import ContractError
 from nadek.sampling import _slice
 from nadek.training import backward
@@ -70,17 +84,17 @@ class TestInitParams:
 
 def _assert_tiles(params, config):
     """The tensors are views of one float64 vector, in canonical order."""
-    flat = params._flat
-    assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
-    base = flat.__array_interface__["data"][0]
+    vector = params.vector
+    assert vector.ndim == 1 and vector.dtype == np.float64 and vector.flags.c_contiguous
+    base = vector.__array_interface__["data"][0]
     start = 0
     for name, shape in expected_shapes(config).items():
         t = params.tensors()[name]
-        assert t.base is flat and t.shape == shape and t.flags.c_contiguous, name
+        assert t.base is vector and t.shape == shape and t.flags.c_contiguous, name
+        assert t.dtype == np.float64, name
         assert t.__array_interface__["data"][0] - base == 8 * start, name
         start += math.prod(shape)
-    assert start == flat.size
-    assert params._vector() is flat
+    assert start == vector.size
 
 
 class TestParamVector:
@@ -90,74 +104,140 @@ class TestParamVector:
         params = init_params(cfg, Rng(7).stream("init"))
         params.b[...] = np.arange(5.0)  # distinct values in every tensor
         separate = ModelParams(**{name: t.copy() for name, t in params.tensors().items()})
-        assert separate._flat is None and separate._vector() is None
         save_checkpoint(tmp_path / "m.ckpt", params, cfg)
         x = np.array([[1.0, 0, 1, 1, 0], [0, 0, 1, 0, 1]])
         m = np.array([[1.0, 1, 0, 1, 0], [0, 1, 1, 1, 1]])
         traj = forward(params, cfg, x, m, np.full(5, 0.5))
-        copies = [params.copy(), separate.copy(), load_checkpoint(tmp_path / "m.ckpt")[0]]
+        copies = [params.copy(), separate, load_checkpoint(tmp_path / "m.ckpt")[0]]
         zeros = params.zeros_like()
         grads = backward(params, cfg, traj, x, "finetune")
         for built in (params, zeros, grads, *copies):
             _assert_tiles(built, cfg)
-        assert not np.any(zeros._flat)
-        for copy in copies:
-            assert not np.shares_memory(copy._flat, params._flat)
-            assert np.array_equal(copy._flat, params._flat)
+        assert not np.any(zeros.vector)
+        for dup in copies:
+            assert not np.shares_memory(dup.vector, params.vector)
+            assert np.array_equal(dup.vector, params.vector)
         # backward into given params overwrites every entry with the same values
         out = params.zeros_like()
-        out._flat.fill(np.nan)
+        out.vector.fill(np.nan)
         assert backward(params, cfg, traj, x, "finetune", out=out) is out
-        assert np.array_equal(out._flat, grads._flat)
+        assert np.array_equal(out.vector, grads.vector)
 
-    def test_sub_models_and_rebound_tensors_have_no_vector(self):
-        cfg = StructureConfig(D=5, hidden1=4, k=2)
+    def test_arrays_are_copied_not_aliased(self):
+        cfg = StructureConfig(D=3, hidden1=2, hidden2=2)
+        shapes = expected_shapes(cfg)
+        given = {name: np.full(shape, i + 1.0) for i, (name, shape) in enumerate(shapes.items())}
+        params = ModelParams(**given)
+        _assert_tiles(params, cfg)
+        assert np.array_equal(params.vector, np.concatenate([t.ravel() for t in given.values()]))
+        for name, t in given.items():
+            assert not np.shares_memory(t, params.vector), name
+            t[...] = -1.0
+        assert np.all(params.vector > 0.0)
+
+    def test_int_and_fortran_inputs_land_in_a_c_order_float64_vector(self):
+        cfg = StructureConfig(D=3, hidden1=2)
+        W = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        V = np.arange(6).reshape(2, 3).T  # int, Fortran order
+        params = ModelParams(W=W, c=[1, 2], V=V, b=np.arange(3))
+        _assert_tiles(params, cfg)
+        assert np.array_equal(params.W, W) and np.array_equal(params.c, [1.0, 2.0])
+        assert np.array_equal(params.V, [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]])
+        assert np.array_equal(params.b, [0.0, 1.0, 2.0])
+
+    def test_w2_and_c2_come_together(self):
+        net = dict(W=np.zeros((2, 3)), c=np.zeros(2), V=np.zeros((3, 2)), b=np.zeros(3))
+        with pytest.raises(ContractError):
+            ModelParams(**net, W2=np.zeros((2, 2)))
+        with pytest.raises(ContractError):
+            ModelParams(**net, c2=np.zeros(2))
+
+    def test_fields_cannot_be_rebound(self):
+        params = init_params(StructureConfig(D=3, hidden1=2), Rng(8).stream("init"))
+        with pytest.raises(FrozenInstanceError):
+            params.c = params.c.copy()
+        with pytest.raises(FrozenInstanceError):
+            params.W += 1.0  # an augmented assignment rebinds the field too
+        with pytest.raises(FrozenInstanceError):
+            params.vector = params.vector.copy()
+        params.W[...] += 1.0  # writing into the tensor is the way
+        assert params.W.base is params.vector
+
+    def test_replace_gives_a_new_vector(self):
+        cfg = StructureConfig(D=3, hidden1=2)
+        params = init_params(cfg, Rng(9).stream("init"))
+        other = replace(params, c=np.array([5.0, 6.0]))
+        _assert_tiles(other, cfg)
+        assert not np.shares_memory(other.vector, params.vector)
+        assert np.array_equal(other.W, params.W) and np.array_equal(other.c, [5.0, 6.0])
+
+    @pytest.mark.parametrize("hidden2", [None, 3])
+    def test_deepcopy_and_pickle_own_one_vector(self, hidden2):
+        cfg = StructureConfig(D=5, hidden1=4, hidden2=hidden2)
+        params = init_params(cfg, Rng(11).stream("init"))
+        for other in (copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+            _assert_tiles(other, cfg)
+            assert not np.shares_memory(other.vector, params.vector)
+            assert np.array_equal(other.vector, params.vector)
+
+    def test_sub_models_are_nets(self, monkeypatch):
+        cfg = StructureConfig(D=5, hidden1=4, k=2, hidden2=3)
         params = init_params(cfg, Rng(8).stream("init"))
-        sub = replace(params, W=params.W[:, 1:], V=params.V[1:], b=params.b[1:])
-        assert sub._flat is None and sub._vector() is None
-        assert _slice(params, np.array([0, 3]), params.c)._flat is None
-        # a field rebound to an array outside the vector retires the vector
-        params.c = params.c.copy()
-        assert params._flat is not None and params._vector() is None
-        assert params.copy()._vector() is not None
+        sub = _slice(params, np.array([0, 3]), params.c)
+        assert type(sub) is _Net and sub.W2 is params.W2 and sub.c2 is params.c2
+        seen = []
+
+        def recording(net, *args):
+            seen.append(type(net))
+            return np.full(len(args[-1]), 0.5)
+
+        monkeypatch.setattr(evaluation, "_conditionals", recording)
+        monkeypatch.setattr(sampling, "_conditionals", recording)
+        x, mean = np.array([1.0, 0, 1, 1, 0]), np.full(5, 0.5)
+        log_prob_ordering(params, cfg, x, identity_ordering(5), mean)
+        sample_from_mixture(params, cfg, 2, mean, Rng(10))
+        assert seen and set(seen) == {_Net}
+
+
+def _v0(x, m, mean):
+    """The initial state v_0 of forward on the block x under mask m."""
+    params, cfg = random_model(len(mean), 2, seed=40)
+    return forward(params, cfg, x, m, mean).v_states[0]
 
 
 class TestBuildInput:
     def test_nothing_missing(self):
         x = np.array([[1.0, 0.0, 1.0]])
-        v0 = build_input(x, np.zeros((1, 3)), np.array([0.2, 0.4, 0.9]))
+        v0 = _v0(x, np.zeros((1, 3)), np.array([0.2, 0.4, 0.9]))
         assert np.array_equal(v0, x)
 
     def test_everything_missing(self):
         mean = np.array([0.2, 0.4, 0.9])
-        v0 = build_input(np.zeros((1, 3)), np.ones((1, 3)), mean)
+        v0 = _v0(np.zeros((1, 3)), np.ones((1, 3)), mean)
         assert np.array_equal(v0, [mean])
 
     def test_mixture(self):
         x = np.array([[1.0, 0.0]])
         m = np.array([[0.0, 1.0]])
-        v0 = build_input(x, m, np.array([0.3, 0.7]))
+        v0 = _v0(x, m, np.array([0.3, 0.7]))
         assert np.array_equal(v0, np.array([[1.0, 0.7]]))
 
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
-            build_input(np.zeros((1, 3)), np.zeros((1, 2)), np.zeros(3))
+            _v0(np.zeros((1, 3)), np.zeros((1, 2)), np.zeros(3))
 
     def test_bare_row_rejected(self):
         # one row is a 1 x D block
         with pytest.raises(ContractError):
-            build_input(np.zeros(3), np.zeros(3), np.zeros(3))
-        params, cfg = random_model(3, 2, seed=40)
-        with pytest.raises(ContractError):
-            forward(params, cfg, np.zeros(3), np.ones(3), np.full(3, 0.5))
+            _v0(np.zeros(3), np.zeros(3), np.zeros(3))
 
     def test_non_binary_mask(self):
         with pytest.raises(ContractError):
-            build_input(np.zeros((1, 2)), np.array([[0.5, 0.0]]), np.zeros(2))
+            _v0(np.zeros((1, 2)), np.array([[0.5, 0.0]]), np.zeros(2))
 
     def test_non_binary_input(self):
         with pytest.raises(ContractError):
-            build_input(np.array([[0.4, 0.0]]), np.zeros((1, 2)), np.zeros(2))
+            _v0(np.array([[0.4, 0.0]]), np.zeros((1, 2)), np.zeros(2))
 
 
 def _zero_model(D, hidden1, k):

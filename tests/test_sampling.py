@@ -56,7 +56,7 @@ class TestAncestral:
     def test_degenerate_mode(self):
         # saturated output biases pin every conditional at the clamp bound
         params, cfg = _zero_model(4, 2)
-        params.b += 40.0
+        params.b[...] += 40.0
         mean = np.full(4, 0.5)
         rng = Rng(43).stream("draws")
         o = identity_ordering(4)

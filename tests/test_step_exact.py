@@ -98,66 +98,31 @@ def test_step_equals_plain_expressions(n, activation, objective, k, lam):
     _equal(state.edx2, plain_state.edx2)
 
 
+#: Configs whose vectors the AdaDelta update walks in slices: D=7 at n=2
+#: and n=3 for every chunk size, and a large one for the larger chunks.
+_SMALL = [StructureConfig(D=7, hidden1=6), StructureConfig(D=7, hidden1=6, hidden2=5)]
+_LARGE = StructureConfig(D=300, hidden1=120, hidden2=40)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 500, 1 << 15])
 def test_adadelta_slices_equal_plain_expressions(chunk, monkeypatch):
-    # params with a vector and separate gradient arrays: the update runs
-    # tensor by tensor, in slices of one element, of part of a row and of
-    # whole tensors
+    # slices of one element, of part of a row and of whole tensors; those
+    # of 7, 500 and 2^15 elements straddle tensor boundaries of the vector
     monkeypatch.setattr(training, "_ADADELTA_CHUNK", chunk)
-    cfg = StructureConfig(D=300, hidden1=120, hidden2=40)
-    params = init_params(cfg, Rng(61).stream("init"))
-    plain = params.copy()
-    state, plain_state = AdaDeltaState.zeros_like(params), AdaDeltaState.zeros_like(params)
-    for step in range(3):
-        rng = Rng(62 + step).stream("grads")
-        grads = ModelParams(
-            **{name: rng.uniform_array(t.shape) - 0.5 for name, t in params.tensors().items()}
-        )
-        adadelta_step(state, params, grads)
-        step_reference.adadelta_step(plain_state, plain, grads)
-    _equal(params, plain)
-    _equal(state.eg2, plain_state.eg2)
-    _equal(state.edx2, plain_state.edx2)
-
-
-@pytest.mark.parametrize("layout", ["vector", "separate arrays"])
-@pytest.mark.parametrize("n", [2, 3])
-def test_adadelta_layouts_equal_plain_expressions(n, layout, monkeypatch):
-    # 20-element slices split W and V; on the vector they straddle tensors
-    monkeypatch.setattr(training, "_ADADELTA_CHUNK", 20)
-    cfg = StructureConfig(D=7, hidden1=6, hidden2=5 if n == 3 else None)
-
-    def separate(p):
-        return ModelParams(**{name: t.copy() for name, t in p.tensors().items()})
-
-    params = init_params(cfg, Rng(63).stream("init"))
-    plain = separate(params)
-    state, plain_state = AdaDeltaState.zeros_like(params), AdaDeltaState.zeros_like(params)
-    if layout == "separate arrays":
-        params = separate(params)
-        state = AdaDeltaState(eg2=separate(state.eg2), edx2=separate(state.edx2))
-    for step in range(3):
-        rng = Rng(64 + step).stream("grads")
-        grads = ModelParams(
-            **{name: rng.uniform_array(t.shape) - 0.5 for name, t in params.tensors().items()}
-        )
-        adadelta_step(state, params, grads.copy() if layout == "vector" else grads)
-        step_reference.adadelta_step(plain_state, plain, grads)
-    assert (params._vector() is not None) == (layout == "vector")
-    _equal(params, plain)
-    _equal(state.eg2, plain_state.eg2)
-    _equal(state.edx2, plain_state.edx2)
-
-
-def test_adadelta_refuses_a_tensor_with_no_flat_view():
-    # a Fortran-order W has no C-order flat view: raise rather than update a copy
-    cfg = StructureConfig(D=7, hidden1=6)
-    params = init_params(cfg, Rng(65).stream("init"))
-    params = ModelParams(**{name: t.copy(order="F") for name, t in params.tensors().items()})
-    before = params.W.copy()
-    with pytest.raises(ValueError, match="flat segment"):
-        adadelta_step(AdaDeltaState.zeros_like(params), params, params.zeros_like())
-    assert np.array_equal(params.W, before)
+    for cfg in _SMALL if chunk == 1 else [*_SMALL, _LARGE]:
+        params = init_params(cfg, Rng(61).stream("init"))
+        plain = params.copy()
+        state, plain_state = AdaDeltaState.zeros_like(params), AdaDeltaState.zeros_like(params)
+        for step in range(3):
+            rng = Rng(62 + step).stream("grads")
+            grads = ModelParams(
+                **{name: rng.uniform_array(t.shape) - 0.5 for name, t in params.tensors().items()}
+            )
+            adadelta_step(state, params, grads)
+            step_reference.adadelta_step(plain_state, plain, grads)
+        _equal(params, plain)
+        _equal(state.eg2, plain_state.eg2)
+        _equal(state.edx2, plain_state.edx2)
 
 
 def _checkpoint_bytes(path, structure, splits, config):

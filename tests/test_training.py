@@ -327,7 +327,7 @@ class TestWeightDecay:
     def test_zero_lambda_unchanged(self):
         params, _ = random_model(4, 3, seed=91)
         grads = params.zeros_like()
-        grads.W += 1.5
+        grads.W[...] += 1.5
         before = grads.W.copy()
         add_weight_decay(grads, params, 0.0)
         assert np.array_equal(grads.W, before)
@@ -560,8 +560,8 @@ class TestTrainLoop:
         tc = TrainConfig(minibatch_size=8, finetune_epochs=len(script), seed=31)
         res = train(cfg, td, vd, tc)
         assert res.epochs_run == len(script) and res.best_valid == script[best - 1]
-        assert np.array_equal(res.params._flat, seen[best - 1]._flat)
-        assert not np.array_equal(seen[best - 1]._flat, seen[best - 2]._flat)
+        assert np.array_equal(res.params.vector, seen[best - 1].vector)
+        assert not np.array_equal(seen[best - 1].vector, seen[best - 2].vector)
 
     def test_non_binary_data_rejected_before_any_block(self, monkeypatch):
         td, vd = self._toy()
