@@ -125,6 +125,30 @@ def test_adadelta_slices_equal_plain_expressions(chunk, monkeypatch):
         _equal(state.edx2, plain_state.edx2)
 
 
+@pytest.mark.parametrize("layout", ["vector"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_adadelta_layouts_equal_plain_expressions(n, layout, monkeypatch):
+    # 20-element slices split W and V and straddle tensors of the vector;
+    # the params, state and gradients each keep their one vector
+    monkeypatch.setattr(training, "_ADADELTA_CHUNK", 20)
+    cfg = StructureConfig(D=7, hidden1=6, hidden2=5 if n == 3 else None)
+    params = init_params(cfg, Rng(63).stream("init"))
+    plain = params.copy()
+    state, plain_state = AdaDeltaState.zeros_like(params), AdaDeltaState.zeros_like(params)
+    for step in range(3):
+        rng = Rng(64 + step).stream("grads")
+        grads = ModelParams(
+            **{name: rng.uniform_array(t.shape) - 0.5 for name, t in params.tensors().items()}
+        )
+        adadelta_step(state, params, grads)
+        step_reference.adadelta_step(plain_state, plain, grads)
+    for p in (params, state.eg2, state.edx2):
+        assert all(np.shares_memory(t, p.vector) for t in p.tensors().values())
+    _equal(params, plain)
+    _equal(state.eg2, plain_state.eg2)
+    _equal(state.edx2, plain_state.edx2)
+
+
 def _checkpoint_bytes(path, structure, splits, config):
     result = train(structure, *splits, config)
     save_checkpoint(str(path), result.params, structure, {"mean": encode_mean(result.mean)})
