@@ -36,7 +36,7 @@ from .evaluation import (
     render_report,
 )
 from .model import ModelParams, StructureConfig, forward
-from .numerics import ContractError, Rng, single_threaded_blas
+from .numerics import BLOCK_ROWS, ContractError, Rng, single_threaded_blas
 from .sampling import inpaint, sample_from_mixture
 from .training import TrainConfig, train
 
@@ -236,16 +236,19 @@ def cmd_inpaint(args) -> int:
     out_rows = inpaint(params, config, ds.samples, obs, mean, rngs)
     save_text_matrix(args.out, out_rows)
     if args.trace:
-        # every intermediate reconstruction v_0 .. v_k, one block per row
-        masks = np.ones_like(ds.samples)
+        # every intermediate reconstruction v_0 .. v_k of each row, run in
+        # BLOCK_ROWS blocks in row order
+        masks = np.ones((min(BLOCK_ROWS, len(ds)), config.D))
         masks[:, obs] = 0.0
-        with single_threaded_blas():
-            traj = forward(params, config, ds.samples * (1.0 - masks), masks, mean)
-        with atomic_write(args.out + ".trace") as fh:
-            for si in range(len(ds)):
-                fh.write(f"# sample {si}\n")
-                for v in traj.v_states:
-                    fh.write(" ".join(f"{val:.6f}" for val in v[si]) + "\n")
+        with atomic_write(args.out + ".trace") as fh, single_threaded_blas():
+            for start in range(0, len(ds), BLOCK_ROWS):
+                rows = ds.samples[start : start + BLOCK_ROWS]
+                m = masks[: len(rows)]
+                traj = forward(params, config, rows * (1.0 - m), m, mean)
+                for r in range(len(rows)):
+                    fh.write(f"# sample {start + r}\n")
+                    for v in traj.v_states:
+                        fh.write(" ".join(f"{val:.6f}" for val in v[r]) + "\n")
     print(f"inpainted {args.out}")
     return 0
 

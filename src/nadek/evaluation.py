@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, StructureConfig, _check_binary, _conditionals, _Net
+from .model import _step_buffers, _step_space
 from .numerics import BLOCK_ROWS, ContractError, Rng, log_sum_exp, map_in_order
 from .numerics import single_threaded_blas
 
@@ -111,33 +112,98 @@ def log_prob_ordering(
     per row.  The blocks depend on (x, o) alone, so the result has the
     same bits whatever else is being scored beside it.
     """
-    D = config.D
-    if len(o.perm) != D:
-        raise ContractError("ordering length does not match D")
-    x = np.asarray(x, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    if x.shape != (D,) or mean.shape != (D,):
-        raise ContractError("x and mean must have length D")
-    _check_binary(x, "x")
-    params.check_shapes(config)
-    perm = np.array(o.perm)
-    W, V, b = params.W[:, perm], params.V[perm], params.b[perm]
-    x, mean = x[perm], mean[perm]
-    total = 0.0
+    xs, mean = _checked(params, config, [x], [o], mean)
     with single_threaded_blas():
+        return _Staircase(params, config, mean).log_prob(xs[0], o)
+
+
+def _checked(
+    params: ModelParams,
+    config: StructureConfig,
+    xs,
+    orderings,
+    mean,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``xs`` and ``mean`` as float64, once the orderings' lengths,
+    the shapes, the rows' 0/1 values and the params are checked, in that order."""
+    D = config.D
+    if any(len(o.perm) != D for o in orderings):
+        raise ContractError("ordering length does not match D")
+    xs = np.asarray(xs, dtype=np.float64)
+    mean = np.asarray(mean, dtype=np.float64)
+    if xs.shape[1:] != (D,) or mean.shape != (D,):
+        raise ContractError("x and mean must have length D")
+    _check_binary(xs, "x")
+    params.check_shapes(config)
+    return xs, mean
+
+
+class _Staircase:
+    """One worker's workspace for scoring (x, ordering) pairs of one model.
+
+    It holds W's columns (as the rows of W.T), V's rows, b and the mean in
+    the visit order of the ordering scored last, gathered once per
+    ordering, and one set of block buffers that every block of every pair
+    reuses.  ``WT``, W transposed, may be shared by the workspaces of one
+    call: it is only read.  A workspace serves one thread at a time.
+    """
+
+    def __init__(
+        self,
+        params: ModelParams,
+        config: StructureConfig,
+        mean: np.ndarray,
+        WT: np.ndarray | None = None,
+    ):
+        self.params, self.config, self.mean = params, config, mean
+        self.WT = np.ascontiguousarray(params.W.T) if WT is None else WT
+        self.ordering = self.perm = None
+        self.WT_o, self.V_o = np.empty_like(self.WT), np.empty_like(params.V)
+        self.b_o, self.mean_o = np.empty(config.D), np.empty(config.D)
+        rows = min(BLOCK_ROWS, config.D)
+        self.space = _step_space(config, rows, config.D)
+        # row j of a block has its first j columns observed, and only those
+        self.mask = (np.arange(rows) >= np.arange(rows)[:, None]) * 1.0
+        self.observed = 1.0 - self.mask
+        self.keep_x = np.empty(rows * rows)
+
+    def log_prob(self, x: np.ndarray, o: Ordering) -> float:
+        """log p(x | o) as :func:`log_prob_ordering` computes it, unchecked."""
+        if o is not self.ordering:
+            self.perm, self.ordering = np.array(o.perm), o
+            for source, out in (
+                (self.WT, self.WT_o),
+                (self.params.V, self.V_o),
+                (self.params.b, self.b_o),
+                (self.mean, self.mean_o),
+            ):
+                # a permutation's indices are all in range, so "clip" clips
+                # nothing; it spares take the copy of out its default mode makes
+                np.take(source, self.perm, axis=0, out=out, mode="clip")
+        params, config, D = self.params, self.config, self.config.D
+        # W in visit order, in the F order of a column gather W[:, perm]: the
+        # bits of its matrix-vector products and few-row GEMMs depend on it
+        W, mean = self.WT_o.T, self.mean_o
+        x = x[self.perm]
+        dx = x - mean
+        total = 0.0
         for start in range(0, D, BLOCK_ROWS):
-            rows = np.arange(min(BLOCK_ROWS, D - start))
+            end = min(start + BLOCK_ROWS, D)
+            n = end - start
             c = params.c + W[:, :start] @ x[:start]
-            sub = _Net(W[:, start:], c, V[start:], b[start:], params.W2, params.c2)
-            a1 = np.zeros((len(rows), len(c)))
-            step = W[:, start + rows[:-1]].T * (x - mean)[start + rows[:-1], None]
-            np.cumsum(step, axis=0, out=a1[1:])
-            a1 += c + sub.W @ mean[start:]
-            mask = (np.arange(D - start) >= rows[:, None]).astype(np.float64)
-            keep_x = (1.0 - mask) * x[start:]
-            p = _conditionals(sub, config, a1, mask, keep_x, rows)
-            total += float(np.sum(np.where(x[start + rows] == 1.0, np.log(p), np.log(1.0 - p))))
-    return total
+            net = _Net(W[:, start:], c, self.V_o[start:], self.b_o[start:], params.W2, params.c2)
+            out = _step_buffers(config, self.space, n, D - start)
+            # step 1's pre-activations, in the buffer that step 1 overwrites
+            a1 = out.h[0][0]
+            a1[0] = 0.0
+            step = np.multiply(self.WT_o[start : end - 1], dx[start : end - 1, None], out=a1[1:])
+            np.cumsum(step, axis=0, out=step)
+            a1 += c + net.W @ mean[start:]
+            keep_x = self.keep_x[: n * n].reshape(n, n)
+            np.multiply(self.observed[:n, :n], x[start:end], out=keep_x)
+            p = _conditionals(net, config, a1, self.mask[:n, :n], keep_x, out, np.arange(n))
+            total += float(np.sum(np.where(x[start:end] == 1.0, np.log(p), np.log(1.0 - p))))
+        return total
 
 
 def ensemble_log_prob(
@@ -200,18 +266,32 @@ def ordering_stats(
 ) -> EvalReport:
     """Fill the log-prob matrix over samples x orderings and aggregate it.
 
-    Each (sample, ordering) pair is one unit of work for ``threads``
-    workers, so the matrix is the same at any thread count.  Aggregates
-    use unbiased (n-1) variances: the mean over samples of the
-    across-ordering variance, and the mean over orderings of the
-    across-sample variance, each reported as a square root.
+    The pairs, in ordering-major order, are split into one run of
+    consecutive pairs for each of up to ``threads`` workers, and each run
+    is scored on a workspace of its own.  A pair's bits depend neither on
+    the workspace nor on what it scored before, so the matrix is the same
+    at any thread count.  Aggregates use unbiased (n-1) variances: the mean
+    over samples of the across-ordering variance, and the mean over
+    orderings of the across-sample variance, each reported as a square
+    root.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 1:
         raise ContractError("samples must be a non-empty matrix")
-    pairs = [(x, o) for x in samples for o in spec.orderings]
-    logs = map_in_order(lambda xo: log_prob_ordering(params, config, *xo, mean), pairs, threads)
-    return stats_from_matrix(np.reshape(logs, (samples.shape[0], len(spec.orderings))))
+    samples, mean = _checked(params, config, samples, spec.orderings, mean)
+    WT = np.ascontiguousarray(params.W.T)
+    # ordering-major, so a worker gathers each of its orderings once
+    pairs = [(x, o) for o in spec.orderings for x in samples]
+    runs = np.array_split(np.arange(len(pairs)), max(1, min(threads, len(pairs))))
+
+    def score(run: np.ndarray) -> list[float]:
+        staircase = _Staircase(params, config, mean, WT)
+        return [staircase.log_prob(*pairs[i]) for i in run]
+
+    logs = [lp for run in map_in_order(score, runs, threads) for lp in run]
+    matrix = np.reshape(logs, (len(spec.orderings), samples.shape[0])).T
+    # in C order: the aggregates' sums follow memory order, and so do their bits
+    return stats_from_matrix(np.ascontiguousarray(matrix))
 
 
 def _fmt_aggregate(value: float | None) -> str:
@@ -240,7 +320,7 @@ def enumerate_distribution(
 
     Entry j of the table is the probability of the vector whose i-th
     coordinate is bit i of j (coordinate 0 least significant).  Exhaustive
-    in 2^D, so D is capped.
+    in 2^D, so D is capped; the 2^D pairs share one workspace.
     """
     D = config.D
     if D > ENUM_MAX_D:
@@ -248,4 +328,7 @@ def enumerate_distribution(
             f"enumeration over 2^{D} vectors refused (limit D <= {ENUM_MAX_D})"
         )
     bits = (np.arange(2**D)[:, None] >> np.arange(D)) & 1
-    return np.exp([log_prob_ordering(params, config, x, o, mean) for x in bits])
+    bits, mean = _checked(params, config, bits, [o], mean)
+    staircase = _Staircase(params, config, mean)
+    with single_threaded_blas():
+        return np.exp([staircase.log_prob(x, o) for x in bits])

@@ -261,19 +261,67 @@ def _forward(
     m: np.ndarray,
     mean: np.ndarray,
 ) -> Trajectory:
-    """The body of :func:`forward`, unchecked: the caller has checked what it checks."""
+    """The body of :func:`forward`, unchecked: the caller has checked what it checks.
+
+    Every step writes into its own slots of the trajectory.
+    """
     keep_x = (1.0 - m) * x
     # v_0: the mean at missing coordinates, x at observed ones
     v = m * mean + keep_x
-    a1 = v @ params.W.T + params.c
-    h_states, v_states = _steps(params, config, a1, m, keep_x)
-    v_states = [v, *v_states, _decode(params, h_states[-1][-1], m, keep_x)]
-    return Trajectory(v_states=v_states, h_states=h_states, mask=m)
+    slots = _Buffers(
+        [tuple(np.empty((len(x), w)) for w in _widths(config)) for _ in range(config.k)],
+        [np.empty_like(v) for _ in range(config.k)],
+    )
+    a1 = np.matmul(v, params.W.T, out=slots.h[0][0])
+    a1 += params.c
+    top = _steps(params, config, a1, m, keep_x, slots)
+    _decode(params, top, m, keep_x, slots.v[-1])
+    return Trajectory(v_states=[v, *slots.v], h_states=slots.h, mask=m)
 
 
-def _decode(params: ModelParams, top: np.ndarray, m: np.ndarray, keep_x: np.ndarray) -> np.ndarray:
-    """The state v_t a step decodes to from its top hidden activations."""
-    return m * sigmoid_vec(top @ params.V.T + params.b) + keep_x
+class _Buffers(NamedTuple):
+    """Where the steps write: ``h[t]`` takes step t's hidden activations
+    (one block per hidden layer) and ``v[t]`` the state v_{t+1} decoded
+    after it.  A trajectory gives each step its own arrays; a staircase or
+    a walk repeats one set for every step."""
+
+    h: list[tuple[np.ndarray, ...]]
+    v: list[np.ndarray]
+
+
+def _widths(config: StructureConfig) -> tuple[int, ...]:
+    """Widths of the hidden layers, first to last."""
+    return (config.hidden1,) if config.n == 2 else (config.hidden1, config.hidden2)
+
+
+def _step_space(config: StructureConfig, rows: int, cols: int) -> list[np.ndarray]:
+    """Flat storage for the buffers of blocks of up to ``rows`` x ``cols``."""
+    return [np.empty(rows * w) for w in (*_widths(config), cols)]
+
+
+def _step_buffers(config: StructureConfig, space: list[np.ndarray], rows: int, cols: int) -> _Buffers:
+    """One set of C-contiguous buffers for a ``rows`` x ``cols`` block,
+    cut from the front of ``space`` and repeated for every step."""
+    *hidden, v = (flat[: rows * w].reshape(rows, w) for flat, w in zip(space, (*_widths(config), cols)))
+    return _Buffers([tuple(hidden)] * config.k, [v] * (config.k - 1))
+
+
+def _decode(
+    params: ModelParams, top: np.ndarray, m: np.ndarray, keep_x: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """The state v_t a step decodes to from its top hidden activations, in ``out``.
+
+    ``m`` and ``keep_x`` may cover only the first columns of the block: the
+    columns past them are missing in every row, where the clamp
+    m * s + keep_x is s itself.
+    """
+    s = np.matmul(top, params.V.T, out=out)
+    s += params.b
+    sigmoid_vec(s, out=s)
+    clamped = s[:, : m.shape[1]]
+    clamped *= m
+    clamped += keep_x
+    return s
 
 
 def _steps(
@@ -282,28 +330,32 @@ def _steps(
     a1: np.ndarray,
     m: np.ndarray,
     keep_x: np.ndarray,
-) -> tuple[list[tuple[np.ndarray, ...]], list[np.ndarray]]:
+    out: _Buffers,
+) -> np.ndarray:
     """The config.k steps from step 1's hidden pre-activation ``a1``, unchecked.
 
-    Returns every step's hidden activations and the states v_1 .. v_{k-1}
-    between the steps; the last step's output is not decoded, so a caller
-    reads it only where it needs it.  ``params`` may be a _Net, the model
-    restricted to the coordinates still in play: its ``c`` then carries the
-    contribution of the coordinates left out because they are observed
-    throughout, as one vector or one row per block row.  Inputs must
-    satisfy what :func:`forward` checks.
+    Step t writes its hidden activations into out.h[t], after decoding the
+    state v_t between steps into out.v[t - 1] when t >= 1.  ``a1`` may be
+    out.h[0][0] itself.  Returns the last step's top activations; that
+    step is not decoded, so a caller reads it only where it needs it.
+    ``params`` may be a _Net, the model restricted to the coordinates still
+    in play: its ``c`` then carries the contribution of the coordinates
+    left out because they are observed throughout, as one vector or one
+    row per block row.  Inputs must satisfy what :func:`forward` checks.
     """
     phi = np.tanh if config.activation == "tanh" else sigmoid_vec
-    h_states: list[tuple[np.ndarray, ...]] = []
-    v_states: list[np.ndarray] = []
-    a = a1
-    for t in range(config.k):
+    a, top = a1, None
+    for t, hidden in enumerate(out.h):
         if t:
-            v_states.append(_decode(params, h_states[-1][-1], m, keep_x))
-            a = v_states[-1] @ params.W.T + params.c
-        h1 = phi(a)
-        h_states.append((h1, phi(h1 @ params.W2.T + params.c2)) if config.n == 3 else (h1,))
-    return h_states, v_states
+            v = _decode(params, top, m, keep_x, out.v[t - 1])
+            a = np.matmul(v, params.W.T, out=hidden[0])
+            a += params.c
+        top = phi(a, out=hidden[0])
+        if config.n == 3:
+            a2 = np.matmul(top, params.W2.T, out=hidden[1])
+            a2 += params.c2
+            top = phi(a2, out=hidden[1])
+    return top
 
 
 def _conditionals(
@@ -312,13 +364,14 @@ def _conditionals(
     a1: np.ndarray,
     m: np.ndarray,
     keep_x: np.ndarray,
+    out: _Buffers,
     cols: np.ndarray,
 ) -> np.ndarray:
-    """Clamped P(x = 1) of row r at coordinate cols[r], after the k steps.
+    """Clamped P(x = 1) of row r at coordinate cols[r], after the k steps into ``out``.
 
     The last step is decoded at that one coordinate per row, as the row-wise
     dot product V[cols[r]] . h_k[r] + b[cols[r]].
     """
-    top = _steps(params, config, a1, m, keep_x)[0][-1][-1]
+    top = _steps(params, config, a1, m, keep_x, out)
     z = np.einsum("ij,ij->i", params.V[cols], top) + params.b[cols]
     return clamp_prob(sigmoid_vec(z))

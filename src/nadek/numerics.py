@@ -60,7 +60,7 @@ PROB_EPS = 1e-12
 BLOCK_ROWS = 100
 
 
-def sigmoid_vec(v: np.ndarray) -> np.ndarray:
+def sigmoid_vec(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise logistic function as exp(min(x, 0)) / (1 + exp(-|x|)).
 
     For x >= 0 this is 1/(1+exp(-x)) and for x < 0 it is exp(x)/(1+exp(x)),
@@ -73,15 +73,20 @@ def sigmoid_vec(v: np.ndarray) -> np.ndarray:
     is, as through min(x, 0)).
     Below roughly -745 the value underflows to exactly 0.0; callers that
     take logs must go through :func:`clamp_prob`, which covers that case.
-    The input is never modified.
+    The result is written into ``out``, which may be ``v`` itself, and
+    returned; without ``out`` it goes into a new array and ``v`` is left
+    as it is.
     """
     v = np.asarray(v, dtype=np.float64)
-    # the result is allocated before the temporary, as in the two-exp form:
-    # the other order raised the peak RSS of paper-shape training by ~0.3 MB
-    out = np.greater_equal(v, 0.0, out=np.empty_like(v), casting="unsafe")
+    if out is None:
+        # the result is allocated before the temporary, as in the two-exp form:
+        # the other order raised the peak RSS of paper-shape training by ~0.3 MB
+        out = np.empty_like(v)
     e = np.negative(v, out=np.empty_like(v))
     np.minimum(v, e, out=e)
     np.exp(e, out=e)
+    # the last read of v, so out may be v
+    np.greater_equal(v, 0.0, out=out, casting="unsafe")
     np.maximum(out, e, out=out)
     e += 1.0
     out /= e

@@ -19,6 +19,7 @@ import numpy as np
 
 from .evaluation import Ordering
 from .model import ModelParams, StructureConfig, _check_binary, _conditionals, _Net
+from .model import _step_buffers, _step_space
 from .numerics import BLOCK_ROWS, ContractError, Rng, map_in_order
 
 __all__ = [
@@ -92,6 +93,9 @@ def _walk(
         mask = np.ones(order.shape)
         drawn = np.zeros(order.shape)
         rows = np.arange(len(order))
+        # one set of step buffers for every position, narrowed with the block
+        space = _step_space(config, len(rows), len(free))
+        out = _step_buffers(config, space, len(rows), len(free))
         for t in range(len(free)):
             if t and t % BLOCK_ROWS == 0:
                 keep = mask.any(axis=0)
@@ -104,8 +108,9 @@ def _walk(
                     order = (np.cumsum(keep) - 1)[order]
                     del sub  # free the old slice before the new one is built
                     sub = _slice(params, live, c)
+                    out = _step_buffers(config, space, len(rows), len(live))
             i = order[:, t]
-            bit = (u[:, t] < _conditionals(sub, config, a1, mask, drawn, i)) * 1.0
+            bit = (u[:, t] < _conditionals(sub, config, a1, mask, drawn, out, i)) * 1.0
             drawn[rows, i] = bit
             mask[rows, i] = 0.0
             a1 += sub.W[:, i].T * (bit - mu[i])[:, None]

@@ -1,4 +1,4 @@
-"""Reference of one training step on a block, as plain expressions.
+"""Reference of one training step and of one scored pair, as plain expressions.
 
 The loss, gradient, weight decay and AdaDelta update written the direct
 way: both logs at every coordinate of the loss, fresh zero accumulators
@@ -6,12 +6,18 @@ and a new array for every intermediate.  The package takes one log per
 coordinate and computes the gradient and the update into reused buffers;
 tests require the two to agree bit for bit (up to the sign of a zero in a
 gradient).
+
+``log_prob_ordering`` is the staircase of one (x, ordering) pair written
+the same way: the permuted weights copied for the pair, every step's
+state and activations in fresh arrays, and the clamp blended over whole
+blocks.  The package scores pairs on reused buffers; tests require the
+two to agree bit for bit.
 """
 
 import numpy as np
 
 from nadek import ModelParams
-from nadek.numerics import PROB_EPS
+from nadek.numerics import BLOCK_ROWS, PROB_EPS, single_threaded_blas
 
 
 def row_ce(v, x, m):
@@ -97,3 +103,45 @@ def adadelta_step(state, params, grads):
         edx2[...] = rho * edx2 + (1.0 - rho) * delta * delta
         p += delta
     return params, state
+
+
+def sigmoid(v):
+    """exp(min(x, 0)) / (1 + exp(-|x|)), with exp(-|x|) = exp(min(x, -x))."""
+    e = np.exp(np.minimum(v, -v))
+    return np.maximum((v >= 0.0) * 1.0, e) / (1.0 + e)
+
+
+def _top(W, c, V, b, params, config, a1, m, keep_x):
+    """The top hidden activations of the last of config.k steps from a1."""
+    phi = np.tanh if config.activation == "tanh" else sigmoid
+    a = a1
+    for t in range(config.k):
+        if t:
+            v = m * sigmoid(top @ V.T + b) + keep_x
+            a = v @ W.T + c
+        h = phi(a)
+        top = phi(h @ params.W2.T + params.c2) if config.n == 3 else h
+    return top
+
+
+def log_prob_ordering(params, config, x, o, mean):
+    D = config.D
+    perm = np.array(o.perm)
+    W, V, b = params.W[:, perm], params.V[perm], params.b[perm]
+    x, mean = x[perm], mean[perm]
+    total = 0.0
+    with single_threaded_blas():
+        for start in range(0, D, BLOCK_ROWS):
+            rows = np.arange(min(BLOCK_ROWS, D - start))
+            c = params.c + W[:, :start] @ x[:start]
+            a1 = np.zeros((len(rows), len(c)))
+            step = W[:, start + rows[:-1]].T * (x - mean)[start + rows[:-1], None]
+            np.cumsum(step, axis=0, out=a1[1:])
+            a1 += c + W[:, start:] @ mean[start:]
+            mask = (np.arange(D - start) >= rows[:, None]).astype(np.float64)
+            keep_x = (1.0 - mask) * x[start:]
+            top = _top(W[:, start:], c, V[start:], b[start:], params, config, a1, mask, keep_x)
+            z = np.einsum("ij,ij->i", V[start:][rows], top) + b[start:][rows]
+            p = np.clip(sigmoid(z), PROB_EPS, 1.0 - PROB_EPS)
+            total += float(np.sum(np.where(x[start + rows] == 1.0, np.log(p), np.log(1.0 - p))))
+    return total

@@ -530,6 +530,32 @@ class TestInpaint:
         assert len(values) == 2 * (cfg.k + 1)
         assert all(len(l.split()) == 6 for l in values)
 
+    def test_trace_runs_in_100_row_blocks(self, tmp_path, capsys, monkeypatch):
+        # 150 rows run as blocks of 100 and 50, so the first 100 rows trace
+        # exactly as a file of those 100 rows alone does
+        ckpt, _, _ = _checkpoint(tmp_path, D=6, hidden1=4, k=3, seed=34)
+        rows = _toy_rows(150, seed=9)
+        obs = tmp_path / "obs.txt"
+        obs.write_text("1 4\n")
+        blocks = []
+        real = cli.forward
+
+        def forward(params, config, x, *rest):
+            blocks.append(len(x))
+            return real(params, config, x, *rest)
+
+        monkeypatch.setattr(cli, "forward", forward)
+        traces = []
+        for count in (150, 100):
+            data = _write_data(tmp_path / f"d{count}.amat", rows[:count])
+            out = tmp_path / f"filled{count}.amat"
+            argv = ["inpaint", "--model", str(ckpt), "--data", str(data), "--obs-file", str(obs)]
+            assert main([*argv, "--out", str(out), "--trace"]) == 0
+            traces.append((tmp_path / f"filled{count}.amat.trace").read_text().splitlines())
+        assert blocks == [100, 50, 100]
+        assert len(traces[0]) == 150 * 5 and traces[0][: 100 * 5] == traces[1]
+        assert traces[0][100 * 5] == "# sample 100"
+
     def test_bad_obs_indices(self, tmp_path, capsys):
         ckpt, _, _ = _checkpoint(tmp_path, D=6, hidden1=4, seed=33)
         data = _write_data(tmp_path / "d.amat", _toy_rows(2))
