@@ -12,12 +12,13 @@ import contextlib
 import gzip
 import io
 import os
+import stat
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ContractError, Rng
+from .numerics import ContractError, Rng, _as_data, _is_binary
 
 __all__ = [
     "Dataset",
@@ -41,7 +42,11 @@ class DataError(ValueError):
 
 @dataclass
 class Dataset:
-    """An immutable count x D matrix of values in [0, 1]."""
+    """An immutable count x D matrix of values in [0, 1].
+
+    0/1 data read from plain text is uint8, one byte per value; the core
+    widens it to float64 a block at a time.
+    """
 
     samples: np.ndarray
     name: str
@@ -55,7 +60,7 @@ class Dataset:
 
     @property
     def is_binary(self) -> bool:
-        return bool(np.all((self.samples == 0.0) | (self.samples == 1.0)))
+        return _is_binary(self.samples)
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -96,42 +101,102 @@ def load_text_matrix(path: str, name: str | None = None) -> Dataset:
     and within a line a non-numeric field comes before a wrong field
     count, which comes before a value outside [0, 1] (NaN included).
 
-    The file is read a chunk of whole lines at a time.  A chunk of plain
-    0/1 text (ASCII ``0`` and ``1`` fields, each one character, between
-    spaces, tabs and newlines) is parsed from its bytes; any other chunk
-    goes through ``float`` field by field.  Both give the same values and
-    the same errors.
+    A file of plain 0/1 text (ASCII ``0`` and ``1`` fields, each one
+    character, between spaces, tabs and newlines) loads as uint8, one byte
+    per value; any other file as float64.  A file in the layout
+    :func:`save_text_matrix` writes for a 0/1 matrix is read from its bytes
+    straight into the result (see :func:`_canonical_bits`).  Any other file
+    is read a chunk of whole lines at a time: a chunk of plain 0/1 text is
+    parsed from its bytes, any other chunk goes through ``float`` field by
+    field.  All paths give the same values and the same errors.
     """
+    gz = str(path).endswith(".gz")
+    # one open for either path, so a pipe is read once
+    with (gzip.open if gz else open)(path, "rb") as fh:
+        samples = None if gz else _canonical_bits(fh)
+        if samples is None:
+            samples = _parsed_text(io.TextIOWrapper(fh), path)
+    return Dataset(samples=samples, name=name if name is not None else str(path))
+
+
+def _canonical_bits(fh) -> np.ndarray | None:
+    """The rows of a file in the 0/1 layout save_text_matrix writes, as uint8; else None.
+
+    The layout: single ``0``/``1`` digits between single spaces, every line
+    2D bytes ending in ``\n``, no blank line.  The first line gives the
+    width and the file size the row count; whole rows are then read about
+    ``_CHUNK_CHARS`` bytes at a time into one buffer, and each chunk is
+    checked and converted on strided views of it.  ``fh`` is a binary file
+    at its start.  One that is not a regular file is left unread; for a
+    file that leaves the layout anywhere, ``fh`` is put back at its start
+    and the result is None.
+    """
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode):
+        return None
+    samples = _layout_rows(fh, info.st_size)
+    if samples is None:
+        fh.seek(0)
+    return samples
+
+
+def _layout_rows(fh, size: int) -> np.ndarray | None:
+    """The rows of regular file ``fh`` of ``size`` bytes, or None once it leaves the layout."""
+    width = len(fh.readline())
+    if width < 2 or width % 2 or size % width:
+        return None
+    rows, D = size // width, width // 2
+    # the bytes between a row's digits: spaces, then the newline
+    gaps = np.full(D, ord(" "), np.uint8)
+    gaps[-1] = ord("\n")
+    step = min(rows, max(1, _CHUNK_CHARS // width))
+    buffer = np.empty((step, width), np.uint8)
+    samples = np.empty((rows, D), np.uint8)
+    fh.seek(0)
+    for lo in range(0, rows, step):
+        raw = buffer[: min(step, rows - lo)]
+        if fh.readinto(raw) != raw.nbytes:
+            return None
+        out = np.subtract(raw[:, ::2], ord("0"), out=samples[lo : lo + len(raw)])
+        # a byte below "0" wraps to at least 208
+        if out.max() > 1 or np.any(raw[:, 1::2] != gaps):
+            return None
+    return None if fh.read(1) else samples
+
+
+def _parsed_text(fh, path: str) -> np.ndarray:
+    """The matrix of text file ``fh``, parsed a chunk of whole lines at a time."""
     chunks: list[np.ndarray] = []
     width = None
     lineno = 0
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt") as fh:
-        while lines := _read_lines(fh, path):
-            # lines end in "\n" except the file's last, so no field spans two lines
-            text = "".join(lines)
-            counts, values = _binary_fields(text) or _float_fields(lines, text)
-            filled = counts > 0
-            if width is None and filled.any():
-                width = int(counts[filled.argmax()])
-            # written so that NaN, which fails every comparison, fails it too
-            if (
-                values is None
-                or np.any(filled & (counts != width))
-                or not np.all((values >= 0.0) & (values <= 1.0))
-            ):
-                offset, reason = _first_fault(lines, width)
-                raise DataError(f"{path}: line {lineno + offset}: {reason}")
-            if values.size:
-                chunks.append(values.reshape(-1, width))
-            lineno += len(lines)
+    plain = True
+    while lines := _read_lines(fh, path):
+        # lines end in "\n" except the file's last, so no field spans two lines
+        text = "".join(lines)
+        fields = _binary_fields(text)
+        plain = plain and fields is not None
+        counts, values = fields or _float_fields(lines, text)
+        filled = counts > 0
+        if width is None and filled.any():
+            width = int(counts[filled.argmax()])
+        # written so that NaN, which fails every comparison, fails it too
+        if (
+            values is None
+            or np.any(filled & (counts != width))
+            or not np.all((values >= 0.0) & (values <= 1.0))
+        ):
+            offset, reason = _first_fault(lines, width)
+            raise DataError(f"{path}: line {lineno + offset}: {reason}")
+        if values.size:
+            chunks.append(values.reshape(-1, width))
+        lineno += len(lines)
     if not chunks:
         raise DataError(f"{path}: empty dataset")
-    return Dataset(samples=np.concatenate(chunks), name=name if name is not None else str(path))
+    return np.concatenate(chunks, dtype=np.uint8 if plain else np.float64)
 
 
 def _binary_fields(text: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """Field count of each line and the values of plain 0/1 text; else None.
+    """Field count of each line and the uint8 values of plain 0/1 text; else None.
 
     Plain means ASCII bytes that are either a ``0`` or ``1`` standing
     alone or a space, tab or newline (the file is read with universal
@@ -151,8 +216,7 @@ def _binary_fields(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     # fields before each line end; the chunk's last byte ends its last line
     ends = np.searchsorted(fields, np.flatnonzero(newline[:-1]))
     counts = np.diff(ends, prepend=0, append=fields.size)
-    values = raw.take(fields) - ord("0")
-    return counts, values.astype(np.float64)
+    return counts, raw.take(fields) - ord("0")
 
 
 def _float_fields(lines: list[str], text: str) -> tuple[np.ndarray, np.ndarray | None]:
@@ -200,17 +264,18 @@ def save_text_matrix(path: str, samples: np.ndarray) -> None:
     formatted as one byte array, any other value by value; the bytes are
     the same either way.  The file is replaced in one step (see
     :func:`atomic_write`); a path ending in ``.gz`` is written
-    gzip-compressed.
+    gzip-compressed, with no time in its header, so the same matrix always
+    gives the same bytes.
     """
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = _as_data(samples)
     if samples.ndim != 2:
         raise ContractError("samples must be a 2-D matrix")
     gz = str(path).endswith(".gz")
     with atomic_write(path, binary=gz) as out:
         if gz:
-            out = io.TextIOWrapper(gzip.GzipFile(filename=path, mode="wb", fileobj=out))
+            out = io.TextIOWrapper(gzip.GzipFile(filename=path, mode="wb", fileobj=out, mtime=0))
         with out:
-            if np.all((samples == 0.0) | (samples == 1.0)):
+            if _is_binary(samples):
                 out.write(_binary_text(samples))
             else:
                 for row in samples:
@@ -222,7 +287,7 @@ def _binary_text(samples: np.ndarray) -> str:
     """Rows of 0/1 values as text: digits joined by spaces, each row ending in a newline."""
     rows, D = samples.shape
     text = np.full((rows, max(2 * D, 1)), ord(" "), np.uint8)
-    text[:, 0 : 2 * D : 2] = samples == 1.0
+    text[:, 0 : 2 * D : 2] = samples == 1
     text[:, 0 : 2 * D : 2] += ord("0")
     text[:, -1] = ord("\n")
     return text.tobytes().decode("ascii")

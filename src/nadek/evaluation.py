@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import ModelParams, StructureConfig, _check_binary, _conditionals, _Net
 from .model import _step_buffers, _step_space
-from .numerics import BLOCK_ROWS, ContractError, Rng, log_sum_exp, map_in_order
+from .numerics import BLOCK_ROWS, ContractError, Rng, _as_data, log_sum_exp, map_in_order
 from .numerics import single_threaded_blas
 
 __all__ = [
@@ -124,12 +124,13 @@ def _checked(
     orderings,
     mean,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The rows ``xs`` and ``mean`` as float64, once the orderings' lengths,
-    the shapes, the rows' 0/1 values and the params are checked, in that order."""
+    """The rows ``xs`` (uint8 bytes as they are, else float64) and ``mean`` as
+    float64, once the orderings' lengths, the shapes, the rows' 0/1 values
+    and the params are checked, in that order."""
     D = config.D
     if any(len(o.perm) != D for o in orderings):
         raise ContractError("ordering length does not match D")
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = _as_data(xs)
     mean = np.asarray(mean, dtype=np.float64)
     if xs.shape[1:] != (D,) or mean.shape != (D,):
         raise ContractError("x and mean must have length D")
@@ -184,7 +185,7 @@ class _Staircase:
         # W in visit order, in the F order of a column gather W[:, perm]: the
         # bits of its matrix-vector products and few-row GEMMs depend on it
         W, mean = self.WT_o.T, self.mean_o
-        x = x[self.perm]
+        x = x[self.perm].astype(np.float64, copy=False)
         dx = x - mean
         total = 0.0
         for start in range(0, D, BLOCK_ROWS):
@@ -275,7 +276,7 @@ def ordering_stats(
     orderings of the across-sample variance, each reported as a square
     root.
     """
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = _as_data(samples)
     if samples.ndim != 2 or samples.shape[0] < 1:
         raise ContractError("samples must be a non-empty matrix")
     samples, mean = _checked(params, config, samples, spec.orderings, mean)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import ContractError, Rng, clamp_prob, sigmoid_vec
+from .numerics import ContractError, Rng, _is_binary, clamp_prob, sigmoid_vec
 
 __all__ = [
     "ModelParams",
@@ -217,7 +217,7 @@ def init_params(config: StructureConfig, rng: Rng) -> ModelParams:
 
 
 def _check_binary(v: np.ndarray, name: str) -> None:
-    if not np.all((v == 0.0) | (v == 1.0)):
+    if not _is_binary(v):
         raise ContractError(f"{name} must be exactly binary (0/1)")
 
 

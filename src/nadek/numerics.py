@@ -1,8 +1,9 @@
 """Low-level numeric kernels and the deterministic RNG.
 
 Everything here is 64-bit floating point, in numpy float64 arrays of
-row-major (C) order.  The kernels below are pure, so values can be shared
-read-only across threads.
+row-major (C) order; only 0/1 data may be held one byte per value (uint8)
+until a block of it is widened to float64.  The kernels below are pure,
+so values can be shared read-only across threads.
 
 Reproducibility rules observed by this module:
 
@@ -58,6 +59,19 @@ PROB_EPS = 1e-12
 #: Rows per block where the inputs do not fix the block (scoring staircases,
 #: draw walks, validation chunks); a seed reproduces runs at this value.
 BLOCK_ROWS = 100
+
+
+def _as_data(a) -> np.ndarray:
+    """``a`` as an array: uint8 (0/1 data, one byte per value) as it is, anything else as float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.uint8 else a.astype(np.float64, copy=False)
+
+
+def _is_binary(v: np.ndarray) -> bool:
+    """Whether every value of ``v`` is 0 or 1; a uint8 array is checked on its bytes."""
+    if v.dtype == np.uint8:
+        return bool(v.max(initial=0) <= 1)
+    return bool(np.all((v == 0.0) | (v == 1.0)))
 
 
 def sigmoid_vec(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

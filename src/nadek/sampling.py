@@ -20,7 +20,7 @@ import numpy as np
 from .evaluation import Ordering
 from .model import ModelParams, StructureConfig, _check_binary, _conditionals, _Net
 from .model import _step_buffers, _step_space
-from .numerics import BLOCK_ROWS, ContractError, Rng, map_in_order
+from .numerics import BLOCK_ROWS, ContractError, Rng, _as_data, map_in_order
 
 __all__ = [
     "ancestral_sample",
@@ -53,6 +53,8 @@ def _walk(
 
     ``kept`` holds the observed coordinates of every row, in ascending
     order, and orders[r] is row r's visit order over the other coordinates.
+    ``x`` is float64 or, for 0/1 data, uint8: a block's kept columns are
+    widened to float64 where they are read.
     Row r takes one uniform per position from rngs[r] alone, all drawn
     before the walk starts, and a bit is 1 when its uniform falls below the
     conditional (``Rng.bernoulli``).  Rows walk in fixed blocks of
@@ -87,7 +89,8 @@ def _walk(
         # live[j] is the coordinate at column j of the current slice, and
         # order holds each row's visit order as slice columns
         live, mu = free, mean[free]
-        sub = _slice(params, free, params.c + x[span, kept] @ params.W[:, kept].T)
+        obs = x[span, kept].astype(np.float64, copy=False)
+        sub = _slice(params, free, params.c + obs @ params.W[:, kept].T)
         order = col[orders[span]]
         a1 = sub.c + sub.W @ mu
         mask = np.ones(order.shape)
@@ -170,13 +173,15 @@ def inpaint(
     """Fill the unobserved coordinates by conditional ancestral sampling.
 
     ``x_obs`` is a B x D block and ``rngs`` holds B generators, one per
-    row.  Observed coordinates are returned bit-exact.  The observed values
-    are folded into the walk, and each row visits the missing coordinates
-    in a uniform random order from its own generator, so the draws follow
-    the conditional distribution given the observations.
+    row.  Observed coordinates are returned bit-exact, in a new block that
+    is uint8 when ``x_obs`` is (0/1 bytes) and float64 otherwise.  The
+    observed values are folded into the walk, and each row visits the
+    missing coordinates in a uniform random order from its own generator,
+    so the draws follow the conditional distribution given the
+    observations.
     """
     D = config.D
-    x = np.array(x_obs, dtype=np.float64)
+    x = np.array(_as_data(x_obs))
     if x.shape != (len(rngs), D):
         raise ContractError("x_obs must hold one row of length D per generator")
     if len(set(obs_indices)) != len(obs_indices):

@@ -28,7 +28,15 @@ import numpy as np
 
 from .data import minibatches
 from .model import ModelParams, StructureConfig, Trajectory, _check_binary, _forward, init_params
-from .numerics import BLOCK_ROWS, PROB_EPS, ContractError, Rng, clamp_prob, single_threaded_blas
+from .numerics import (
+    BLOCK_ROWS,
+    PROB_EPS,
+    ContractError,
+    Rng,
+    _as_data,
+    clamp_prob,
+    single_threaded_blas,
+)
 
 __all__ = [
     "AdaDeltaState",
@@ -401,24 +409,51 @@ def validation_score(
     """Mean stochastic loss over the set, with masks fixed by the seed.
 
     The mask stream restarts from the seed on every call, so successive
-    epochs score against identical masks and the curve is noise-free
-    across epochs.  Rows are scored in chunks of BLOCK_ROWS in canonical
-    order, D mask draws per row in row order; the masks of consecutive
-    chunks are drawn by one sample_mask call up to _MASK_DRAWS draws,
-    which leaves every mask as a draw per chunk would make it.
-    The data, mean and shapes are checked once per call.
+    calls score against identical masks (see :func:`_validation_masks`).
+    Rows are scored in chunks of BLOCK_ROWS in canonical order.  The data,
+    mean and shapes are checked once per call.
     """
     data = _check_split(data, structure.D, "validation")
     params.check_shapes(structure)
     mean = np.asarray(mean, dtype=np.float64)
     if mean.shape != (structure.D,):
         raise ContractError(f"mean{mean.shape} does not match D={structure.D}")
-    rng = Rng(seed).stream("valid-masks")
-    starts = range(0, data.shape[0], BLOCK_ROWS)
-    sizes = [min(BLOCK_ROWS, data.shape[0] - start) for start in starts]
+    masks = _validation_masks(structure.D, len(data), seed)
+    return _validation_loss(params, structure, data, masks, mean)
+
+
+def _validation_masks(D: int, rows: int, seed: int) -> np.ndarray:
+    """The masks of a validation set of ``rows`` rows, one byte per value.
+
+    They come from the seed's "valid-masks" stream, D draws per row in row
+    order, a chunk of BLOCK_ROWS rows per block of _block_masks, which
+    leaves every mask as a draw per chunk would make it.  The same seed and
+    shape always give the same masks, so a run draws them once.
+    """
+    masks = np.empty((rows, D), np.uint8)
+    sizes = [min(BLOCK_ROWS, rows - start) for start in range(0, rows, BLOCK_ROWS)]
+    lo = 0
+    for m in _block_masks(Rng(seed).stream("valid-masks"), D, sizes):
+        masks[lo : lo + len(m)] = m
+        lo += len(m)
+    return masks
+
+
+def _validation_loss(
+    params: ModelParams,
+    structure: StructureConfig,
+    data: np.ndarray,
+    masks: np.ndarray,
+    mean: np.ndarray,
+) -> float:
+    """Mean stochastic loss of checked ``data`` under ``masks``.
+
+    Chunks of BLOCK_ROWS rows of both are widened to float64 one at a time.
+    """
     total = 0.0
-    for start, m in zip(starts, _block_masks(rng, structure.D, sizes)):
-        x = data[start : start + BLOCK_ROWS]
+    for start in range(0, len(data), BLOCK_ROWS):
+        x = data[start : start + BLOCK_ROWS].astype(np.float64, copy=False)
+        m = masks[start : start + BLOCK_ROWS].astype(np.float64)
         traj = _forward(params, structure, x, m, mean)
         total += stochastic_loss(traj, x)
     return total / len(data)
@@ -445,7 +480,8 @@ def _block_step(
 
 
 def _check_split(data: np.ndarray, D: int, name: str) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
+    """``data`` as uint8 bytes or float64 values, once its shape and 0/1 values are checked."""
+    data = _as_data(data)
     if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] != D:
         raise ContractError(f"{name} data must be a non-empty matrix with {D} columns")
     _check_binary(data, "input")
@@ -475,12 +511,16 @@ def train(
     <loss> valid <loss>` with global epoch numbers across phases.  A
     non-finite minibatch loss, gradient or validation loss stops training
     with a ValueError that names the phase, the epoch and the block, before
-    any update from it.  Both data sets are checked once per run; the
-    minibatches then run unchecked.
+    any update from it.  Both data sets are checked once per run, and the
+    validation masks drawn once; the minibatches and validation chunks
+    then run unchecked.  0/1 data given as uint8 stays one byte per value,
+    and each minibatch or validation chunk is widened to float64 as it runs.
     """
     train_data = _check_split(train_data, structure.D, "training")
     valid_data = _check_split(valid_data, structure.D, "validation")
+    # a column sum of 0/1 values is exact in float64, so bytes give the same mean bits
     mean = train_data.mean(axis=0)
+    valid_masks = _validation_masks(structure.D, len(valid_data), config.seed)
 
     master = Rng(config.seed)
     params = init_params(structure, master.stream("init"))
@@ -518,7 +558,7 @@ def train(
                 blocks = minibatches(n_train, config.minibatch_size, shuffle_rng)
                 masks = _block_masks(mask_rng, structure.D, [len(b) for b in blocks])
                 for b, (block, m) in enumerate(zip(blocks, masks), 1):
-                    x = train_data[block]
+                    x = train_data[block].astype(np.float64, copy=False)
                     loss = _block_step(params, structure, x, m, mean, phase, grads)
                     if not math.isfinite(loss):
                         raise ValueError(
@@ -534,7 +574,7 @@ def train(
                         )
                     adadelta_step(state, params, grads)
                 train_loss = total / n_train
-                valid_loss = validation_score(params, structure, valid_data, mean, config.seed)
+                valid_loss = _validation_loss(params, structure, valid_data, valid_masks, mean)
                 if not math.isfinite(valid_loss):
                     raise ValueError(
                         f"training diverged: {phase} epoch {epoch} validation loss {valid_loss}"

@@ -1,0 +1,54 @@
+"""tools/ab_pairs.py cleans up after itself when it is stopped."""
+
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+# exports stubbed out; each benchmark run is a child that records its pid and sleeps
+DRIVER = """
+import subprocess, sys
+sys.path.insert(0, sys.argv[1])
+import ab_pairs
+ab_pairs.export = lambda rev, dest: "0" * 40
+ab_pairs.export_worktree = lambda dest: dest.mkdir()
+child = "import os, sys, time; open(sys.argv[1], 'w').write(str(os.getpid())); time.sleep(60)"
+
+def run(tree, args):
+    subprocess.run([sys.executable, "-c", child, sys.argv[2]])
+    raise AssertionError("the sleeping run was not stopped")
+
+ab_pairs.run = run
+ab_pairs.main(["--workload", "train-desk", "--seed", "1"])
+"""
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_removes_the_temporary_trees_and_stops_the_run(tmp_path):
+    pidfile = tmp_path / "child.pid"
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    proc = subprocess.Popen([sys.executable, "-c", DRIVER, str(TOOLS), str(pidfile)], env=env)
+    try:
+        deadline = time.monotonic() + 30
+        while not (pidfile.exists() and pidfile.read_text()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        assert [p.name.startswith("ab_pairs-") for p in tmp_path.iterdir() if p.is_dir()] == [True]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+    assert [p.name for p in tmp_path.iterdir()] == ["child.pid"]
+    assert not _alive(int(pidfile.read_text()))

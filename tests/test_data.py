@@ -2,13 +2,16 @@
 
 import gzip
 import os
+import re
+import subprocess
+import sys
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 import text_reference
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nadek import Rng, binarize_by_sampling, empirical_mean, load_text_matrix
@@ -110,17 +113,29 @@ SEPARATORS = [" ", "\t", "  ", " \t", "\x0c", "\xa0", "\x1c", "\u2003"]
 
 
 def _outcome(load, path):
-    """Shape and bytes of the samples, or the DataError message."""
+    """Shape and float64 bytes of the samples, or the DataError message."""
     try:
         samples = load(path).samples
     except DataError as exc:
         return str(exc)
-    return samples.shape, samples.dtype, samples.tobytes()
+    return samples.shape, samples.astype(np.float64).tobytes()
+
+
+def _plain(path):
+    """Whether the file's text holds only lone 0/1 digits, spaces, tabs and newlines."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rt") as fh:
+        text = fh.read()
+    return set(text) <= set("01 \t\n") and re.search("[01][01]", text) is None
 
 
 def _same_as_reference(path):
+    """The reference's values or message; plain 0/1 text loads as uint8, any other as float64."""
     expected = _outcome(text_reference.load_text_matrix, path)
     assert _outcome(load_text_matrix, path) == expected
+    if not isinstance(expected, str):
+        dtype = np.uint8 if _plain(path) else np.float64
+        assert load_text_matrix(path).samples.dtype == dtype
     return expected
 
 
@@ -245,13 +260,13 @@ class TestAgainstReference:
         fields = [[data._fmt_value(v) for v in r] for r in rows]
         assert sum(len(" ".join(r)) + 1 for r in fields) > 2 * data._CHUNK_CHARS
         path = _write(tmp_path / name, fields)
-        shape, _, raw = _same_as_reference(path)
+        shape, raw = _same_as_reference(path)
         assert shape == rows.shape
         assert raw == rows.tobytes()
 
 
 class TestPlainBinaryText:
-    """Plain 0/1 text is parsed from its bytes: the float path is never called."""
+    """Plain 0/1 text is parsed from its bytes into uint8: the float path is never called."""
 
     ROWS = [["0", "1", "1"], ["\t1", "0", "0 "], [""], ["1", "1", "1\t"], [" \t "], ["0", "0", "1"]]
 
@@ -264,7 +279,7 @@ class TestPlainBinaryText:
         faulty = self.ROWS[:4] + [["0", "1"]] + self.ROWS[4:]
         path = tmp_path / name
         for rows, outcome in (
-            (self.ROWS, (samples.shape, samples.dtype, samples.tobytes())),
+            (self.ROWS, (samples.shape, samples.tobytes())),
             (faulty, f"{path}: line 5: expected 3 fields, got 2"),
         ):
             _write(path, rows, newline, final_newline=final_newline)
@@ -273,6 +288,128 @@ class TestPlainBinaryText:
                 mock.patch.object(data, "_float_fields", side_effect=AssertionError("float path")),
             ):
                 assert _same_as_reference(path) == outcome
+
+
+CANONICAL = "0 1 1\n1 0 0\n0 0 1\n"
+
+
+def _canonical_text(bits):
+    return "".join(" ".join(str(v) for v in row) + "\n" for row in bits)
+
+
+def _no_text_parse():
+    """Make both chunk parsers raise, so a load that reaches them fails."""
+    stop = AssertionError("parsed as text")
+    return mock.patch.multiple(
+        data,
+        _binary_fields=mock.Mock(side_effect=stop),
+        _float_fields=mock.Mock(side_effect=stop),
+    )
+
+
+class TestCanonicalLayout:
+    """The 0/1 layout save_text_matrix writes is read from its bytes into uint8."""
+
+    @given(
+        D=st.integers(1, 40),
+        rows=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.one_of(st.integers(1, 200), st.just(data._CHUNK_CHARS)),
+    )
+    @example(D=1, rows=1, seed=0, chunk=data._CHUNK_CHARS)
+    @example(D=1, rows=30, seed=1, chunk=1)
+    @example(D=40, rows=1, seed=2, chunk=1)
+    @settings(max_examples=60, deadline=None)
+    def test_generated_files(self, tmp_path_factory, D, rows, seed, chunk):
+        bits = (np.random.default_rng(seed).random((rows, D)) < 0.4).astype(np.uint8)
+        path = tmp_path_factory.mktemp("canonical") / "m.amat"
+        path.write_text(_canonical_text(bits))
+        want = text_reference.load_text_matrix(path).samples
+        with mock.patch.object(data, "_CHUNK_CHARS", chunk), _no_text_parse():
+            got = load_text_matrix(path).samples
+        assert got.dtype == np.uint8 and got.shape == (rows, D)
+        assert got.astype(np.float64).tobytes() == want.tobytes()
+        assert np.array_equal(got, bits)
+
+    def test_written_matrix_is_read_from_bytes(self, tmp_path):
+        bits = np.random.default_rng(3).random((50, 7)) < 0.5
+        path = tmp_path / "m.amat"
+        save_text_matrix(path, bits.astype(np.float64))
+        with _no_text_parse():
+            assert np.array_equal(load_text_matrix(path).samples, bits)
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("no final newline", CANONICAL[:-1]),
+            ("crlf", CANONICAL.replace("\n", "\r\n")),
+            ("tab", CANONICAL.replace("1 0 0", "1\t0 0")),
+            ("double space", CANONICAL.replace("0 0 1", "0  0 1")),
+            ("trailing space", CANONICAL.replace("\n", " \n")),
+            ("blank line", CANONICAL.replace("\n", "\n\n", 1)),
+            ("a 2", CANONICAL.replace("1 0 0", "1 0 2")),
+            ("short row then long row", "0 1 1\n1 0\n1 0 0 1\n"),
+            ("touching digits", "0 1 1\n1 00 \n0 0 1\n"),
+            ("gz", None),
+        ],
+    )
+    def test_near_canonical_files_take_the_text_path(self, tmp_path, name, text):
+        path = tmp_path / ("m.amat.gz" if text is None else "m.amat")
+        if text is None:
+            path.write_bytes(gzip.compress(CANONICAL.encode()))
+        else:
+            path.write_bytes(text.encode())
+        with mock.patch.object(data, "_parsed_text", wraps=data._parsed_text) as parsed:
+            _same_as_reference(path)
+        assert parsed.called
+
+    def test_a_pipe_is_read_once(self, tmp_path):
+        path = tmp_path / "m.fifo"
+        os.mkfifo(path)
+        script = (
+            "import sys\n"
+            "from nadek import load_text_matrix\n"
+            "samples = load_text_matrix(sys.argv[1]).samples\n"
+            "print(samples.dtype, samples.tolist())\n"
+        )
+        proc = _python(script, path)
+        try:
+            path.write_text(CANONICAL)  # waits for the loader to open the pipe
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0, err
+        assert out == "uint8 [[0, 1, 1], [1, 0, 0], [0, 0, 1]]\n"
+
+    def test_load_rss_is_about_one_byte_per_value(self, tmp_path):
+        path = tmp_path / "m.amat"
+        bits = np.random.default_rng(5).random((5000, 784)) < 0.3
+        save_text_matrix(path, bits.astype(np.uint8))
+        script = (
+            "import resource, sys\n"
+            "from nadek import load_text_matrix\n"
+            "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
+            "samples = load_text_matrix(sys.argv[1]).samples\n"
+            "print(peak() - before, samples.dtype, samples.shape)\n"
+        )
+        proc = _python(script, path)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        rise_kb, dtype, *shape = out.split()
+        assert (dtype, " ".join(shape)) == ("uint8", "(5000, 784)")
+        # ru_maxrss counts kilobytes; the matrix alone is 3.9 MB
+        assert int(rise_kb) <= 10 * 1024
+
+
+def _python(script, *args):
+    """A fresh interpreter running ``script`` on the package under test."""
+    src = os.path.dirname(os.path.dirname(data.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = [sys.executable, "-c", script, *map(str, args)]
+    return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
 class TestUnreadable:
@@ -325,9 +462,7 @@ class TestSave:
         ],
     )
     @pytest.mark.parametrize("name", ["m.amat", "m.amat.gz"])
-    def test_bytes_equal_value_by_value_writer(self, tmp_path, monkeypatch, samples, name):
-        # a fixed gzip header time, so that the two .gz files may be compared whole
-        monkeypatch.setattr(gzip, "time", SimpleNamespace(time=lambda: 1_000_000_000.0))
+    def test_bytes_equal_value_by_value_writer(self, tmp_path, samples, name):
         samples = np.asarray(samples, dtype=np.float64)
         (tmp_path / "ref").mkdir()
         save_text_matrix(tmp_path / name, samples)
@@ -337,6 +472,22 @@ class TestSave:
     def test_non_matrix_rejected(self, tmp_path):
         with pytest.raises(ContractError):
             save_text_matrix(tmp_path / "m.amat", np.zeros(3))
+
+    @pytest.mark.parametrize("samples", [np.eye(3), np.full((2, 2), 0.5)])
+    def test_gzip_bytes_do_not_depend_on_time(self, tmp_path, monkeypatch, samples):
+        saved = []
+        for i, now in enumerate((1_000_000_000.0, 1_700_000_001.1)):
+            monkeypatch.setattr(gzip, "time", SimpleNamespace(time=lambda now=now: now))
+            (tmp_path / str(i)).mkdir()
+            save_text_matrix(tmp_path / str(i) / "m.amat.gz", samples)
+            saved.append((tmp_path / str(i) / "m.amat.gz").read_bytes())
+        assert saved[0] == saved[1]
+
+    def test_bytes_write_as_their_float_values(self, tmp_path):
+        bits = np.random.default_rng(4).random((20, 9)) < 0.5
+        for dtype in (np.uint8, np.float64):
+            save_text_matrix(tmp_path / f"{np.dtype(dtype).name}.amat", bits.astype(dtype))
+        assert (tmp_path / "uint8.amat").read_bytes() == (tmp_path / "float64.amat").read_bytes()
 
 
 class TestAtomicWrite:
@@ -425,6 +576,19 @@ class TestMean:
         with pytest.raises(ContractError):
             empirical_mean(ds)
 
+    @pytest.mark.parametrize("rows", [1, 7, 5000, 50000])
+    def test_bytes_give_the_float64_bits(self, rows):
+        bits = np.random.default_rng(rows).integers(0, 2, size=(rows, 784), dtype=np.uint8)
+        got = empirical_mean(Dataset(samples=bits, name="bytes"))
+        # each column's mean is its own reduction, so the float64 matrix is
+        # widened a slice of columns at a time
+        want = np.concatenate([
+            empirical_mean(_dataset(bits[:, lo : lo + 98])) for lo in range(0, 784, 98)
+        ])
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got.view(np.int64), (bits.sum(axis=0) / rows).view(np.int64))
+
 
 class TestMinibatches:
     def test_block_sizes(self):
@@ -459,3 +623,8 @@ class TestDataset:
         ds = _dataset(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             ds.samples[0, 0] = 1.0
+
+    def test_is_binary_on_bytes(self):
+        assert Dataset(samples=np.eye(3, dtype=np.uint8), name="t").is_binary
+        assert not Dataset(samples=np.full((2, 2), 2, np.uint8), name="t").is_binary
+        assert Dataset(samples=np.zeros((0, 2), np.uint8), name="t").is_binary

@@ -227,6 +227,17 @@ class TestStats:
         ]
         assert np.array_equal(got, np.array(want))
 
+    def test_bytes_score_as_their_float_values(self):
+        params, cfg = random_model(9, 5, k=2, seed=24)
+        mean = np.linspace(0.2, 0.8, 9)
+        bits = (Rng(25).stream("rows").uniform_array((6, 9)) < 0.5).astype(np.uint8)
+        spec = draw_orderings(9, 3, seed=26)
+        got = ordering_stats(params, cfg, bits, spec, mean).matrix
+        want = ordering_stats(params, cfg, bits.astype(np.float64), spec, mean).matrix
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ContractError, match="binary"):
+            ordering_stats(params, cfg, bits * 2, spec, mean)
+
     def test_ensemble_mean_consistent(self):
         from nadek.numerics import log_sum_exp
 

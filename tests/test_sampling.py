@@ -164,6 +164,19 @@ class TestInpaint:
         assert out.shape == (1, 4)
         assert np.all((out == 0.0) | (out == 1.0))
 
+    def test_bytes_inpaint_as_their_float_values(self):
+        params, cfg = random_model(12, 6, k=2, seed=67)
+        mean = np.linspace(0.1, 0.9, 12)
+        bits = (Rng(68).stream("rows").uniform_array((130, 12)) < 0.4).astype(np.uint8)
+        outs = [
+            inpaint(params, cfg, bits.astype(dtype), [1, 4, 5], mean,
+                    [Rng(69).stream("row", r) for r in range(130)])
+            for dtype in (np.uint8, np.float64)
+        ]
+        assert outs[0].dtype == np.uint8 and outs[1].dtype == np.float64
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(outs[0][:, [1, 4, 5]], bits[:, [1, 4, 5]])
+
     def test_unobserved_input_values_ignored(self):
         # garbage in unobserved slots must not influence the draw
         params, cfg = random_model(4, 3, k=2, seed=64)

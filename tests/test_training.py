@@ -1,5 +1,6 @@
 """Objectives, gradients, mask draws, AdaDelta, and the epoch loop."""
 
+import hashlib
 import itertools
 import math
 import re
@@ -20,6 +21,8 @@ from nadek import (
     training,
 )
 from nadek.checkpoint import encode_mean
+from nadek.cli import main
+from nadek.data import save_text_matrix
 from nadek.evaluation import Ordering
 from nadek.model import Trajectory
 from nadek.numerics import ContractError
@@ -529,9 +532,7 @@ class TestTrainLoop:
     def test_early_stopping_mechanism(self, monkeypatch):
         td, vd = self._toy()
         scores = iter([3.0, 2.0, 2.5, 2.6, 1.0, 1.0])
-        monkeypatch.setattr(
-            "nadek.training.validation_score", lambda *a, **k: next(scores)
-        )
+        monkeypatch.setattr(training, "_validation_loss", lambda *a, **k: next(scores))
         cfg = StructureConfig(D=4, hidden1=4, k=1)
         tc = TrainConfig(minibatch_size=8, finetune_epochs=50, patience=2, seed=31)
         res = train(cfg, td, vd, tc)
@@ -555,7 +556,7 @@ class TestTrainLoop:
             seen.append(params.copy())
             return next(scores)
 
-        monkeypatch.setattr(training, "validation_score", scripted)
+        monkeypatch.setattr(training, "_validation_loss", scripted)
         cfg = StructureConfig(D=4, hidden1=4, k=1)
         tc = TrainConfig(minibatch_size=8, finetune_epochs=len(script), seed=31)
         res = train(cfg, td, vd, tc)
@@ -660,9 +661,78 @@ class TestGroupedMaskDraws:
         # a budget of one draw leaves one block per group: one call per block
         per_block, block_calls = self._run(case, 1, tmp_path, monkeypatch)
         chunks = [100] * (n_valid // 100) + [n_valid % 100]
-        epoch = [batch] * (n_train // batch) + [n_train % batch] + chunks
-        assert block_calls == epoch * 3 + chunks
+        epoch = [batch] * (n_train // batch) + [n_train % batch]
+        # the run draws its validation masks once, before its three epochs;
+        # the last chunks are the final validation_score call's
+        assert block_calls == chunks + epoch * 3 + chunks
         assert len(grouped[1]) == 3
         assert grouped == per_block
         assert len(grouped_calls) < len(block_calls)
         assert sum(grouped_calls) == sum(block_calls)
+
+
+class TestValidationMasksOncePerRun:
+    """A run draws its validation masks once, as bytes, and scores every epoch on them."""
+
+    ARGV = [
+        "train", "--data", "train.amat", "--valid", "valid.amat", "--out", "m.ckpt",
+        "--hidden1", "8", "--k", "2", "--batch", "25", "--pretrain-epochs", "1",
+        "--epochs", "30", "--patience", "2",
+    ]
+
+    def _rows(self):
+        return (Rng(9).stream("rows").uniform_array((330, 16)) < 0.3).astype(np.uint8)
+
+    def _train(self, workdir, seed, monkeypatch, capsys):
+        """sha256 of the checkpoint, history, manifest and stdout of one CLI run in ``workdir``."""
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        rows = self._rows()
+        save_text_matrix("train.amat", rows[:250])
+        save_text_matrix("valid.amat", rows[250:])
+        assert main([*self.ARGV, "--seed", str(seed)]) == 0
+        outputs = [workdir / n for n in ("m.ckpt", "m.ckpt.history.log", "m.ckpt.manifest.json")]
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs]
+        return digests + [hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()]
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_one_draw_writes_the_bytes_of_a_draw_per_epoch(
+        self, tmp_path, monkeypatch, capsys, seed
+    ):
+        calls = []
+
+        def counted(rng, D, rows):
+            calls.append(rows)
+            return sample_mask(rng, D, rows)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "sample_mask", counted)
+            once = self._train(tmp_path / "once", seed, patch, capsys)
+        epochs = len((tmp_path / "once" / "m.ckpt.history.log").read_text().splitlines())
+        assert 4 <= epochs < 31  # pretraining, then fine-tuning stopped by patience
+        # the 80 validation rows once, then the 250 training rows each epoch
+        assert calls == [80] + [250] * epochs
+
+        real = training._validation_loss
+
+        def drawn_each_epoch(params, structure, data, masks, mean):
+            # the documented draw: D per row, in row order, from the seed's stream
+            fresh = sample_mask(Rng(seed).stream("valid-masks"), structure.D, len(data))
+            return real(params, structure, data, fresh, mean)
+
+        monkeypatch.setattr(training, "_validation_loss", drawn_each_epoch)
+        assert self._train(tmp_path / "each", seed, monkeypatch, capsys) == once
+
+    def test_bytes_train_as_their_float_values(self, tmp_path):
+        rows = self._rows()
+        structure = StructureConfig(D=16, hidden1=8, k=2)
+        config = TrainConfig(
+            minibatch_size=25, pretrain_epochs=1, finetune_epochs=5, patience=2, seed=31
+        )
+        results = []
+        for dtype in (np.uint8, np.float64):
+            result = train(structure, rows[:250].astype(dtype), rows[250:].astype(dtype), config)
+            path = tmp_path / f"{np.dtype(dtype).name}.ckpt"
+            save_checkpoint(str(path), result.params, structure, {"mean": encode_mean(result.mean)})
+            results.append((path.read_bytes(), result.history, result.mean.tobytes()))
+        assert results[0] == results[1]

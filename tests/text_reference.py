@@ -1,12 +1,14 @@
 """Line-by-line references of the text matrix loader and writer.
 
 The loader takes one line at a time: split, ``float`` each field, check
-the field count, then the range.  The package parses a chunk of lines
-with a few numpy calls (from the bytes when the chunk is plain 0/1
-text) and scans line by line only inside a chunk that failed; tests
-require the two to return the same bits or raise the same message.  The
-writer formats one value at a time; the package writes a 0/1 matrix
-from one byte array, and tests require the same file bytes.
+the field count, then the range, and returns float64.  The package reads
+a file in the writer's 0/1 layout from its bytes, parses any other a
+chunk of lines with a few numpy calls (from the bytes when the chunk is
+plain 0/1 text) and scans line by line only inside a chunk that failed;
+it keeps plain 0/1 text as uint8.  Tests require the two to return the
+same values or raise the same message.  The writer formats one value at
+a time; the package writes a 0/1 matrix from one byte array, and tests
+require the same file bytes.
 """
 
 import gzip
@@ -47,12 +49,12 @@ def load_text_matrix(path: str, name: str | None = None) -> Dataset:
 
 
 def save_text_matrix(path: str, samples: np.ndarray) -> None:
-    """Write one sample per line, one value at a time."""
+    """Write one sample per line, one value at a time; a gzip header holds time 0."""
     samples = np.asarray(samples, dtype=np.float64)
     gz = str(path).endswith(".gz")
     with open(path, "wb" if gz else "w") as out:
         if gz:
-            out = io.TextIOWrapper(gzip.GzipFile(filename=path, mode="wb", fileobj=out))
+            out = io.TextIOWrapper(gzip.GzipFile(filename=path, mode="wb", fileobj=out, mtime=0))
         with out:
             for row in samples:
                 out.write(" ".join(_fmt_value(v) for v in row))

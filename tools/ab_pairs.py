@@ -4,9 +4,10 @@
     python3 tools/ab_pairs.py --base HEAD --workload train-desk --seed 31 --pairs 10
 
 Both sides run from copies in one temporary directory, which is deleted at
-exit: the base revision is exported with ``git archive``, and the working
-tree by copying the files ``git ls-files -co --exclude-standard`` names
-(tracked and untracked, not ignored), skipping deleted ones.  So neither
+exit, on SIGTERM too (which also stops the running benchmark): the base
+revision is exported with ``git archive``, and the working tree by copying
+the files ``git ls-files -co --exclude-standard`` names (tracked and
+untracked, not ignored), skipping deleted ones.  So neither
 side carries build or run leftovers that the other lacks.  Each pair runs
 
     python3 benchmarks/run.py --workload W --seed S --seconds T --trace 0
@@ -27,6 +28,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -99,6 +101,12 @@ def summary(results: dict[str, list[dict]], better: dict[str, str]) -> dict:
     return metrics
 
 
+def _exit_on_sigterm(signum, frame):
+    # SystemExit unwinds like any exception: subprocess.run kills the running
+    # child and the temporary directory is deleted on the way out
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="revision to compare against (default HEAD)")
@@ -112,6 +120,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     results: dict[str, list[dict]] = {"base": [], "new": []}
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         trees = {"base": Path(tmp) / "base", "new": Path(tmp) / "new"}
         trees["base"].mkdir()
