@@ -269,12 +269,13 @@ def ordering_stats(
 
     The pairs, in ordering-major order, are split into one run of
     consecutive pairs for each of up to ``threads`` workers, and each run
-    is scored on a workspace of its own.  A pair's bits depend neither on
-    the workspace nor on what it scored before, so the matrix is the same
-    at any thread count.  Aggregates use unbiased (n-1) variances: the mean
-    over samples of the across-ordering variance, and the mean over
-    orderings of the across-sample variance, each reported as a square
-    root.
+    is scored on a workspace of its own.  Pair i is row i % n under
+    ordering i // n, for n samples, so no list of the pairs is made.  A
+    pair's bits depend neither on the workspace nor on what it scored
+    before, so the matrix is the same at any thread count.  Aggregates use
+    unbiased (n-1) variances: the mean over samples of the across-ordering
+    variance, and the mean over orderings of the across-sample variance,
+    each reported as a square root.
     """
     samples = _as_data(samples)
     if samples.ndim != 2 or samples.shape[0] < 1:
@@ -282,17 +283,19 @@ def ordering_stats(
     samples, mean = _checked(params, config, samples, spec.orderings, mean)
     WT = np.ascontiguousarray(params.W.T)
     # ordering-major, so a worker gathers each of its orderings once
-    pairs = [(x, o) for o in spec.orderings for x in samples]
-    runs = np.array_split(np.arange(len(pairs)), max(1, min(threads, len(pairs))))
+    n = samples.shape[0]
+    logs = np.empty(len(spec.orderings) * n)
+    parts = max(1, min(threads, logs.size))
+    runs = [range(logs.size * j // parts, logs.size * (j + 1) // parts) for j in range(parts)]
 
-    def score(run: np.ndarray) -> list[float]:
+    def score(run: range) -> None:
         staircase = _Staircase(params, config, mean, WT)
-        return [staircase.log_prob(*pairs[i]) for i in run]
+        for i in run:
+            logs[i] = staircase.log_prob(samples[i % n], spec.orderings[i // n])
 
-    logs = [lp for run in map_in_order(score, runs, threads) for lp in run]
-    matrix = np.reshape(logs, (len(spec.orderings), samples.shape[0])).T
+    map_in_order(score, runs, threads)
     # in C order: the aggregates' sums follow memory order, and so do their bits
-    return stats_from_matrix(np.ascontiguousarray(matrix))
+    return stats_from_matrix(np.ascontiguousarray(logs.reshape(-1, n).T))
 
 
 def _fmt_aggregate(value: float | None) -> str:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import ContractError, Rng, _is_binary, clamp_prob, sigmoid_vec
+from .numerics import ContractError, Rng, _is_binary, _sigmoid, clamp_prob, sigmoid_vec
 
 __all__ = [
     "ModelParams",
@@ -251,7 +251,8 @@ def forward(
     time, pass ``dataclasses.replace(config, k=...)``.
     """
     params.check_shapes(config)
-    return _forward(params, config, *_check_input(x, m, mean))
+    x, m, mean = _check_input(x, m, mean)
+    return _forward(params, config, x, m, mean, _trajectory_buffers(config, len(x)), np.empty(x.shape))
 
 
 def _forward(
@@ -260,33 +261,44 @@ def _forward(
     x: np.ndarray,
     m: np.ndarray,
     mean: np.ndarray,
+    out: _Buffers,
+    keep_x: np.ndarray,
 ) -> Trajectory:
     """The body of :func:`forward`, unchecked: the caller has checked what it checks.
 
-    Every step writes into its own slots of the trajectory.
+    The trajectory is written into ``out`` (see :func:`_trajectory_buffers`),
+    and ``keep_x``, a block shaped like ``x``, is free again on return, as
+    is ``out.e`` when given.
     """
-    keep_x = (1.0 - m) * x
+    np.subtract(1.0, m, out=keep_x)
+    keep_x *= x
     # v_0: the mean at missing coordinates, x at observed ones
-    v = m * mean + keep_x
-    slots = _Buffers(
-        [tuple(np.empty((len(x), w)) for w in _widths(config)) for _ in range(config.k)],
-        [np.empty_like(v) for _ in range(config.k)],
-    )
-    a1 = np.matmul(v, params.W.T, out=slots.h[0][0])
+    v = np.multiply(m, mean, out=out.v[0])
+    v += keep_x
+    a1 = np.matmul(v, params.W.T, out=out.h[0][0])
     a1 += params.c
-    top = _steps(params, config, a1, m, keep_x, slots)
-    _decode(params, top, m, keep_x, slots.v[-1])
-    return Trajectory(v_states=[v, *slots.v], h_states=slots.h, mask=m)
+    top = _steps(params, config, a1, m, keep_x, out)
+    _decode(params, top, m, keep_x, out.v[-1], out.e)
+    return Trajectory(v_states=list(out.v), h_states=list(out.h), mask=m)
 
 
 class _Buffers(NamedTuple):
     """Where the steps write: ``h[t]`` takes step t's hidden activations
-    (one block per hidden layer) and ``v[t]`` the state v_{t+1} decoded
-    after it.  A trajectory gives each step its own arrays; a staircase or
-    a walk repeats one set for every step."""
+    (one block per hidden layer, steps counted from 0), ``v[t]`` the state
+    v_t that step t reads, decoded before it for t >= 1, and ``e`` the
+    sigmoid's temporary, shaped like a state, or None for a new one at
+    each decode.  A trajectory gives each state and step its own arrays,
+    v_0 .. v_k; a staircase or a walk repeats one set for every step."""
 
     h: list[tuple[np.ndarray, ...]]
     v: list[np.ndarray]
+    e: np.ndarray | None
+
+
+def _trajectory_buffers(config: StructureConfig, rows: int, e: np.ndarray | None = None) -> _Buffers:
+    """New buffers for the trajectory of a ``rows``-row block, with ``e`` as the sigmoid's temporary."""
+    blocks = [tuple(np.empty((rows, w)) for w in _widths(config)) for _ in range(config.k)]
+    return _Buffers(blocks, [np.empty((rows, config.D)) for _ in range(config.k + 1)], e)
 
 
 def _widths(config: StructureConfig) -> tuple[int, ...]:
@@ -303,21 +315,23 @@ def _step_buffers(config: StructureConfig, space: list[np.ndarray], rows: int, c
     """One set of C-contiguous buffers for a ``rows`` x ``cols`` block,
     cut from the front of ``space`` and repeated for every step."""
     *hidden, v = (flat[: rows * w].reshape(rows, w) for flat, w in zip(space, (*_widths(config), cols)))
-    return _Buffers([tuple(hidden)] * config.k, [v] * (config.k - 1))
+    return _Buffers([tuple(hidden)] * config.k, [v] * config.k, None)
 
 
 def _decode(
-    params: ModelParams, top: np.ndarray, m: np.ndarray, keep_x: np.ndarray, out: np.ndarray
+    params: ModelParams, top: np.ndarray, m: np.ndarray, keep_x: np.ndarray,
+    out: np.ndarray, e: np.ndarray | None,
 ) -> np.ndarray:
     """The state v_t a step decodes to from its top hidden activations, in ``out``.
 
-    ``m`` and ``keep_x`` may cover only the first columns of the block: the
-    columns past them are missing in every row, where the clamp
-    m * s + keep_x is s itself.
+    The sigmoid's temporary goes into ``e``, shaped like ``out``, or into a
+    new array when ``e`` is None.  ``m`` and ``keep_x`` may cover only the
+    first columns of the block: the columns past them are missing in every
+    row, where the clamp m * s + keep_x is s itself.
     """
     s = np.matmul(top, params.V.T, out=out)
     s += params.b
-    sigmoid_vec(s, out=s)
+    _sigmoid(s, s, np.empty_like(s) if e is None else e)
     clamped = s[:, : m.shape[1]]
     clamped *= m
     clamped += keep_x
@@ -335,7 +349,7 @@ def _steps(
     """The config.k steps from step 1's hidden pre-activation ``a1``, unchecked.
 
     Step t writes its hidden activations into out.h[t], after decoding the
-    state v_t between steps into out.v[t - 1] when t >= 1.  ``a1`` may be
+    state v_t between steps into out.v[t] when t >= 1.  ``a1`` may be
     out.h[0][0] itself.  Returns the last step's top activations; that
     step is not decoded, so a caller reads it only where it needs it.
     ``params`` may be a _Net, the model restricted to the coordinates still
@@ -347,7 +361,7 @@ def _steps(
     a, top = a1, None
     for t, hidden in enumerate(out.h):
         if t:
-            v = _decode(params, top, m, keep_x, out.v[t - 1])
+            v = _decode(params, top, m, keep_x, out.v[t], out.e)
             a = np.matmul(v, params.W.T, out=hidden[0])
             a += params.c
         top = phi(a, out=hidden[0])

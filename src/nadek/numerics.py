@@ -96,7 +96,12 @@ def sigmoid_vec(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # the result is allocated before the temporary, as in the two-exp form:
         # the other order raised the peak RSS of paper-shape training by ~0.3 MB
         out = np.empty_like(v)
-    e = np.negative(v, out=np.empty_like(v))
+    return _sigmoid(v, out, np.empty_like(v))
+
+
+def _sigmoid(v: np.ndarray, out: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """:func:`sigmoid_vec` of float64 ``v`` into ``out``, through ``e``, a buffer shaped like ``v``."""
+    np.negative(v, out=e)
     np.minimum(v, e, out=e)
     np.exp(e, out=e)
     # the last read of v, so out may be v
@@ -109,7 +114,12 @@ def sigmoid_vec(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def clamp_prob(p):
     """Clip probabilities to [PROB_EPS, 1 - PROB_EPS] (scalar or array)."""
-    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    return _clamp(p, None)
+
+
+def _clamp(p, out: np.ndarray | None):
+    """:func:`clamp_prob` of ``p`` into ``out``, or into a new result when None."""
+    return np.minimum(np.maximum(p, PROB_EPS, out=out), 1.0 - PROB_EPS, out=out)
 
 
 def log_sum_exp(values) -> float:

@@ -20,6 +20,7 @@ gradient is a sum of matrix-matrix products over the rows.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -27,16 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import minibatches
-from .model import ModelParams, StructureConfig, Trajectory, _check_binary, _forward, init_params
-from .numerics import (
-    BLOCK_ROWS,
-    PROB_EPS,
-    ContractError,
-    Rng,
-    _as_data,
-    clamp_prob,
-    single_threaded_blas,
-)
+from .model import ModelParams, StructureConfig, Trajectory, _Buffers, _check_binary, _forward
+from .model import _trajectory_buffers, _widths, init_params
+from .numerics import BLOCK_ROWS, PROB_EPS, ContractError, Rng, _as_data, _clamp, single_threaded_blas
 
 __all__ = [
     "AdaDeltaState",
@@ -141,6 +135,9 @@ def sample_mask(rng: Rng, D: int, rows: int) -> np.ndarray:
     # draw 0 of a row is bounded by D, draw 1 + i by D - i
     bounds = np.concatenate(([D], np.arange(D, 1, -1)))
     draws = rng.below_array(np.broadcast_to(bounds, (rows, D)))
+    # the result is allocated below the swap arrays, so that they leave one
+    # free block behind them
+    mask = np.ones((rows, D))
     d = draws[:, 0] + 1
     order = np.argsort(-d, kind="stable")
     swaps = int(d.max()) - 1
@@ -149,8 +146,10 @@ def sample_mask(rng: Rng, D: int, rows: int) -> np.ndarray:
     # slot i of sorted row r sits at i * rows + r and holds the flat mask
     # position order[r] * D + (the index in that slot); target[i, r] is
     # the flat slot that swap i of sorted row r exchanges with slot i
-    idx = (np.arange(D)[:, None] + order * D).ravel()
     target = np.ascontiguousarray(draws[order, 1 : swaps + 1].T)
+    # the draws are spent: free them before the index list is built
+    del draws
+    idx = (np.arange(D)[:, None] + order * D).ravel()
     target += np.arange(swaps)[:, None]
     target *= rows
     target += np.arange(rows)
@@ -162,31 +161,32 @@ def sample_mask(rng: Rng, D: int, rows: int) -> np.ndarray:
         idx[there] = held
     # a row past its d-1 swaps is never touched again, so slot i of the
     # first active[i] sorted rows is observed
-    mask = np.ones((rows, D))
     observed = np.arange(rows) < active[:, None]
     mask.ravel()[idx[: swaps * rows].reshape(swaps, rows)[observed]] = 0.0
     return mask
 
 
-def _row_ce(v: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    # cross-entropy over the missing components of each row (last axis);
-    # observed slots hold the exact input bit, which the clamp keeps finite.
-    # For binary x, q = x*p + (1-x)*(1-p) is exactly p or 1 - p, so -log(q)
-    # equals -x*log(p) - (1-x)*log(1-p) bit for bit (the other term is +-0)
-    p = clamp_prob(v)
-    q = np.multiply(x, p)
-    p = np.subtract(1.0, p, out=p)
-    p *= 1.0 - x
-    q += p
+def _row_ce(v: np.ndarray, x: np.ndarray, m: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # cross-entropy over the missing components of each row (last axis),
+    # through the buffers p and q shaped like v; observed slots hold the
+    # exact input bit, which the clamp keeps finite.  For binary x,
+    # q = |(1-x) - p| is exactly p or 1 - p, so -log(q) equals
+    # -x*log(p) - (1-x)*log(1-p) bit for bit (the other term is +-0).
+    # Negation is exact and rounding symmetric, so the negated row sums of
+    # log(q) * m have the bits of the row sums of -log(q) * m
+    _clamp(v, p)
+    np.subtract(1.0, x, out=q)
+    q -= p
+    np.absolute(q, out=q)
     np.log(q, out=q)
-    np.negative(q, out=q)
     q *= m
-    return np.sum(q, axis=-1)
+    return -np.add.reduce(q, axis=-1)
 
 
-def _gamma(m: np.ndarray) -> np.ndarray:
-    """Per-row estimator scale D / (number of missing components)."""
-    return m.shape[-1] / np.sum(m, axis=-1)
+def _row_scale(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-row estimator scale D / (number of missing components), into ``out``."""
+    np.add.reduce(m, axis=-1, out=out)
+    return np.divide(m.shape[-1], out, out=out)
 
 
 def stochastic_loss(traj: Trajectory, x: np.ndarray, objective: str = "finetune") -> float:
@@ -198,18 +198,23 @@ def stochastic_loss(traj: Trajectory, x: np.ndarray, objective: str = "finetune"
     """
     if objective not in OBJECTIVES:
         raise ContractError(f"objective must be one of {OBJECTIVES}")
-    x = np.asarray(x, dtype=np.float64)
+    gamma = _row_scale(traj.mask, np.empty(traj.mask.shape[:-1]))
+    return _loss(traj, x, objective, gamma, *np.empty((2, *traj.mask.shape)))
+
+
+def _loss(traj: Trajectory, x: np.ndarray, objective: str, gamma, p, q) -> float:
+    """:func:`stochastic_loss`, unchecked, with the row scale ``gamma`` given
+    and the temporaries in ``p`` and ``q``, shaped like a state."""
     m = traj.mask
     if objective == "pretrain":
         k = traj.k_used
-        total = sum(_row_ce(traj.v_states[t], x, m) for t in range(1, k + 1))
-        return float(np.sum(_gamma(m) * total / k))
-    return float(np.sum(_gamma(m) * _row_ce(traj.v_states[-1], x, m)))
+        total = sum(_row_ce(traj.v_states[t], x, m, p, q) for t in range(1, k + 1))
+        return float(np.add.reduce(gamma * total / k))
+    return float(np.add.reduce(gamma * _row_ce(traj.v_states[-1], x, m, p, q)))
 
 
-def _phi_prime(h: np.ndarray, activation: str, out: np.ndarray | None) -> np.ndarray:
+def _phi_prime(h: np.ndarray, activation: str, out: np.ndarray) -> np.ndarray:
     # derivative expressed through the stored activation value, into out
-    # (a new array when out is None)
     if activation == "tanh":
         out = np.multiply(h, h, out=out)
         return np.subtract(1.0, out, out=out)
@@ -226,10 +231,58 @@ def _accumulate(w, c, delta, inputs, scratch) -> None:
     """
     if scratch is None:
         np.matmul(delta.T, inputs, out=w)
-        np.sum(delta, axis=0, out=c)
+        np.add.reduce(delta, axis=0, out=c)
     else:
         w += np.matmul(delta.T, inputs, out=scratch[: w.size].reshape(w.shape))
-        c += delta.sum(axis=0)
+        c += np.add.reduce(delta, axis=0, out=scratch[: c.size])
+
+
+class _Workspace:
+    """Block buffers made once per training run and reused by every
+    minibatch and validation chunk.
+
+    The buffers hold blocks of ``rows`` rows; :meth:`head` cuts them for a
+    shorter block.  ``x`` takes a block widened to float64, ``out`` its
+    trajectory and ``gamma`` its row scale.  The three rows x D blocks of
+    ``work`` serve in turn: in the forward pass work[0] and work[1] hold
+    keep_x and the sigmoid's temporary (out.e), in the loss its two
+    temporaries, while a validation chunk's widened mask sits in work[2];
+    in backward they are dz, dv and tmp; in the AdaDelta update the front
+    of ``flat``, the array behind them, holds its two chunk temporaries
+    (``spare`` elements).
+    ``dh[i]`` and ``da[i]`` take backward's gradient at hidden layer i's
+    activations and pre-activations, and ``clamp_tests`` its two clamp
+    range tests.
+
+    So between blocks a run holds what a step holds at its peak, in
+    backward, less backward's |W|-sized scratch: each call makes that, so
+    that the mask draws between steps reuse its memory.  :func:`backward`
+    and :func:`validation_score` make a workspace per call; the buffers a
+    call does not use are never written, so they take address space, not
+    memory.
+    """
+
+    def __init__(self, config: StructureConfig, rows: int, spare: int = 0):
+        self.flat = np.empty(max(3 * rows * config.D, spare))
+        self.work = list(self.flat[: 3 * rows * config.D].reshape(3, rows, config.D))
+        self.x = np.empty((rows, config.D))
+        self.out = _trajectory_buffers(config, rows, self.work[1])
+        self.clamp_tests = np.empty((2, rows, config.D), dtype=bool)
+        self.dh = [np.empty((rows, w)) for w in _widths(config)]
+        self.da = [np.empty((rows, w)) for w in _widths(config)]
+        self.gamma = np.empty(rows)
+
+    def head(self, n: int) -> "_Workspace":
+        """This workspace for a block of its full size, else a copy whose
+        blocks are views of their first n rows."""
+        if n == len(self.x):
+            return self
+        cut = copy.copy(self)
+        cut.x, cut.gamma, cut.clamp_tests = self.x[:n], self.gamma[:n], self.clamp_tests[:, :n]
+        cut.work, cut.dh, cut.da = ([a[:n] for a in arrays] for arrays in (self.work, self.dh, self.da))
+        h, v = self.out.h, self.out.v
+        cut.out = _Buffers([tuple(a[:n] for a in step) for step in h], [a[:n] for a in v], cut.work[1])
+        return cut
 
 
 def backward(
@@ -250,12 +303,12 @@ def backward(
     Coordinates whose output probability left the clamp range contribute
     zero loss gradient, matching the clamped loss exactly.
 
-    The steps write into buffers that the first step allocates and the
-    later ones reuse, and every expression keeps its order of operations,
-    so the values equal the plain expressions bit for bit, up to the sign
-    of a zero: the first term of each sum (a tensor's product at step k,
-    the scored term at step k) is taken as it is rather than added to
-    0.0, so a -0.0 there stays -0.0 where 0.0 + -0.0 would give +0.0.
+    The steps write into the buffers of a workspace, the same for every
+    step, and every expression keeps its order of operations, so the
+    values equal the plain expressions bit for bit, up to the sign of a
+    zero: the first term of each sum (a tensor's product at step k, the
+    scored term at step k) is taken as it is rather than added to 0.0, so
+    a -0.0 there stays -0.0 where 0.0 + -0.0 would give +0.0.
 
     The gradient is written into ``out``, params-shaped, overwriting every
     entry, and returned; without ``out`` it goes into ``params.zeros_like()``.
@@ -266,49 +319,50 @@ def backward(
     m = traj.mask
     if x.shape != m.shape:
         raise ContractError(f"x{x.shape} does not match the trajectory's mask{m.shape}")
-    k = traj.k_used
-    # per-row loss weight of each scored step's reconstruction
-    gamma = _gamma(m)[:, None]
-    coeff = gamma / k if objective == "pretrain" else gamma
-    act = config.activation
+    ws = _Workspace(config, len(x))
     grads = params.zeros_like() if out is None else out
+    return _backward(params, config, traj, x, objective, _row_scale(m, ws.gamma), grads, ws)
+
+
+def _backward(params, config, traj, x, objective, gamma, grads, ws: _Workspace) -> ModelParams:
+    """The body of :func:`backward`, unchecked, with the row scale ``gamma``
+    given; its block buffers are those of ``ws``."""
+    m, k, act = traj.mask, traj.k_used, config.activation
+    # per-row loss weight of each scored step's reconstruction
+    coeff = (gamma / k if objective == "pretrain" else gamma)[:, None]
+    dz, dv, tmp, inclamp, below_top = (*ws.work, *ws.clamp_tests)
     # products after a tensor's first go through scratch
     scratch = np.empty(max(t.size for t in params.tensors().values())) if k > 1 else None
-    # block-wide buffers, each allocated by its first write
-    dz = dv = tmp = inclamp = below_top = dtop = datop = dh1 = da1 = None
     for t in range(k, 0, -1):
         s = traj.v_states[t]
         # dv is the gradient reaching v_t from step t + 1; none at t = k
         if t < k:
             np.multiply(m, dv, out=dz)
             dz *= s
-            tmp = np.subtract(1.0, s, out=tmp)
+            np.subtract(1.0, s, out=tmp)
             dz *= tmp
         if objective == "pretrain" or t == k:
-            inclamp = np.greater(s, PROB_EPS, out=inclamp)
-            below_top = np.less(s, 1.0 - PROB_EPS, out=below_top)
+            np.greater(s, PROB_EPS, out=inclamp)
+            np.less(s, 1.0 - PROB_EPS, out=below_top)
             inclamp &= below_top
-            # coeff * m * (s - x) * inclamp; dv is free until step t - 1
-            if t == k:
-                dz = term = np.multiply(coeff, m)
-            else:
-                term = np.multiply(coeff, m, out=tmp)
-            dv = np.subtract(s, x, out=dv)
+            # coeff * m * (s - x) * inclamp, dz itself at t = k; dv is free
+            # until step t - 1
+            term = np.multiply(coeff, m, out=dz if t == k else tmp)
+            np.subtract(s, x, out=dv)
             term *= dv
             term *= inclamp
             if t < k:
                 dz += term
         hidden = traj.h_states[t - 1]
-        h1, top = hidden[0], hidden[-1]
         into = None if t == k else scratch
-        _accumulate(grads.V, grads.b, dz, top, into)
-        dtop = np.matmul(dz, params.V, out=dtop)
-        da = datop = _phi_prime(top, act, datop)
+        _accumulate(grads.V, grads.b, dz, hidden[-1], into)
+        dtop = np.matmul(dz, params.V, out=ws.dh[-1])
+        da = _phi_prime(hidden[-1], act, ws.da[-1])
         da *= dtop
         if config.n == 3:
-            _accumulate(grads.W2, grads.c2, da, h1, into)
-            dh1 = np.matmul(da, params.W2, out=dh1)
-            da = da1 = _phi_prime(h1, act, da1)
+            _accumulate(grads.W2, grads.c2, da, hidden[0], into)
+            dh1 = np.matmul(da, params.W2, out=ws.dh[0])
+            da = _phi_prime(hidden[0], act, ws.da[0])
             da *= dh1
         _accumulate(grads.W, grads.c, da, traj.v_states[t - 1], into)
         if t > 1:
@@ -339,9 +393,10 @@ def _adadelta_update(p, g, eg2, edx2, rho, eps, tmp, delta) -> None:
     tmp *= g
     eg2 *= rho
     eg2 += tmp
+    # delta is the step's magnitude, -dx: negation is exact, so p -= delta
+    # and delta * delta give the bits of p + dx and dx * dx
     np.add(edx2, eps, out=delta)
     np.sqrt(delta, out=delta)
-    np.negative(delta, out=delta)
     np.add(eg2, eps, out=tmp)
     np.sqrt(tmp, out=tmp)
     delta /= tmp
@@ -350,7 +405,7 @@ def _adadelta_update(p, g, eg2, edx2, rho, eps, tmp, delta) -> None:
     np.multiply(1.0 - rho, delta, out=tmp)
     tmp *= delta
     edx2 += tmp
-    p += delta
+    p -= delta
 
 
 def adadelta_step(state: AdaDeltaState, params: ModelParams, grads: ModelParams) -> None:
@@ -363,13 +418,18 @@ def adadelta_step(state: AdaDeltaState, params: ModelParams, grads: ModelParams)
     update walks the four sets' vectors together, _ADADELTA_CHUNK elements
     at a time through one pair of chunk-sized temporaries.
     """
+    _adadelta(state, params, grads, np.empty(2 * min(_ADADELTA_CHUNK, params.vector.size)))
+
+
+def _adadelta(state: AdaDeltaState, params: ModelParams, grads: ModelParams, space: np.ndarray) -> None:
+    """:func:`adadelta_step`, with its pair of chunk-sized temporaries cut
+    from the front of ``space``."""
     vectors = [s.vector for s in (params, grads, state.eg2, state.edx2)]
-    size = vectors[0].size
-    pair = np.empty((2, min(_ADADELTA_CHUNK, size)))
-    for lo in range(0, size, _ADADELTA_CHUNK):
-        part = [v[lo : lo + _ADADELTA_CHUNK] for v in vectors]
-        n = part[0].size
-        _adadelta_update(*part, state.rho, state.epsilon, pair[0, :n], pair[1, :n])
+    n = min(_ADADELTA_CHUNK, params.vector.size)
+    tmp, delta = space[: 2 * n].reshape(2, n)
+    for lo in range(0, params.vector.size, n):
+        part = [v[lo : lo + n] for v in vectors]
+        _adadelta_update(*part, state.rho, state.epsilon, tmp[: part[0].size], delta[: part[0].size])
 
 
 #: Mask draws (rows x D) per sample_mask call when the masks of several
@@ -419,7 +479,8 @@ def validation_score(
     if mean.shape != (structure.D,):
         raise ContractError(f"mean{mean.shape} does not match D={structure.D}")
     masks = _validation_masks(structure.D, len(data), seed)
-    return _validation_loss(params, structure, data, masks, mean)
+    ws = _Workspace(structure, min(BLOCK_ROWS, len(data)))
+    return _validation_loss(params, structure, data, masks, mean, ws)
 
 
 def _validation_masks(D: int, rows: int, seed: int) -> np.ndarray:
@@ -445,17 +506,21 @@ def _validation_loss(
     data: np.ndarray,
     masks: np.ndarray,
     mean: np.ndarray,
+    ws: _Workspace,
 ) -> float:
     """Mean stochastic loss of checked ``data`` under ``masks``.
 
-    Chunks of BLOCK_ROWS rows of both are widened to float64 one at a time.
+    Chunks of BLOCK_ROWS rows of both are widened to float64 into ``ws``,
+    one at a time.
     """
     total = 0.0
     for start in range(0, len(data), BLOCK_ROWS):
-        x = data[start : start + BLOCK_ROWS].astype(np.float64, copy=False)
-        m = masks[start : start + BLOCK_ROWS].astype(np.float64)
-        traj = _forward(params, structure, x, m, mean)
-        total += stochastic_loss(traj, x)
+        w = ws.head(min(BLOCK_ROWS, len(data) - start))
+        x, m = w.x, w.work[2]
+        np.copyto(x, data[start : start + BLOCK_ROWS])
+        np.copyto(m, masks[start : start + BLOCK_ROWS])
+        traj = _forward(params, structure, x, m, mean, w.out, w.work[0])
+        total += _loss(traj, x, "finetune", _row_scale(m, w.gamma), *w.work[:2])
     return total / len(data)
 
 
@@ -467,15 +532,17 @@ def _block_step(
     mean: np.ndarray,
     objective: str,
     grads: ModelParams,
+    ws: _Workspace,
 ) -> float:
-    """Loss of one minibatch, summed over its rows; its gradient goes into ``grads``.
+    """Loss of one minibatch ``x``, summed over its rows; its gradient goes into ``grads``.
 
-    The trajectory lives only in this frame, so it is freed before the
-    caller updates the parameters.
+    Every block the step writes is a buffer of ``ws``, and the row scale
+    is computed once for the loss and the gradient.
     """
-    traj = _forward(params, structure, x, m, mean)
-    loss = stochastic_loss(traj, x, objective)
-    backward(params, structure, traj, x, objective, out=grads)
+    traj = _forward(params, structure, x, m, mean, ws.out, ws.work[0])
+    gamma = _row_scale(m, ws.gamma)
+    loss = _loss(traj, x, objective, gamma, *ws.work[:2])
+    _backward(params, structure, traj, x, objective, gamma, grads, ws)
     return loss
 
 
@@ -514,7 +581,8 @@ def train(
     any update from it.  Both data sets are checked once per run, and the
     validation masks drawn once; the minibatches and validation chunks
     then run unchecked.  0/1 data given as uint8 stays one byte per value,
-    and each minibatch or validation chunk is widened to float64 as it runs.
+    and each minibatch or validation chunk is widened to float64 as it runs,
+    into the run's one workspace of block buffers (see :class:`_Workspace`).
     """
     train_data = _check_split(train_data, structure.D, "training")
     valid_data = _check_split(valid_data, structure.D, "validation")
@@ -540,6 +608,8 @@ def train(
     state = AdaDeltaState.zeros_like(params, rho=config.rho, epsilon=config.epsilon)
     # the one gradient vector of the run, overwritten by every block
     grads = params.zeros_like()
+    rows = max(min(config.minibatch_size, n_train), min(BLOCK_ROWS, len(valid_data)))
+    ws = _Workspace(structure, rows, 2 * min(_ADADELTA_CHUNK, params.vector.size))
     with single_threaded_blas():
         for phase, budget in phases:
             if phase == "finetune" and epoch:
@@ -558,8 +628,9 @@ def train(
                 blocks = minibatches(n_train, config.minibatch_size, shuffle_rng)
                 masks = _block_masks(mask_rng, structure.D, [len(b) for b in blocks])
                 for b, (block, m) in enumerate(zip(blocks, masks), 1):
-                    x = train_data[block].astype(np.float64, copy=False)
-                    loss = _block_step(params, structure, x, m, mean, phase, grads)
+                    w = ws.head(len(block))
+                    np.copyto(w.x, train_data[block])
+                    loss = _block_step(params, structure, w.x, m, mean, phase, grads, w)
                     if not math.isfinite(loss):
                         raise ValueError(
                             f"training diverged: {phase} epoch {epoch} block {b} loss {loss}"
@@ -572,9 +643,11 @@ def train(
                             f"training diverged: {phase} epoch {epoch} block {b}"
                             " gradient non-finite"
                         )
-                    adadelta_step(state, params, grads)
+                    _adadelta(state, params, grads, ws.flat)
+                # the epoch's masks go before the next epoch draws its own
+                del m
                 train_loss = total / n_train
-                valid_loss = _validation_loss(params, structure, valid_data, valid_masks, mean)
+                valid_loss = _validation_loss(params, structure, valid_data, valid_masks, mean, ws)
                 if not math.isfinite(valid_loss):
                     raise ValueError(
                         f"training diverged: {phase} epoch {epoch} validation loss {valid_loss}"

@@ -69,7 +69,8 @@ def test_loss_equals_two_log_form(activation, objective, k):
     for v in traj.v_states[1:]:
         # scored entries past the clamp, against the opposite bit
         assert v[0, 0] > 1.0 - PROB_EPS and v[0, 1] < PROB_EPS
-        assert np.array_equal(training._row_ce(v, x, m), step_reference.row_ce(v, x, m))
+        got = training._row_ce(v, x, m, *np.empty((2, *v.shape)))
+        assert np.array_equal(got, step_reference.row_ce(v, x, m))
     want = step_reference.row_losses(traj, x, objective)
     assert want.shape == (len(x),) and np.all(np.isfinite(want))
     assert training.stochastic_loss(traj, x, objective) == float(np.sum(want))
@@ -155,20 +156,42 @@ def _checkpoint_bytes(path, structure, splits, config):
     return path.read_bytes(), result.history
 
 
-@pytest.mark.parametrize("n, activation", [(2, "tanh"), (3, "sigmoid")])
-def test_training_writes_the_bytes_of_the_plain_step(n, activation, tmp_path, monkeypatch):
+def _plain_block_step(params, structure, x, m, mean, objective, grads, workspace):
+    # the step on fresh arrays: the public forward, then the plain loss and gradient
+    traj = forward(params, structure, x, m, mean)
+    step_reference.backward(params, structure, traj, x, objective, out=grads)
+    return float(np.sum(step_reference.row_losses(traj, x, objective)))
+
+
+def _plain_adadelta(state, params, grads, space):
+    step_reference.adadelta_step(state, params, grads)
+
+
+@pytest.mark.parametrize(
+    "n, activation, batch, n_valid",
+    [
+        pytest.param(2, "tanh", 25, 60, id="2-tanh"),
+        pytest.param(3, "sigmoid", 25, 60, id="3-sigmoid"),
+        # the run's workspace holds 150 rows; the validation chunks of 100
+        # and 30 rows, and the last minibatch of 80, use its first rows
+        pytest.param(2, "tanh", 150, 130, id="2-tanh-batch150"),
+    ],
+)
+def test_training_writes_the_bytes_of_the_plain_step(
+    n, activation, batch, n_valid, tmp_path, monkeypatch
+):
     structure = StructureConfig(
         D=16, hidden1=32, k=2, hidden2=12 if n == 3 else None, activation=activation
     )
-    splits = (four_pattern_data(230, 71), four_pattern_data(60, 72))
+    splits = (four_pattern_data(230, 71), four_pattern_data(n_valid, 72))
     config = TrainConfig(
-        minibatch_size=25, pretrain_epochs=2, finetune_epochs=2, weight_decay=0.001, seed=73
+        minibatch_size=batch, pretrain_epochs=2, finetune_epochs=2, weight_decay=0.001, seed=73
     )
     new = _checkpoint_bytes(tmp_path / "new.ckpt", structure, splits, config)
     monkeypatch.setattr(training, "sample_mask", row_reference.sample_mask)
-    monkeypatch.setattr(training, "backward", step_reference.backward)
+    monkeypatch.setattr(training, "_block_step", _plain_block_step)
     monkeypatch.setattr(training, "add_weight_decay", step_reference.add_weight_decay)
-    monkeypatch.setattr(training, "adadelta_step", step_reference.adadelta_step)
+    monkeypatch.setattr(training, "_adadelta", _plain_adadelta)
     old = _checkpoint_bytes(tmp_path / "old.ckpt", structure, splits, config)
     assert len(new[1]) == 4
     assert new == old

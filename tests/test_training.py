@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -715,10 +716,10 @@ class TestValidationMasksOncePerRun:
 
         real = training._validation_loss
 
-        def drawn_each_epoch(params, structure, data, masks, mean):
+        def drawn_each_epoch(params, structure, data, masks, mean, workspace):
             # the documented draw: D per row, in row order, from the seed's stream
             fresh = sample_mask(Rng(seed).stream("valid-masks"), structure.D, len(data))
-            return real(params, structure, data, fresh, mean)
+            return real(params, structure, data, fresh, mean, workspace)
 
         monkeypatch.setattr(training, "_validation_loss", drawn_each_epoch)
         assert self._train(tmp_path / "each", seed, monkeypatch, capsys) == once
@@ -736,3 +737,76 @@ class TestValidationMasksOncePerRun:
             save_checkpoint(str(path), result.params, structure, {"mean": encode_mean(result.mean)})
             results.append((path.read_bytes(), result.history, result.mean.tobytes()))
         assert results[0] == results[1]
+
+
+class TestWorkspace:
+    """A run trains every block on one workspace of block buffers; public calls make their own."""
+
+    def test_a_step_allocates_less_than_a_block(self, monkeypatch):
+        # D dwarfs the hidden width, so that backward's |W|-sized scratch,
+        # made by each call, and numpy's buffer for a broadcast or cast
+        # operand (at most 8192 values) stay well under one B x D block
+        structure = StructureConfig(D=200, hidden1=20, k=2)
+        rows = (Rng(12).stream("rows").uniform_array((360, 200)) < 0.3).astype(np.uint8)
+        real, peaks = training._block_step, []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                loss = real(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            return loss
+
+        monkeypatch.setattr(training, "_block_step", traced)
+        config = TrainConfig(minibatch_size=100, pretrain_epochs=1, finetune_epochs=1, seed=13)
+        train(structure, rows[:300], rows[300:], config)
+        assert len(peaks) == 6
+        assert max(peaks) < 100 * 200 * 8
+
+    def test_forward_calls_share_no_memory(self):
+        params, cfg = random_model(7, 6, k=3, hidden2=5, seed=14)
+        rng = Rng(15).stream("blocks")
+        x = (rng.uniform_array((2, 9, 7)) < 0.5) * 1.0
+        m = np.stack([sample_mask(rng, 7, 9), sample_mask(rng, 7, 9)])
+        mean = np.full(7, 0.4)
+
+        def arrays(traj):
+            return [*traj.v_states, *(h for step in traj.h_states for h in step)]
+
+        first = forward(params, cfg, x[0], m[0], mean)
+        kept = [a.copy() for a in arrays(first)]
+        second = forward(params, cfg, x[1], m[1], mean)
+        assert not any(np.shares_memory(a, b) for a in arrays(first) for b in arrays(second))
+        assert all(np.array_equal(a, b) for a, b in zip(arrays(first), kept))
+
+    RUNS = {
+        # pretraining, weight decay and patience; a short last minibatch
+        "desk": (
+            StructureConfig(D=16, hidden1=32, k=2),
+            TrainConfig(
+                minibatch_size=100, pretrain_epochs=1, finetune_epochs=4, weight_decay=0.001,
+                patience=1, seed=16,
+            ),
+        ),
+        # other widths, steps and rows: a workspace of 60-row blocks
+        "n3-sigmoid": (
+            StructureConfig(D=16, hidden1=24, k=3, hidden2=12, activation="sigmoid"),
+            TrainConfig(minibatch_size=60, pretrain_epochs=1, finetune_epochs=1, seed=17),
+        ),
+    }
+
+    def _bytes(self, name, tmp_path):
+        structure, config = self.RUNS[name]
+        rows = (Rng(18).stream("rows").uniform_array((330, 16)) < 0.3).astype(np.uint8)
+        result = train(structure, rows[:250], rows[250:], config)
+        path = tmp_path / f"{name}.ckpt"
+        save_checkpoint(str(path), result.params, structure, {"mean": encode_mean(result.mean)})
+        return path.read_bytes(), result.history
+
+    def test_runs_in_turn_write_the_bytes_of_each_run_alone(self, tmp_path):
+        alone = {name: self._bytes(name, tmp_path) for name in ("n3-sigmoid", "desk")}
+        in_turn = [self._bytes(name, tmp_path) for name in ("desk", "n3-sigmoid", "desk")]
+        assert in_turn == [alone["desk"], alone["n3-sigmoid"], alone["desk"]]
