@@ -99,29 +99,18 @@ def _parse_header(line: bytes, path: str) -> StructureConfig:
     tokens = text.split()
     if not tokens or tokens[0] != MAGIC:
         raise CheckpointMagicError(f"{path}: missing {MAGIC} magic token")
-    fields: dict[str, str] = {}
-    for token in tokens[1:]:
-        if "=" not in token:
-            raise CheckpointShapeError(f"{path}: malformed header field {token!r}")
-        key, _, value = token.partition("=")
-        fields[key] = value
+    # only the fields the config needs are read: a line with any other
+    # field, a token without "=" or an n that disagrees with h2 does not
+    # re-encode to itself, so the canonical comparison refuses it
+    fields = dict(token.partition("=")[::2] for token in tokens[1:])
     try:
-        n = int(fields.pop("n"))
-        k = int(fields.pop("k"))
-        D = int(fields.pop("D"))
-        h1 = int(fields.pop("h1"))
-        h2 = int(fields.pop("h2")) if "h2" in fields else None
-        act = fields.pop("act")
+        h2 = int(fields["h2"]) if "h2" in fields else None
+        config = StructureConfig(
+            D=int(fields["D"]), hidden1=int(fields["h1"]), k=int(fields["k"]),
+            hidden2=h2, activation=fields["act"],
+        )
     except (KeyError, ValueError) as exc:
-        raise CheckpointShapeError(f"{path}: incomplete or non-numeric header") from exc
-    if fields:
-        raise CheckpointShapeError(f"{path}: unknown header fields {sorted(fields)}")
-    try:
-        config = StructureConfig(D=D, hidden1=h1, k=k, hidden2=h2, activation=act)
-    except ValueError as exc:
-        raise CheckpointShapeError(f"{path}: inconsistent header ({exc})") from exc
-    if n != config.n:
-        raise CheckpointShapeError(f"{path}: inconsistent header (n={n} with h2={h2})")
+        raise CheckpointShapeError(f"{path}: incomplete, non-numeric or inconsistent header ({exc})") from exc
     if text != _header_line(config):
         raise CheckpointShapeError(f"{path}: header {text!r} is not in canonical form")
     return config
@@ -148,12 +137,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, StructureConfig, dict[str, 
         meta_text = meta_line.decode("ascii")
     except UnicodeDecodeError as exc:
         raise CheckpointShapeError(f"{path}: metadata is not ASCII") from exc
-    metadata: dict[str, str] = {}
-    for token in meta_text.split():
-        key, eq, value = token.partition("=")
-        if not eq:
-            raise CheckpointShapeError(f"{path}: malformed metadata field {token!r}")
-        metadata[key] = value
+    # a token without "=" re-encodes with one, so the comparison refuses it
+    metadata = dict(token.partition("=")[::2] for token in meta_text.split())
     if meta_text != _meta_line(metadata):
         raise CheckpointShapeError(f"{path}: metadata line is not in canonical form")
 

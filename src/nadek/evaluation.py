@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, StructureConfig, _check_binary, _conditionals, _Net
+from .model import ModelParams, StructureConfig, _check_mean, _check_rows, _conditionals, _Net
 from .model import _step_buffers, _step_space
-from .numerics import BLOCK_ROWS, ContractError, Rng, _as_data, log_sum_exp, map_in_order
+from .numerics import BLOCK_ROWS, ContractError, Rng, log_sum_exp, map_in_order
 from .numerics import single_threaded_blas
 
 __all__ = [
@@ -125,16 +125,12 @@ def _checked(
     mean,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rows ``xs`` (uint8 bytes as they are, else float64) and ``mean`` as
-    float64, once the orderings' lengths, the shapes, the rows' 0/1 values
-    and the params are checked, in that order."""
-    D = config.D
-    if any(len(o.perm) != D for o in orderings):
+    float64, once the orderings' lengths, the rows, the mean and the params
+    are checked, in that order."""
+    if any(len(o.perm) != config.D for o in orderings):
         raise ContractError("ordering length does not match D")
-    xs = _as_data(xs)
-    mean = np.asarray(mean, dtype=np.float64)
-    if xs.shape[1:] != (D,) or mean.shape != (D,):
-        raise ContractError("x and mean must have length D")
-    _check_binary(xs, "x")
+    xs = _check_rows(xs, config.D, "x")
+    mean = _check_mean(mean, config.D)
     params.check_shapes(config)
     return xs, mean
 
@@ -277,9 +273,6 @@ def ordering_stats(
     variance, and the mean over orderings of the across-sample variance,
     each reported as a square root.
     """
-    samples = _as_data(samples)
-    if samples.ndim != 2 or samples.shape[0] < 1:
-        raise ContractError("samples must be a non-empty matrix")
     samples, mean = _checked(params, config, samples, spec.orderings, mean)
     WT = np.ascontiguousarray(params.W.T)
     # ordering-major, so a worker gathers each of its orderings once

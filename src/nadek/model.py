@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import ContractError, Rng, _is_binary, _sigmoid, clamp_prob, sigmoid_vec
+from .numerics import ContractError, Rng, _as_data, _is_binary, _sigmoid, clamp_prob, sigmoid_vec
 
 __all__ = [
     "ModelParams",
@@ -216,25 +216,23 @@ def init_params(config: StructureConfig, rng: Rng) -> ModelParams:
     return params
 
 
-def _check_binary(v: np.ndarray, name: str) -> None:
-    if not _is_binary(v):
+def _check_rows(x, D: int, name: str) -> np.ndarray:
+    """``x`` as uint8 bytes or float64 values, once it is checked to be a
+    non-empty rows x D matrix of 0/1 values."""
+    x = _as_data(x)
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != D:
+        raise ContractError(f"{name} must be a non-empty matrix with {D} columns")
+    if not _is_binary(x):
         raise ContractError(f"{name} must be exactly binary (0/1)")
+    return x
 
 
-def _check_input(
-    x: np.ndarray, m: np.ndarray, mean: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``x``, ``m`` and ``mean`` as float64, once their shapes and 0/1 values are checked."""
-    x = np.asarray(x, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
+def _check_mean(mean, D: int) -> np.ndarray:
+    """``mean`` as float64, once it is checked to hold D values."""
     mean = np.asarray(mean, dtype=np.float64)
-    if x.shape != m.shape or x.ndim != 2 or mean.shape != x.shape[1:]:
-        raise ContractError(
-            f"input length mismatch: x{x.shape} m{m.shape} mean{mean.shape}"
-        )
-    _check_binary(m, "mask")
-    _check_binary(x, "input")
-    return x, m, mean
+    if mean.shape != (D,):
+        raise ContractError(f"mean{mean.shape} does not match D={D}")
+    return mean
 
 
 def forward(
@@ -246,12 +244,16 @@ def forward(
 ) -> Trajectory:
     """Run the k-step inference iteration and record the full trajectory.
 
-    ``x`` is a B x D block and ``m`` its mask of the same shape (1 marks
-    a missing component).  To run a different step count at inference
+    ``x`` is a B x D block of 0/1 values, B >= 1, and ``m`` its mask of
+    the same shape (1 marks a missing component).  To run a different step count at inference
     time, pass ``dataclasses.replace(config, k=...)``.
     """
     params.check_shapes(config)
-    x, m, mean = _check_input(x, m, mean)
+    x = _check_rows(x, config.D, "input").astype(np.float64, copy=False)
+    m = _check_rows(m, config.D, "mask").astype(np.float64, copy=False)
+    if m.shape != x.shape:
+        raise ContractError(f"mask{m.shape} does not match input{x.shape}")
+    mean = _check_mean(mean, config.D)
     return _forward(params, config, x, m, mean, _trajectory_buffers(config, len(x)), np.empty(x.shape))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evaluation import Ordering
-from .model import ModelParams, StructureConfig, _check_binary, _conditionals, _Net
+from .model import ModelParams, StructureConfig, _check_mean, _check_rows, _conditionals, _Net
 from .model import _step_buffers, _step_space
 from .numerics import BLOCK_ROWS, ContractError, Rng, _as_data, map_in_order
 
@@ -72,13 +72,10 @@ def _walk(
     read at the drawn coordinate only.
     """
     D = config.D
-    if not rngs:
-        raise ContractError("a walk needs at least one row and its generator")
+    # the kept columns alone: an unobserved slot may hold anything
+    _check_rows(x[:, kept], len(kept), "observed values")
     params.check_shapes(config)
-    mean = np.asarray(mean, dtype=np.float64)
-    if mean.shape != (D,):
-        raise ContractError("mean must have length D")
-    _check_binary(x[:, kept], "observed values")
+    mean = _check_mean(mean, D)
     free = np.sort(orders[0])
     col = np.empty(D, dtype=np.int64)
     col[free] = np.arange(len(free))
@@ -187,7 +184,7 @@ def inpaint(
     if len(set(obs_indices)) != len(obs_indices):
         raise ContractError("observed indices must be distinct")
     if any(i < 0 or i >= D for i in obs_indices):
-        raise ContractError("observed index out of range")
+        raise ContractError(f"observed index outside 0..{D - 1}")
     observed = np.zeros(D, dtype=bool)
     observed[list(obs_indices)] = True
     mis = np.flatnonzero(~observed)

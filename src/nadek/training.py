@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import minibatches
-from .model import ModelParams, StructureConfig, Trajectory, _Buffers, _check_binary, _forward
-from .model import _trajectory_buffers, _widths, init_params
-from .numerics import BLOCK_ROWS, PROB_EPS, ContractError, Rng, _as_data, _clamp, single_threaded_blas
+from .model import ModelParams, StructureConfig, Trajectory, _Buffers, _check_mean, _check_rows
+from .model import _forward, _trajectory_buffers, _widths, init_params
+from .numerics import BLOCK_ROWS, PROB_EPS, ContractError, Rng, _clamp, single_threaded_blas
 
 __all__ = [
     "AdaDeltaState",
@@ -473,11 +473,9 @@ def validation_score(
     Rows are scored in chunks of BLOCK_ROWS in canonical order.  The data,
     mean and shapes are checked once per call.
     """
-    data = _check_split(data, structure.D, "validation")
+    data = _check_rows(data, structure.D, "validation input")
     params.check_shapes(structure)
-    mean = np.asarray(mean, dtype=np.float64)
-    if mean.shape != (structure.D,):
-        raise ContractError(f"mean{mean.shape} does not match D={structure.D}")
+    mean = _check_mean(mean, structure.D)
     masks = _validation_masks(structure.D, len(data), seed)
     ws = _Workspace(structure, min(BLOCK_ROWS, len(data)))
     return _validation_loss(params, structure, data, masks, mean, ws)
@@ -546,15 +544,6 @@ def _block_step(
     return loss
 
 
-def _check_split(data: np.ndarray, D: int, name: str) -> np.ndarray:
-    """``data`` as uint8 bytes or float64 values, once its shape and 0/1 values are checked."""
-    data = _as_data(data)
-    if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] != D:
-        raise ContractError(f"{name} data must be a non-empty matrix with {D} columns")
-    _check_binary(data, "input")
-    return data
-
-
 def train(
     structure: StructureConfig,
     train_data: np.ndarray,
@@ -584,8 +573,8 @@ def train(
     and each minibatch or validation chunk is widened to float64 as it runs,
     into the run's one workspace of block buffers (see :class:`_Workspace`).
     """
-    train_data = _check_split(train_data, structure.D, "training")
-    valid_data = _check_split(valid_data, structure.D, "validation")
+    train_data = _check_rows(train_data, structure.D, "training input")
+    valid_data = _check_rows(valid_data, structure.D, "validation input")
     # a column sum of 0/1 values is exact in float64, so bytes give the same mean bits
     mean = train_data.mean(axis=0)
     valid_masks = _validation_masks(structure.D, len(valid_data), config.seed)

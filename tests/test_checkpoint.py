@@ -179,16 +179,20 @@ class TestCorruption:
             (b"k=2", b"k=02"),
             (b"k=2 D=4", b"D=4 k=2"),
             (b"k=2 D=4", b"k=2  D=4"),
+            (b"k=2 D=4", b"k=2 x D=4"),
             (b"epochs=3", b"epochs=9 epochs=3"),
             (b"epochs=3", b" epochs=3"),
+            (b"epochs=3", b"epochs=3 note"),
         ],
         ids=[
             "repeated-field",
             "zero-padded",
             "reordered",
             "doubled-space",
+            "header-token-without-equals",
             "repeated-metadata-key",
             "metadata-leading-space",
+            "metadata-token-without-equals",
         ],
     )
     def test_non_canonical_lines_refused(self, tmp_path, old, new):

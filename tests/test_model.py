@@ -12,20 +12,24 @@ from conftest import random_model
 from nadek import (
     Rng,
     StructureConfig,
+    TrainConfig,
+    draw_orderings,
     evaluation,
     forward,
     init_params,
     load_checkpoint,
     log_prob_ordering,
+    ordering_stats,
     sample_from_mixture,
     sampling,
     save_checkpoint,
+    train,
 )
 from nadek.evaluation import identity_ordering
 from nadek.model import ModelParams, _Net, expected_shapes
 from nadek.numerics import ContractError
 from nadek.sampling import _slice
-from nadek.training import backward
+from nadek.training import backward, validation_score
 
 
 class TestStructureConfig:
@@ -240,6 +244,38 @@ class TestBuildInput:
             _v0(np.array([[0.4, 0.0]]), np.zeros((1, 2)), np.zeros(2))
 
 
+#: Each entry point that checks a block or a mean, called at D=4 with a
+#: block and a mean as wide as that block.
+_ENTRY_POINTS = {
+    "forward": lambda p, cfg, x, mean: forward(p, cfg, x, np.ones(x.shape), mean),
+    "train": lambda p, cfg, x, mean: train(cfg, x, np.zeros((2, 4)), TrainConfig(finetune_epochs=1)),
+    "validation_score": lambda p, cfg, x, mean: validation_score(p, cfg, x, mean, seed=1),
+    "ordering_stats": lambda p, cfg, x, mean: ordering_stats(p, cfg, x, draw_orderings(4, 2, 1), mean),
+    "log_prob_ordering": lambda p, cfg, x, mean: log_prob_ordering(
+        p, cfg, x.ravel(), identity_ordering(4), mean
+    ),
+    "sample_from_mixture": lambda p, cfg, x, mean: sample_from_mixture(p, cfg, 2, mean, Rng(1)),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, block",
+    [
+        pytest.param(entry, block, id=f"{entry}-{kind}")
+        for kind, block in (("wrong-width", np.zeros((1, 3))), ("empty", np.zeros((0, 4))))
+        for entry in _ENTRY_POINTS
+        # the sampler takes no block: only its mean, as wide as the narrow block, is wrong
+        if kind == "wrong-width" or entry != "sample_from_mixture"
+    ],
+)
+def test_wrong_width_and_empty_blocks_refused(entry, block):
+    # the mean agrees with the block, so the block's own check must refuse it
+    params, cfg = random_model(4, 3, seed=44)
+    mean = np.full(block.shape[1], 0.5)
+    with pytest.raises(ContractError, match="non-empty matrix with 4 columns|does not match D=4"):
+        _ENTRY_POINTS[entry](params, cfg, block, mean)
+
+
 def _zero_model(D, hidden1, k):
     cfg = StructureConfig(D=D, hidden1=hidden1, k=k)
     params = init_params(cfg, Rng(0).stream("init"))
@@ -328,6 +364,24 @@ class TestForward:
         h = 1.0 / (1.0 + np.exp(-(params.W @ v0 + params.c)))
         s = 1.0 / (1.0 + np.exp(-(params.V @ h + params.b)))
         assert np.max(np.abs(traj.v_states[-1][0] - s)) < 1e-14
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_steps_are_rbm_mean_field_sweeps(self, k):
+        # the paper's third claim: with n=2, sigmoid activation and V = W.T,
+        # each step is one mean-field sweep of an RBM with biases (b, c),
+        # started at the data mean with the observed visibles clamped
+        params, cfg = random_model(6, 4, k=k, activation="sigmoid", seed=45, spread=2.0)
+        params = replace(params, V=params.W.T)
+        x = np.array([[1.0, 0, 1, 1, 0, 1], [0.0, 1, 1, 0, 0, 1], [1.0, 1, 0, 0, 1, 0]])
+        observed = np.array([[True] * 6, [True, False, True, False, False, True], [False] * 6])
+        mean = np.linspace(0.15, 0.85, 6)
+        traj = forward(params, cfg, x, (~observed) * 1.0, mean)
+        for r in range(len(x)):
+            mu_v = np.where(observed[r], x[r], mean)
+            for t in range(1, k + 1):
+                mu_h = 1.0 / (1.0 + np.exp(-(params.W @ mu_v + params.c)))
+                mu_v = np.where(observed[r], x[r], 1.0 / (1.0 + np.exp(-(params.W.T @ mu_h + params.b))))
+                assert np.max(np.abs(traj.v_states[t][r] - mu_v)) < 1e-12
 
     def test_weight_sharing_across_steps(self):
         # each step applies the same tensors to the previous state
