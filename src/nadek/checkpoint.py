@@ -11,10 +11,13 @@ reordered field, a zero-padded number or a doubled space, is refused.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 
 from .data import atomic_write
-from .model import ModelParams, StructureConfig, _tile, expected_shapes
+from .model import ModelParams, StructureConfig, expected_shapes
 
 __all__ = [
     "CheckpointError",
@@ -119,33 +122,44 @@ def _parse_header(line: bytes, path: str) -> StructureConfig:
 def load_checkpoint(path: str) -> tuple[ModelParams, StructureConfig, dict[str, str]]:
     """Inverse of save_checkpoint, with distinct errors per failure kind.
 
-    The payload is converted by one copy into the backing vector of the
-    returned params.
+    The two text lines are read one at a time, and the payload straight into
+    the backing vector of the returned params, so the load holds no other
+    copy of it.  A regular file's payload size is checked before that
+    vector is made; a pipe's as it is read.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    # offsets into the blob, not partitions of it: each partition copies the payload
-    header_end = blob.find(b"\n")
-    if header_end < 0:
-        raise CheckpointTruncatedError(f"{path}: no header line")
-    config = _parse_header(blob[:header_end], path)
-    meta_end = blob.find(b"\n", header_end + 1)
-    if meta_end < 0:
-        raise CheckpointTruncatedError(f"{path}: no metadata line")
-    meta_line = blob[header_end + 1 : meta_end]
-    try:
-        meta_text = meta_line.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise CheckpointShapeError(f"{path}: metadata is not ASCII") from exc
-    # a token without "=" re-encodes with one, so the comparison refuses it
-    metadata = dict(token.partition("=")[::2] for token in meta_text.split())
-    if meta_text != _meta_line(metadata):
-        raise CheckpointShapeError(f"{path}: metadata line is not in canonical form")
+        header = fh.readline()
+        if not header.endswith(b"\n"):
+            raise CheckpointTruncatedError(f"{path}: no header line")
+        config = _parse_header(header[:-1], path)
+        meta_line = fh.readline()
+        if not meta_line.endswith(b"\n"):
+            raise CheckpointTruncatedError(f"{path}: no metadata line")
+        try:
+            meta_text = meta_line[:-1].decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise CheckpointShapeError(f"{path}: metadata is not ASCII") from exc
+        # a token without "=" re-encodes with one, so the comparison refuses it
+        metadata = dict(token.partition("=")[::2] for token in meta_text.split())
+        if meta_text != _meta_line(metadata):
+            raise CheckpointShapeError(f"{path}: metadata line is not in canonical form")
 
-    shapes = expected_shapes(config)
-    expected_bytes = sum(int(np.prod(s)) for s in shapes.values()) * 8
-    offset = meta_end + 1
-    payload_bytes = len(blob) - offset
+        shapes = expected_shapes(config)
+        expected_bytes = sum(int(np.prod(s)) for s in shapes.values()) * 8
+        if fh.seekable():
+            _check_payload(path, os.fstat(fh.fileno()).st_size - fh.tell(), expected_bytes)
+        params = ModelParams(**{name: np.broadcast_to(0.0, shape) for name, shape in shapes.items()})
+        # a buffered readinto stops short only at the end of the file
+        got = fh.readinto(params.vector.view(np.uint8))
+        _check_payload(path, got + len(fh.read()), expected_bytes)
+    if sys.byteorder == "big":
+        params.vector.byteswap(inplace=True)
+    _check_finite(params, path)
+    return params, config, metadata
+
+
+def _check_payload(path: str, payload_bytes: int, expected_bytes: int) -> None:
+    """Raise unless the payload holds exactly the tensors' bytes."""
     if payload_bytes < expected_bytes:
         raise CheckpointTruncatedError(
             f"{path}: payload holds {payload_bytes} bytes, tensors need {expected_bytes}"
@@ -154,10 +168,6 @@ def load_checkpoint(path: str) -> tuple[ModelParams, StructureConfig, dict[str, 
         raise CheckpointShapeError(
             f"{path}: {payload_bytes - expected_bytes} trailing bytes after tensors"
         )
-    payload = np.frombuffer(blob, dtype="<f8", count=expected_bytes // 8, offset=offset)
-    params = ModelParams(**_tile(payload, shapes))
-    _check_finite(params, path)
-    return params, config, metadata
 
 
 def _check_finite(params: ModelParams, path: str) -> None:

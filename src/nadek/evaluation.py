@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, StructureConfig, _check_mean, _check_rows, _conditionals, _Net
-from .model import _step_buffers, _step_space
+from .model import _gather_columns, _step_buffers, _step_space
 from .numerics import BLOCK_ROWS, ContractError, Rng, log_sum_exp, map_in_order
 from .numerics import single_threaded_blas
 
@@ -138,24 +138,18 @@ def _checked(
 class _Staircase:
     """One worker's workspace for scoring (x, ordering) pairs of one model.
 
-    It holds W's columns (as the rows of W.T), V's rows, b and the mean in
-    the visit order of the ordering scored last, gathered once per
-    ordering, and one set of block buffers that every block of every pair
-    reuses.  ``WT``, W transposed, may be shared by the workspaces of one
-    call: it is only read.  A workspace serves one thread at a time.
+    It holds W's columns (as the rows of ``WT_o``), V's rows, b and the
+    mean in the visit order of the ordering scored last, gathered straight
+    from the params once per ordering, and one set of block buffers that
+    every block of every pair reuses.  Those two weight-sized copies are
+    all it holds of the weights; nothing is shared between workspaces, and
+    a workspace serves one thread at a time.
     """
 
-    def __init__(
-        self,
-        params: ModelParams,
-        config: StructureConfig,
-        mean: np.ndarray,
-        WT: np.ndarray | None = None,
-    ):
+    def __init__(self, params: ModelParams, config: StructureConfig, mean: np.ndarray):
         self.params, self.config, self.mean = params, config, mean
-        self.WT = np.ascontiguousarray(params.W.T) if WT is None else WT
         self.ordering = self.perm = None
-        self.WT_o, self.V_o = np.empty_like(self.WT), np.empty_like(params.V)
+        self.WT_o, self.V_o = np.empty(params.W.shape[::-1]), np.empty_like(params.V)
         self.b_o, self.mean_o = np.empty(config.D), np.empty(config.D)
         rows = min(BLOCK_ROWS, config.D)
         self.space = _step_space(config, rows, config.D)
@@ -168,8 +162,8 @@ class _Staircase:
         """log p(x | o) as :func:`log_prob_ordering` computes it, unchecked."""
         if o is not self.ordering:
             self.perm, self.ordering = np.array(o.perm), o
+            _gather_columns(self.params.W, self.perm, self.WT_o.T)
             for source, out in (
-                (self.WT, self.WT_o),
                 (self.params.V, self.V_o),
                 (self.params.b, self.b_o),
                 (self.mean, self.mean_o),
@@ -265,7 +259,10 @@ def ordering_stats(
 
     The pairs, in ordering-major order, are split into one run of
     consecutive pairs for each of up to ``threads`` workers, and each run
-    is scored on a workspace of its own.  Pair i is row i % n under
+    is scored on a workspace of its own (see :class:`_Staircase`): a
+    worker holds two weight-sized copies in visit order, gathered from
+    ``params``, and nothing of the weights is copied for the call as a
+    whole.  Pair i is row i % n under
     ordering i // n, for n samples, so no list of the pairs is made.  A
     pair's bits depend neither on the workspace nor on what it scored
     before, so the matrix is the same at any thread count.  Aggregates use
@@ -274,7 +271,6 @@ def ordering_stats(
     each reported as a square root.
     """
     samples, mean = _checked(params, config, samples, spec.orderings, mean)
-    WT = np.ascontiguousarray(params.W.T)
     # ordering-major, so a worker gathers each of its orderings once
     n = samples.shape[0]
     logs = np.empty(len(spec.orderings) * n)
@@ -282,7 +278,7 @@ def ordering_stats(
     runs = [range(logs.size * j // parts, logs.size * (j + 1) // parts) for j in range(parts)]
 
     def score(run: range) -> None:
-        staircase = _Staircase(params, config, mean, WT)
+        staircase = _Staircase(params, config, mean)
         for i in run:
             logs[i] = staircase.log_prob(samples[i % n], spec.orderings[i // n])
 
@@ -317,15 +313,19 @@ def enumerate_distribution(
 
     Entry j of the table is the probability of the vector whose i-th
     coordinate is bit i of j (coordinate 0 least significant).  Exhaustive
-    in 2^D, so D is capped; the 2^D pairs share one workspace.
+    in 2^D, so D is capped; the 2^D pairs share one workspace, and the
+    vectors are one 2^D x D table of bytes.
     """
     D = config.D
     if D > ENUM_MAX_D:
         raise ContractError(
             f"enumeration over 2^{D} vectors refused (limit D <= {ENUM_MAX_D})"
         )
-    bits = (np.arange(2**D)[:, None] >> np.arange(D)) & 1
+    # bit i of j, least significant first, from j's four little-endian bytes
+    j = np.arange(2**D, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(j, axis=1, count=D, bitorder="little")
     bits, mean = _checked(params, config, bits, [o], mean)
     staircase = _Staircase(params, config, mean)
     with single_threaded_blas():
-        return np.exp([staircase.log_prob(x, o) for x in bits])
+        logs = np.fromiter((staircase.log_prob(x, o) for x in bits), np.float64, len(bits))
+    return np.exp(logs, out=logs)

@@ -313,6 +313,21 @@ def _step_space(config: StructureConfig, rows: int, cols: int) -> list[np.ndarra
     return [np.empty(rows * w) for w in (*_widths(config), cols)]
 
 
+#: Columns per chunk of a column gather, so no weight-sized temporary exists.
+_GATHER_COLS = 16
+
+
+def _gather_columns(source: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``source[:, cols]`` copied into ``out``, a few columns at a time.
+
+    ``out`` keeps its own memory order, so a caller chooses the layout its
+    products read; the only temporary is one chunk of columns.
+    """
+    for start in range(0, len(cols), _GATHER_COLS):
+        out[:, start : start + _GATHER_COLS] = source[:, cols[start : start + _GATHER_COLS]]
+    return out
+
+
 def _step_buffers(config: StructureConfig, space: list[np.ndarray], rows: int, cols: int) -> _Buffers:
     """One set of C-contiguous buffers for a ``rows`` x ``cols`` block,
     cut from the front of ``space`` and repeated for every step."""

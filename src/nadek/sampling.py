@@ -19,7 +19,7 @@ import numpy as np
 
 from .evaluation import Ordering
 from .model import ModelParams, StructureConfig, _check_mean, _check_rows, _conditionals, _Net
-from .model import _step_buffers, _step_space
+from .model import _gather_columns, _step_buffers, _step_space
 from .numerics import BLOCK_ROWS, ContractError, Rng, _as_data, map_in_order
 
 __all__ = [
@@ -32,11 +32,15 @@ __all__ = [
 def _slice(params: ModelParams, cols: np.ndarray, c: np.ndarray) -> _Net:
     """The model on coordinates ``cols`` alone, with hidden bias ``c``.
 
-    V is column-major: the decoder product ``top @ V.T`` is fastest on it
+    The W and V slices are gathered from ``params`` a few columns at a
+    time into arrays of their own, so no weight-sized temporary is made.
+    W's slice is in the F order of the column gather ``W[:, cols]``, and V's
+    is column-major: the decoder product ``top @ V.T`` is fastest on it
     when a block has few rows, and no slower when it has many.
     """
-    V = np.asfortranarray(params.V[cols])
-    return _Net(params.W[:, cols], c, V, params.b[cols], params.W2, params.c2)
+    W = _gather_columns(params.W, cols, np.empty((len(cols), params.W.shape[0])).T)
+    V = _gather_columns(params.V.T, cols, np.empty((params.V.shape[1], len(cols)))).T
+    return _Net(W, c, V, params.b[cols], params.W2, params.c2)
 
 
 def _walk(

@@ -1,5 +1,7 @@
 """Shared fixtures and the synthetic pattern dataset used across tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,3 +85,15 @@ def index_counts(x: np.ndarray) -> np.ndarray:
     binary number whose bit j is column j."""
     index = (x @ (1 << np.arange(x.shape[1]))).astype(np.int64)
     return np.bincount(index, minlength=1 << x.shape[1]).astype(np.float64)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the most memory tracemalloc saw allocated during the
+    call beyond what was allocated when it started, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from conftest import random_model
+from conftest import random_model, traced_peak
 
 from nadek import Rng, StructureConfig, init_params, load_checkpoint, save_checkpoint
 from nadek.checkpoint import (
@@ -74,6 +74,17 @@ class TestRoundTrip:
             os.close(r)
         for name, tensor in params.tensors().items():
             assert np.array_equal(loaded.tensors()[name], tensor)
+
+    def test_load_holds_one_copy_of_the_payload(self, tmp_path):
+        # the payload is read straight into the params' vector: the only
+        # other allocation of its size is the finite check's one byte per value
+        cfg = StructureConfig(D=300, hidden1=200, k=2)
+        params = init_params(cfg, Rng(16).stream("init"))
+        p = tmp_path / "model.ckpt"
+        save_checkpoint(p, params, cfg, {"seed": "16"})
+        (loaded, _, _), peak = traced_peak(load_checkpoint, p)
+        assert np.array_equal(loaded.vector, params.vector)
+        assert peak < 1.25 * params.vector.nbytes
 
     def test_payload_size_arithmetic(self, tmp_path):
         # W(500x784)+c(500)+V(784x500)+b(784) = 785284 values, 8 bytes each

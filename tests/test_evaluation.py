@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from conftest import random_model
+from conftest import random_model, traced_peak
 
 from nadek import (
     EnsembleSpec,
@@ -19,6 +19,7 @@ from nadek import (
     log_prob_ordering,
     ordering_stats,
 )
+from nadek import evaluation
 from nadek.evaluation import identity_ordering, render_report, stats_from_matrix
 from nadek.numerics import ContractError
 
@@ -269,6 +270,21 @@ class TestStats:
         with pytest.raises(ContractError):
             stats_from_matrix(np.empty((0, 3)))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_workers_hold_the_only_weight_copies(self, threads):
+        # each worker holds W's columns and V's rows in visit order, and
+        # nothing of the weights is copied for the call as a whole
+        D, h = 300, 400
+        cfg = StructureConfig(D=D, hidden1=h, k=1)
+        params = init_params(cfg, Rng(41).stream("init"))
+        x = (Rng(42).stream("x").uniform_array((2, D)) < 0.5).astype(np.uint8)
+        _, peak = traced_peak(ordering_stats, params, cfg, x, draw_orderings(D, 2, 43), np.full(D, 0.3), threads)
+        weights, rows = D * h * 8, 100
+        # a workspace's step space, mask, observed and keep_x blocks, plus
+        # one block's transients: the decoder rows it reads and a block state
+        blocks = (rows * (h + D) + 3 * rows * rows + rows * h + rows * D) * 8
+        assert peak < threads * (2 * weights + blocks)
+
 
 class TestEnumeration:
     def test_zero_params_uniform(self):
@@ -293,6 +309,22 @@ class TestEnumeration:
         x = np.array([1.0, 0.0, 1.0])
         direct = math.exp(log_prob_ordering(params, cfg, x, identity_ordering(3), mean))
         assert abs(table[5] - direct) < 1e-15
+
+    def test_table_is_one_byte_per_value(self, monkeypatch):
+        # the 2^D x D table of vectors is built as bytes, with no wider copy
+        class Stub:
+            def __init__(self, *args):
+                pass
+
+            def log_prob(self, x, o):
+                return 0.0
+
+        monkeypatch.setattr(evaluation, "_Staircase", Stub)
+        D = 16
+        params, cfg = _zero_model(D, 1)
+        table, peak = traced_peak(enumerate_distribution, params, cfg, identity_ordering(D), np.full(D, 0.5))
+        assert np.array_equal(table, np.ones(2**D))
+        assert peak < 4 * 2**D * D
 
     def test_large_d_refused(self):
         params, cfg = _zero_model(21, 1)

@@ -26,7 +26,7 @@ from nadek import (
     train,
 )
 from nadek.evaluation import identity_ordering
-from nadek.model import ModelParams, _Net, expected_shapes
+from nadek.model import ModelParams, _gather_columns, _Net, expected_shapes
 from nadek.numerics import ContractError
 from nadek.sampling import _slice
 from nadek.training import backward, validation_score
@@ -201,6 +201,17 @@ class TestParamVector:
         log_prob_ordering(params, cfg, x, identity_ordering(5), mean)
         sample_from_mixture(params, cfg, 2, mean, Rng(10))
         assert seen and set(seen) == {_Net}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("count", [0, 37])
+def test_gather_columns_fills_any_layout(order, count):
+    # chunks of columns, the last one short, into a buffer of either order
+    source = Rng(17).stream("source").uniform_array((5, 40))
+    cols = Rng(18).stream("cols").permutation(40)[:count]
+    out = np.empty((5, count), order=order)
+    assert _gather_columns(source, cols, out) is out
+    assert np.array_equal(out, source[:, cols]) and out.flags[f"{order}_CONTIGUOUS"]
 
 
 def _v0(x, m, mean):

@@ -48,3 +48,13 @@ def test_scaled_sigmoid_reports_the_files_it_changes(tmp_path, desk_only):
     assert "seed 31: desk.ckpt differs" in problems
     # the inputs are equal, and every command succeeds on both sides
     assert not [p for p in problems if "status" in p or "desk.amat" in p or "valid" in p]
+
+
+def test_a_side_importing_another_copy_stops_the_run(tmp_path):
+    # a side whose nadek resolves outside its own src (here a link to this
+    # checkout's) would run the other side's code: the run stops instead
+    elsewhere = tmp_path / "elsewhere"
+    (elsewhere / "src").mkdir(parents=True)
+    (elsewhere / "src" / "nadek").symlink_to(ROOT / "src" / "nadek")
+    with pytest.raises(SystemExit, match="not from its own src"):
+        same_bytes.run_side(elsewhere, tmp_path / "run", 31)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import index_counts, random_model, windows
+from conftest import index_counts, random_model, traced_peak, windows
 
 from nadek import (
     Ordering,
@@ -299,3 +299,19 @@ def test_block_rows_equal_loop_calls(D, k):
             want = inpaint(params, cfg, data[r : r + 1], obs, mean, [loop_rng])
             assert np.array_equal(block[r : r + 1], want)
         assert loop_rng.counter == block_rng.counter
+
+
+@pytest.mark.parametrize("hidden1, hidden2", [(200, None), (8, 200)])
+def test_walk_slice_makes_no_weight_sized_temporary(hidden1, hidden2):
+    # the slices are gathered a few columns at a time, in the layouts the
+    # walk's products read: W's as a column gather leaves it, V's column-major
+    D = 300
+    cfg = StructureConfig(D=D, hidden1=hidden1, k=2, hidden2=hidden2)
+    params = init_params(cfg, Rng(151).stream("init"))
+    cols = np.sort(Rng(157).stream("cols").permutation(D)[:250])
+    sub, peak = traced_peak(sampling._slice, params, cols, params.c)
+    want_W, want_V = params.W[:, cols], np.asfortranarray(params.V[cols])
+    assert np.array_equal(sub.W, want_W) and sub.W.strides == want_W.strides
+    assert np.array_equal(sub.V, want_V) and sub.V.strides == want_V.strides
+    assert np.array_equal(sub.b, params.b[cols])
+    assert peak < 1.25 * (sub.W.nbytes + sub.V.nbytes + sub.b.nbytes)

@@ -9,7 +9,9 @@ working tree from the files git lists).  For each seed, the inputs are
 drawn with numpy's ``Generator`` (a Bernoulli mixture of a few prototypes)
 and written into one run directory per side.  A fixed suite of
 ``python -m nadek.cli`` commands then runs in each run directory, with
-``PYTHONPATH`` set to that side's ``src`` alone:
+``PYTHONPATH`` set to that side's ``src`` alone; a side that imports
+``nadek`` from anywhere else (an installed copy) stops the run with exit
+status 1 before its suite starts:
 
 * ``train`` at the desk shape with pretraining, weight decay and patience;
   with n=3 and sigmoid units; at D=784 with h=40; and from a ``.gz``
@@ -119,6 +121,14 @@ def run_side(tree: Path, run_dir: Path, seed: int) -> dict[str, bytes]:
     for name, data in inputs(seed).items():
         (run_dir / name).write_bytes(data)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    # an installed nadek (say, an editable install of either tree) must not
+    # shadow the side's own copy, or both sides would run the same code
+    where = subprocess.run(
+        [sys.executable, "-c", "import nadek; print(nadek.__file__)"],
+        cwd=run_dir, env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if not Path(where).resolve().is_relative_to((tree / "src").resolve()):
+        raise SystemExit(f"{tree.name} side imports nadek from {where}, not from its own src")
     results = {}
     for i, argv in enumerate(suite(seed)):
         proc = subprocess.run(
