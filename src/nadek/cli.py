@@ -38,7 +38,7 @@ from .evaluation import (
 from .model import ModelParams, StructureConfig, forward
 from .numerics import BLOCK_ROWS, ContractError, Rng, single_threaded_blas
 from .sampling import inpaint, sample_from_mixture
-from .training import TrainConfig, train
+from .training import EPSILON, RHO, TrainConfig, train
 
 __all__ = ["main"]
 
@@ -239,7 +239,7 @@ def cmd_inpaint(args) -> int:
             for start in range(0, len(ds), BLOCK_ROWS):
                 rows = ds.samples[start : start + BLOCK_ROWS]
                 m = masks[: len(rows)]
-                traj = forward(params, config, rows * (1.0 - m), m, mean)
+                traj = forward(params, config, rows, m, mean)
                 for r in range(len(rows)):
                     fh.write(f"# sample {start + r}\n")
                     for v in traj.v_states:
@@ -312,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--patience", type=non_negative_int, default=0, help="0 disables early stopping"
     )
-    p.add_argument("--rho", type=float, default=0.95)
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--rho", type=float, default=RHO)
+    p.add_argument("--epsilon", type=float, default=EPSILON)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("eval", help="exact log-likelihood under sampled orderings")

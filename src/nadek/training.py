@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import minibatches
-from .model import ModelParams, StructureConfig, Trajectory, _Buffers, _check_mean, _check_rows
+from .model import ModelParams, StructureConfig, Trajectory, _Buffers, _check_rows
 from .model import _forward, _trajectory_buffers, _widths, init_params
 from .numerics import BLOCK_ROWS, PROB_EPS, ContractError, Rng, _clamp, single_threaded_blas
 
@@ -42,10 +42,13 @@ __all__ = [
     "sample_mask",
     "stochastic_loss",
     "train",
-    "validation_score",
 ]
 
 OBJECTIVES = ("finetune", "pretrain")
+
+#: AdaDelta's default decay rate and conditioning constant.
+RHO = 0.95
+EPSILON = 1e-6
 
 
 def _check_adadelta(rho: float, epsilon: float) -> None:
@@ -61,15 +64,15 @@ class AdaDeltaState:
 
     eg2: ModelParams
     edx2: ModelParams
-    rho: float = 0.95
-    epsilon: float = 1e-6
+    rho: float = RHO
+    epsilon: float = EPSILON
 
     def __post_init__(self):
         _check_adadelta(self.rho, self.epsilon)
 
     @classmethod
     def zeros_like(
-        cls, params: ModelParams, rho: float = 0.95, epsilon: float = 1e-6
+        cls, params: ModelParams, rho: float = RHO, epsilon: float = EPSILON
     ) -> "AdaDeltaState":
         return cls(eg2=params.zeros_like(), edx2=params.zeros_like(), rho=rho, epsilon=epsilon)
 
@@ -84,8 +87,8 @@ class TrainConfig:
     weight_decay: float = 0.0
     patience: int = 0
     seed: int = 0
-    rho: float = 0.95
-    epsilon: float = 1e-6
+    rho: float = RHO
+    epsilon: float = EPSILON
 
     def __post_init__(self):
         if self.minibatch_size < 1:
@@ -257,9 +260,8 @@ class _Workspace:
     So between blocks a run holds what a step holds at its peak, in
     backward, less backward's |W|-sized scratch: each call makes that, so
     that the mask draws between steps reuse its memory.  :func:`backward`
-    and :func:`validation_score` make a workspace per call; the buffers a
-    call does not use are never written, so they take address space, not
-    memory.
+    makes a workspace per call; the buffers a call does not use are never
+    written, so they take address space, not memory.
     """
 
     def __init__(self, config: StructureConfig, rows: int, spare: int = 0):
@@ -459,28 +461,6 @@ def _block_masks(rng: Rng, D: int, sizes: list[int]) -> Iterator[np.ndarray]:
         start = stop
 
 
-def validation_score(
-    params: ModelParams,
-    structure: StructureConfig,
-    data: np.ndarray,
-    mean: np.ndarray,
-    seed: int,
-) -> float:
-    """Mean stochastic loss over the set, with masks fixed by the seed.
-
-    The mask stream restarts from the seed on every call, so successive
-    calls score against identical masks (see :func:`_validation_masks`).
-    Rows are scored in chunks of BLOCK_ROWS in canonical order.  The data,
-    mean and shapes are checked once per call.
-    """
-    data = _check_rows(data, structure.D, "validation input")
-    params.check_shapes(structure)
-    mean = _check_mean(mean, structure.D)
-    masks = _validation_masks(structure.D, len(data), seed)
-    ws = _Workspace(structure, min(BLOCK_ROWS, len(data)))
-    return _validation_loss(params, structure, data, masks, mean, ws)
-
-
 def _validation_masks(D: int, rows: int, seed: int) -> np.ndarray:
     """The masks of a validation set of ``rows`` rows, one byte per value.
 
@@ -544,6 +524,11 @@ def _block_step(
     return loss
 
 
+def _diverged(phase: str, epoch: int, what: str) -> ValueError:
+    """The error that stops a run at a non-finite value."""
+    return ValueError(f"training diverged: {phase} epoch {epoch} {what}")
+
+
 def train(
     structure: StructureConfig,
     train_data: np.ndarray,
@@ -584,15 +569,13 @@ def train(
     mask_rng = master.stream("masks")
     shuffle_rng = master.stream("shuffle")
 
-    phases = (("pretrain", config.pretrain_epochs), ("finetune", config.finetune_epochs))
     history: list[str] = []
-    # the best epoch's params are the live ones until an epoch after it
-    # starts; only then are they copied into the snapshot
+    # the best epoch's params are the live ones until the epoch after it
+    # starts; only then are they copied into the snapshot.  best_epoch is 0
+    # until a fine-tuning epoch improves on best_valid
     best: ModelParams | None = None
-    best_live = False
+    best_epoch = 0
     best_valid = np.inf
-    stale = 0
-    epoch = 0
     n_train = train_data.shape[0]
     state = AdaDeltaState.zeros_like(params, rho=config.rho, epsilon=config.epsilon)
     # the one gradient vector of the run, overwritten by every block
@@ -600,64 +583,51 @@ def train(
     rows = max(min(config.minibatch_size, n_train), min(BLOCK_ROWS, len(valid_data)))
     ws = _Workspace(structure, rows, 2 * min(_ADADELTA_CHUNK, params.vector.size))
     with single_threaded_blas():
-        for phase, budget in phases:
-            if phase == "finetune" and epoch:
+        for epoch in range(1, config.pretrain_epochs + config.finetune_epochs + 1):
+            phase = "pretrain" if epoch <= config.pretrain_epochs else "finetune"
+            if config.pretrain_epochs and epoch == config.pretrain_epochs + 1:
                 # the handoff restarts the optimizer from zero, in the same memory
                 state.eg2.vector.fill(0.0)
                 state.edx2.vector.fill(0.0)
-            for _ in range(budget):
-                if best_live:
-                    if best is None:
-                        best = params.copy()
-                    else:
-                        np.copyto(best.vector, params.vector)
-                    best_live = False
-                epoch += 1
-                total = 0.0
-                blocks = minibatches(n_train, config.minibatch_size, shuffle_rng)
-                masks = _block_masks(mask_rng, structure.D, [len(b) for b in blocks])
-                for b, (block, m) in enumerate(zip(blocks, masks), 1):
-                    w = ws.head(len(block))
-                    np.copyto(w.x, train_data[block])
-                    loss = _block_step(params, structure, w.x, m, mean, phase, grads, w)
-                    if not math.isfinite(loss):
-                        raise ValueError(
-                            f"training diverged: {phase} epoch {epoch} block {b} loss {loss}"
-                        )
-                    total += loss
-                    grads.vector[...] *= 1.0 / len(block)
-                    add_weight_decay(grads, params, config.weight_decay)
-                    if not np.isfinite(grads.vector).all():
-                        raise ValueError(
-                            f"training diverged: {phase} epoch {epoch} block {b}"
-                            " gradient non-finite"
-                        )
-                    _adadelta(state, params, grads, ws.flat)
-                # the epoch's masks go before the next epoch draws its own
-                del m
-                train_loss = total / n_train
-                valid_loss = _validation_loss(params, structure, valid_data, valid_masks, mean, ws)
-                if not math.isfinite(valid_loss):
-                    raise ValueError(
-                        f"training diverged: {phase} epoch {epoch} validation loss {valid_loss}"
-                    )
-                history.append(
-                    f"epoch {epoch} phase {phase} train {train_loss:.6f} valid {valid_loss:.6f}"
-                )
-                if phase == "finetune":
-                    if valid_loss < best_valid:
-                        best_valid = valid_loss
-                        best_live = True
-                        stale = 0
-                    else:
-                        stale += 1
-                        if config.patience > 0 and stale >= config.patience:
-                            break
-    found = best_valid < np.inf
+            if best_epoch and best_epoch == epoch - 1:
+                if best is None:
+                    best = params.copy()
+                else:
+                    np.copyto(best.vector, params.vector)
+            total = 0.0
+            blocks = minibatches(n_train, config.minibatch_size, shuffle_rng)
+            masks = _block_masks(mask_rng, structure.D, [len(b) for b in blocks])
+            for b, (block, m) in enumerate(zip(blocks, masks), 1):
+                w = ws.head(len(block))
+                np.copyto(w.x, train_data[block])
+                loss = _block_step(params, structure, w.x, m, mean, phase, grads, w)
+                if not math.isfinite(loss):
+                    raise _diverged(phase, epoch, f"block {b} loss {loss}")
+                total += loss
+                grads.vector[...] *= 1.0 / len(block)
+                add_weight_decay(grads, params, config.weight_decay)
+                if not np.isfinite(grads.vector).all():
+                    raise _diverged(phase, epoch, f"block {b} gradient non-finite")
+                _adadelta(state, params, grads, ws.flat)
+            # the epoch's masks go before the next epoch draws its own
+            del m
+            train_loss = total / n_train
+            valid_loss = _validation_loss(params, structure, valid_data, valid_masks, mean, ws)
+            if not math.isfinite(valid_loss):
+                raise _diverged(phase, epoch, f"validation loss {valid_loss}")
+            history.append(
+                f"epoch {epoch} phase {phase} train {train_loss:.6f} valid {valid_loss:.6f}"
+            )
+            if phase == "finetune":
+                if valid_loss < best_valid:
+                    best_valid = valid_loss
+                    best_epoch = epoch
+                elif config.patience > 0 and epoch - best_epoch >= config.patience:
+                    break
     return TrainResult(
-        params=best if found and not best_live else params,
+        params=params if best_epoch in (0, len(history)) else best,
         history=history,
         mean=mean,
-        best_valid=best_valid if found else None,
-        epochs_run=epoch,
+        best_valid=best_valid if best_epoch else None,
+        epochs_run=len(history),
     )

@@ -31,7 +31,9 @@ from nadek import (
 )
 from nadek import sampling
 from nadek.numerics import ContractError
-from nadek.training import backward, sample_mask, stochastic_loss, validation_score
+from nadek.numerics import BLOCK_ROWS
+from nadek.training import _validation_loss, _validation_masks, _Workspace
+from nadek.training import backward, sample_mask, stochastic_loss
 
 TOL = 1e-12
 
@@ -116,7 +118,9 @@ def test_chunked_validation_matches_per_row_mean():
         vs, _ = forward_row(params, cfg, x, m, mean)
         want += loss_row(vs, x, m, "finetune")
     want /= len(data)
-    assert _close(validation_score(params, cfg, data, mean, seed=5), want) < TOL
+    ws = _Workspace(cfg, min(BLOCK_ROWS, len(data)))
+    got = _validation_loss(params, cfg, data, _validation_masks(6, len(data), 5), mean, ws)
+    assert _close(got, want) < TOL
 
 
 def _walk_case(n, activation):

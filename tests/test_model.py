@@ -29,7 +29,7 @@ from nadek.evaluation import identity_ordering
 from nadek.model import ModelParams, _gather_columns, _Net, expected_shapes
 from nadek.numerics import ContractError
 from nadek.sampling import _slice
-from nadek.training import backward, validation_score
+from nadek.training import backward
 
 
 class TestStructureConfig:
@@ -260,7 +260,6 @@ class TestBuildInput:
 _ENTRY_POINTS = {
     "forward": lambda p, cfg, x, mean: forward(p, cfg, x, np.ones(x.shape), mean),
     "train": lambda p, cfg, x, mean: train(cfg, x, np.zeros((2, 4)), TrainConfig(finetune_epochs=1)),
-    "validation_score": lambda p, cfg, x, mean: validation_score(p, cfg, x, mean, seed=1),
     "ordering_stats": lambda p, cfg, x, mean: ordering_stats(p, cfg, x, draw_orderings(4, 2, 1), mean),
     "log_prob_ordering": lambda p, cfg, x, mean: log_prob_ordering(
         p, cfg, x.ravel(), identity_ordering(4), mean

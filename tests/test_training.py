@@ -26,7 +26,7 @@ from nadek.cli import main
 from nadek.data import save_text_matrix
 from nadek.evaluation import Ordering
 from nadek.model import Trajectory
-from nadek.numerics import ContractError
+from nadek.numerics import BLOCK_ROWS, ContractError
 from nadek.training import (
     AdaDeltaState,
     TrainConfig,
@@ -36,10 +36,16 @@ from nadek.training import (
     sample_mask,
     stochastic_loss,
     train,
-    validation_score,
 )
 
 LN2 = math.log(2.0)
+
+
+def _valid_loss(params, cfg, data, mean, seed):
+    """The mean loss a run with ``seed`` scores its validation set ``data`` by."""
+    masks = training._validation_masks(cfg.D, len(data), seed)
+    ws = training._Workspace(cfg, min(BLOCK_ROWS, len(data)))
+    return training._validation_loss(params, cfg, data, masks, mean, ws)
 
 
 def _mask_for(D, observed):
@@ -532,26 +538,39 @@ class TestTrainLoop:
 
     def test_early_stopping_mechanism(self, monkeypatch):
         td, vd = self._toy()
-        scores = iter([3.0, 2.0, 2.5, 2.6, 1.0, 1.0])
-        monkeypatch.setattr(training, "_validation_loss", lambda *a, **k: next(scores))
         cfg = StructureConfig(D=4, hidden1=4, k=1)
-        tc = TrainConfig(minibatch_size=8, finetune_epochs=50, patience=2, seed=31)
-        res = train(cfg, td, vd, tc)
-        assert res.epochs_run == 4
-        assert res.best_valid == 2.0
+        for pretrain, script, epochs_run in (
+            (0, [3.0, 2.0, 2.5, 2.6, 1.0, 1.0], 4),
+            # pretraining scores below every fine-tuning score are never the
+            # best, and patience counts fine-tuning epochs only
+            (2, [0.5, 0.4, 3.0, 2.0, 2.5, 2.6, 1.0, 1.0], 6),
+        ):
+            scores = iter(script)
+            monkeypatch.setattr(training, "_validation_loss", lambda *a, **k: next(scores))
+            tc = TrainConfig(
+                minibatch_size=8, pretrain_epochs=pretrain, finetune_epochs=50, patience=2, seed=31
+            )
+            res = train(cfg, td, vd, tc)
+            assert res.epochs_run == epochs_run
+            assert res.best_valid == 2.0
 
     @pytest.mark.parametrize(
         "script, best",
         [
+            # (pretraining scores, fine-tuning scores) and the best global epoch
             # the best epoch is the last: the live params are returned
-            ([3.0, 2.5, 2.0], 3),
+            (([], [3.0, 2.5, 2.0]), 3),
             # best at epoch 4, after earlier bests at epochs 1 and 2
-            ([3.0, 2.0, 2.5, 1.5, 1.7, 1.8], 4),
+            (([], [3.0, 2.0, 2.5, 1.5, 1.7, 1.8]), 4),
+            # pretraining scores below every fine-tuning score are never the
+            # best: the best is fine-tuning's second epoch
+            (([0.5, 0.4], [3.0, 2.0, 2.5]), 4),
         ],
     )
     def test_result_holds_the_best_epochs_params(self, monkeypatch, script, best):
         td, vd = self._toy()
-        seen, scores = [], iter(script)
+        pretrain, finetune = script
+        seen, scores = [], iter(pretrain + finetune)
 
         def scripted(params, *args):
             seen.append(params.copy())
@@ -559,9 +578,15 @@ class TestTrainLoop:
 
         monkeypatch.setattr(training, "_validation_loss", scripted)
         cfg = StructureConfig(D=4, hidden1=4, k=1)
-        tc = TrainConfig(minibatch_size=8, finetune_epochs=len(script), seed=31)
+        tc = TrainConfig(
+            minibatch_size=8,
+            pretrain_epochs=len(pretrain),
+            finetune_epochs=len(finetune),
+            seed=31,
+        )
         res = train(cfg, td, vd, tc)
-        assert res.epochs_run == len(script) and res.best_valid == script[best - 1]
+        assert res.epochs_run == len(seen) == len(pretrain) + len(finetune)
+        assert res.best_valid == finetune[best - 1 - len(pretrain)]
         assert np.array_equal(res.params.vector, seen[best - 1].vector)
         assert not np.array_equal(seen[best - 1].vector, seen[best - 2].vector)
 
@@ -573,29 +598,16 @@ class TestTrainLoop:
         for bad_td, bad_vd in ((td * 0.5, vd), (td, vd * 0.5)):
             with pytest.raises(ContractError, match=r"input must be exactly binary \(0/1\)"):
                 train(cfg, bad_td, bad_vd, tc)
-        params, cfg = random_model(4, 5, k=1, seed=37)
-        with pytest.raises(ContractError, match=r"input must be exactly binary \(0/1\)"):
-            validation_score(params, cfg, vd * 0.5, np.full(4, 0.5), seed=7)
 
     def test_validation_masks_fixed_across_calls(self):
         td, vd = self._toy()
         params, cfg = random_model(4, 5, k=1, seed=37)
         mean = np.full(4, 0.5)
-        a = validation_score(params, cfg, vd, mean, seed=7)
-        b = validation_score(params, cfg, vd, mean, seed=7)
+        a = _valid_loss(params, cfg, vd, mean, seed=7)
+        b = _valid_loss(params, cfg, vd, mean, seed=7)
         assert a == b
-        c = validation_score(params, cfg, vd, mean, seed=8)
+        c = _valid_loss(params, cfg, vd, mean, seed=8)
         assert a != c
-
-    def test_validation_of_empty_data_rejected(self):
-        params, cfg = random_model(4, 5, k=1, seed=37)
-        with pytest.raises(ContractError, match="non-empty"):
-            validation_score(params, cfg, np.empty((0, 4)), np.full(4, 0.5), seed=7)
-
-    def test_validation_of_one_row_vector_rejected(self):
-        params, cfg = random_model(4, 5, k=1, seed=37)
-        with pytest.raises(ContractError, match="matrix with 4 columns"):
-            validation_score(params, cfg, np.ones(4), np.full(4, 0.5), seed=7)
 
     def test_invalid_data(self):
         td, vd = self._toy()
@@ -605,6 +617,10 @@ class TestTrainLoop:
             train(cfg, np.empty((0, 4)), vd, tc)
         with pytest.raises(ContractError):
             train(cfg, td, np.ones((2, 3)), tc)
+        with pytest.raises(ContractError, match="non-empty"):
+            train(cfg, td, np.empty((0, 4)), tc)
+        with pytest.raises(ContractError, match="matrix with 4 columns"):
+            train(cfg, td, np.ones(4), tc)
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
@@ -650,7 +666,7 @@ class TestGroupedMaskDraws:
         result = train(structure, data[:n_train], data[n_train:], config)
         path = tmp_path / f"{case}-{budget}.ckpt"
         save_checkpoint(str(path), result.params, structure, {"mean": encode_mean(result.mean)})
-        valid = validation_score(result.params, structure, data[n_train:], result.mean, seed=44)
+        valid = _valid_loss(result.params, structure, data[n_train:], result.mean, seed=44)
         return (path.read_bytes(), result.history, valid), calls
 
     @pytest.mark.parametrize("case", ["desk", "wide"])
@@ -664,7 +680,7 @@ class TestGroupedMaskDraws:
         chunks = [100] * (n_valid // 100) + [n_valid % 100]
         epoch = [batch] * (n_train // batch) + [n_train % batch]
         # the run draws its validation masks once, before its three epochs;
-        # the last chunks are the final validation_score call's
+        # the last chunks are the masks _run scores the result with
         assert block_calls == chunks + epoch * 3 + chunks
         assert len(grouped[1]) == 3
         assert grouped == per_block
