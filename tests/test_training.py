@@ -617,8 +617,18 @@ class TestTrainLoop:
             train(cfg, np.empty((0, 4)), vd, tc)
         with pytest.raises(ContractError):
             train(cfg, td, np.ones((2, 3)), tc)
+
+    def test_validation_of_empty_data_rejected(self):
+        td, _ = self._toy()
+        cfg = StructureConfig(D=4, hidden1=4, k=1)
+        tc = TrainConfig(minibatch_size=8, finetune_epochs=1, seed=1)
         with pytest.raises(ContractError, match="non-empty"):
             train(cfg, td, np.empty((0, 4)), tc)
+
+    def test_validation_of_one_row_vector_rejected(self):
+        td, _ = self._toy()
+        cfg = StructureConfig(D=4, hidden1=4, k=1)
+        tc = TrainConfig(minibatch_size=8, finetune_epochs=1, seed=1)
         with pytest.raises(ContractError, match="matrix with 4 columns"):
             train(cfg, td, np.ones(4), tc)
 
