@@ -36,7 +36,7 @@ from .evaluation import (
     render_report,
 )
 from .model import ModelParams, StructureConfig, forward
-from .numerics import BLOCK_ROWS, ContractError, Rng, single_threaded_blas
+from .numerics import BLOCK_ROWS, ContractError, Rng
 from .sampling import inpaint, sample_from_mixture
 from .training import EPSILON, RHO, TrainConfig, train
 
@@ -235,7 +235,7 @@ def cmd_inpaint(args) -> int:
         # BLOCK_ROWS blocks in row order
         masks = np.ones((min(BLOCK_ROWS, len(ds)), config.D))
         masks[:, obs] = 0.0
-        with atomic_write(args.out + ".trace") as fh, single_threaded_blas():
+        with atomic_write(args.out + ".trace") as fh:
             for start in range(0, len(ds), BLOCK_ROWS):
                 rows = ds.samples[start : start + BLOCK_ROWS]
                 m = masks[: len(rows)]

@@ -19,7 +19,6 @@ import numpy as np
 from .model import ModelParams, StructureConfig, _check_mean, _check_rows, _conditionals, _Net
 from .model import _gather_columns, _step_buffers, _step_space
 from .numerics import BLOCK_ROWS, ContractError, Rng, log_sum_exp, map_in_order
-from .numerics import single_threaded_blas
 
 __all__ = [
     "EnsembleSpec",
@@ -80,15 +79,11 @@ def draw_orderings(D: int, count: int, seed: int) -> EnsembleSpec:
     if count > math.factorial(D):
         raise ContractError(f"cannot draw {count} distinct orderings of {D} items")
     rng = Rng(seed).stream("orderings")
-    seen: set[tuple[int, ...]] = set()
-    out: list[Ordering] = []
-    while len(out) < count:
-        perm = tuple(rng.permutation(D))
-        if perm in seen:
-            continue
-        seen.add(perm)
-        out.append(Ordering(perm=perm))
-    return EnsembleSpec(orderings=tuple(out))
+    # insertion-ordered: a redrawn duplicate keeps its first place
+    perms: dict[tuple[int, ...], None] = {}
+    while len(perms) < count:
+        perms[tuple(rng.permutation(D))] = None
+    return EnsembleSpec(orderings=tuple(Ordering(perm=perm) for perm in perms))
 
 
 def log_prob_ordering(
@@ -112,27 +107,48 @@ def log_prob_ordering(
     per row.  The blocks depend on (x, o) alone, so the result has the
     same bits whatever else is being scored beside it.
     """
-    xs, mean = _checked(params, config, [x], [o], mean)
-    with single_threaded_blas():
-        return _Staircase(params, config, mean).log_prob(xs[0], o)
+    return float(_log_probs(params, config, [x], (o,), mean)[0])
 
 
-def _checked(
+def _log_probs(
     params: ModelParams,
     config: StructureConfig,
-    xs,
+    rows,
     orderings,
     mean,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows ``xs`` (uint8 bytes as they are, else float64) and ``mean`` as
-    float64, once the orderings' lengths, the rows, the mean and the params
-    are checked, in that order."""
+    threads: int = 1,
+) -> np.ndarray:
+    """log p(x | o) of every (row, ordering) pair, as one float64 vector.
+
+    Pair i is row i % n under ordering i // n, for n rows, so no list of
+    the pairs is made, and a worker gathers each of its orderings once.
+    The orderings' lengths, the rows, the mean and the params are checked
+    first, in that order.  The pairs are split into one run of
+    consecutive pairs for each of up to ``threads`` workers, and each run
+    is scored on a workspace of its own (see :class:`_Staircase`): a
+    worker holds two weight-sized copies in visit order, gathered from
+    ``params``, and nothing of the weights is copied for the call as a
+    whole.  BLAS runs on one thread (see :func:`map_in_order`).  A pair's
+    bits depend neither on the workspace nor on what it scored before, so
+    the vector is the same at any thread count.
+    """
     if any(len(o.perm) != config.D for o in orderings):
         raise ContractError("ordering length does not match D")
-    xs = _check_rows(xs, config.D, "x")
+    rows = _check_rows(rows, config.D, "x")
     mean = _check_mean(mean, config.D)
     params.check_shapes(config)
-    return xs, mean
+    n = rows.shape[0]
+    logs = np.empty(len(orderings) * n)
+    parts = max(1, min(threads, logs.size))
+    runs = [range(logs.size * j // parts, logs.size * (j + 1) // parts) for j in range(parts)]
+
+    def score(run: range) -> None:
+        staircase = _Staircase(params, config, mean)
+        for i in run:
+            logs[i] = staircase.log_prob(rows[i % n], orderings[i // n])
+
+    map_in_order(score, runs, threads)
+    return logs
 
 
 class _Staircase:
@@ -140,17 +156,17 @@ class _Staircase:
 
     It holds W's columns (as the rows of ``WT_o``), V's rows, b and the
     mean in the visit order of the ordering scored last, gathered straight
-    from the params once per ordering, and one set of block buffers that
-    every block of every pair reuses.  Those two weight-sized copies are
-    all it holds of the weights; nothing is shared between workspaces, and
-    a workspace serves one thread at a time.
+    from the params once per ordering (the weights a few columns at a
+    time, as :func:`model._gather_columns` does), and one set of block
+    buffers that every block of every pair reuses.  Those two weight-sized
+    copies are all it holds of the weights; nothing is shared between
+    workspaces, and a workspace serves one thread at a time.
     """
 
     def __init__(self, params: ModelParams, config: StructureConfig, mean: np.ndarray):
         self.params, self.config, self.mean = params, config, mean
         self.ordering = self.perm = None
         self.WT_o, self.V_o = np.empty(params.W.shape[::-1]), np.empty_like(params.V)
-        self.b_o, self.mean_o = np.empty(config.D), np.empty(config.D)
         rows = min(BLOCK_ROWS, config.D)
         self.space = _step_space(config, rows, config.D)
         # row j of a block has its first j columns observed, and only those
@@ -163,14 +179,8 @@ class _Staircase:
         if o is not self.ordering:
             self.perm, self.ordering = np.array(o.perm), o
             _gather_columns(self.params.W, self.perm, self.WT_o.T)
-            for source, out in (
-                (self.params.V, self.V_o),
-                (self.params.b, self.b_o),
-                (self.mean, self.mean_o),
-            ):
-                # a permutation's indices are all in range, so "clip" clips
-                # nothing; it spares take the copy of out its default mode makes
-                np.take(source, self.perm, axis=0, out=out, mode="clip")
+            _gather_columns(self.params.V.T, self.perm, self.V_o.T)
+            self.b_o, self.mean_o = self.params.b[self.perm], self.mean[self.perm]
         params, config, D = self.params, self.config, self.config.D
         # W in visit order, in the F order of a column gather W[:, perm]: the
         # bits of its matrix-vector products and few-row GEMMs depend on it
@@ -257,34 +267,15 @@ def ordering_stats(
 ) -> EvalReport:
     """Fill the log-prob matrix over samples x orderings and aggregate it.
 
-    The pairs, in ordering-major order, are split into one run of
-    consecutive pairs for each of up to ``threads`` workers, and each run
-    is scored on a workspace of its own (see :class:`_Staircase`): a
-    worker holds two weight-sized copies in visit order, gathered from
-    ``params``, and nothing of the weights is copied for the call as a
-    whole.  Pair i is row i % n under
-    ordering i // n, for n samples, so no list of the pairs is made.  A
-    pair's bits depend neither on the workspace nor on what it scored
-    before, so the matrix is the same at any thread count.  Aggregates use
-    unbiased (n-1) variances: the mean over samples of the across-ordering
-    variance, and the mean over orderings of the across-sample variance,
-    each reported as a square root.
+    The pairs are scored in ordering-major order on up to ``threads``
+    workers (see :func:`_log_probs`), so the matrix is the same at any
+    thread count.  Aggregates use unbiased (n-1) variances: the mean over
+    samples of the across-ordering variance, and the mean over orderings
+    of the across-sample variance, each reported as a square root.
     """
-    samples, mean = _checked(params, config, samples, spec.orderings, mean)
-    # ordering-major, so a worker gathers each of its orderings once
-    n = samples.shape[0]
-    logs = np.empty(len(spec.orderings) * n)
-    parts = max(1, min(threads, logs.size))
-    runs = [range(logs.size * j // parts, logs.size * (j + 1) // parts) for j in range(parts)]
-
-    def score(run: range) -> None:
-        staircase = _Staircase(params, config, mean)
-        for i in run:
-            logs[i] = staircase.log_prob(samples[i % n], spec.orderings[i // n])
-
-    map_in_order(score, runs, threads)
+    logs = _log_probs(params, config, samples, spec.orderings, mean, threads)
     # in C order: the aggregates' sums follow memory order, and so do their bits
-    return stats_from_matrix(np.ascontiguousarray(logs.reshape(-1, n).T))
+    return stats_from_matrix(np.ascontiguousarray(logs.reshape(len(spec.orderings), -1).T))
 
 
 def _fmt_aggregate(value: float | None) -> str:
@@ -314,7 +305,8 @@ def enumerate_distribution(
     Entry j of the table is the probability of the vector whose i-th
     coordinate is bit i of j (coordinate 0 least significant).  Exhaustive
     in 2^D, so D is capped; the 2^D pairs share one workspace, and the
-    vectors are one 2^D x D table of bytes.
+    vectors are one 2^D x D table of bytes, scored as every scorer's pairs
+    are (see :func:`_log_probs`).
     """
     D = config.D
     if D > ENUM_MAX_D:
@@ -324,8 +316,5 @@ def enumerate_distribution(
     # bit i of j, least significant first, from j's four little-endian bytes
     j = np.arange(2**D, dtype="<u4").view(np.uint8).reshape(-1, 4)
     bits = np.unpackbits(j, axis=1, count=D, bitorder="little")
-    bits, mean = _checked(params, config, bits, [o], mean)
-    staircase = _Staircase(params, config, mean)
-    with single_threaded_blas():
-        logs = np.fromiter((staircase.log_prob(x, o) for x in bits), np.float64, len(bits))
+    logs = _log_probs(params, config, bits, (o,), mean)
     return np.exp(logs, out=logs)

@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .numerics import ContractError, Rng, _as_data, _is_binary, _sigmoid, clamp_prob, sigmoid_vec
+from .numerics import single_threaded_blas
 
 __all__ = [
     "ModelParams",
@@ -246,7 +247,8 @@ def forward(
 
     ``x`` is a B x D block of 0/1 values, B >= 1, and ``m`` its mask of
     the same shape (1 marks a missing component).  To run a different step count at inference
-    time, pass ``dataclasses.replace(config, k=...)``.
+    time, pass ``dataclasses.replace(config, k=...)``.  BLAS runs on one
+    thread, so the bits do not depend on its thread count.
     """
     params.check_shapes(config)
     x = _check_rows(x, config.D, "input").astype(np.float64, copy=False)
@@ -254,7 +256,8 @@ def forward(
     if m.shape != x.shape:
         raise ContractError(f"mask{m.shape} does not match input{x.shape}")
     mean = _check_mean(mean, config.D)
-    return _forward(params, config, x, m, mean, _trajectory_buffers(config, len(x)), np.empty(x.shape))
+    with single_threaded_blas():
+        return _forward(params, config, x, m, mean, _trajectory_buffers(config, len(x)), np.empty(x.shape))
 
 
 def _forward(

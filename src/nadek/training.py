@@ -314,6 +314,7 @@ def backward(
 
     The gradient is written into ``out``, params-shaped, overwriting every
     entry, and returned; without ``out`` it goes into ``params.zeros_like()``.
+    BLAS runs on one thread, so the bits do not depend on its thread count.
     """
     if objective not in OBJECTIVES:
         raise ContractError(f"objective must be one of {OBJECTIVES}")
@@ -323,7 +324,8 @@ def backward(
         raise ContractError(f"x{x.shape} does not match the trajectory's mask{m.shape}")
     ws = _Workspace(config, len(x))
     grads = params.zeros_like() if out is None else out
-    return _backward(params, config, traj, x, objective, _row_scale(m, ws.gamma), grads, ws)
+    with single_threaded_blas():
+        return _backward(params, config, traj, x, objective, _row_scale(m, ws.gamma), grads, ws)
 
 
 def _backward(params, config, traj, x, objective, gamma, grads, ws: _Workspace) -> ModelParams:

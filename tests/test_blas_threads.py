@@ -44,6 +44,23 @@ for o in nadek.draw_orderings(config.D, 2, seed=5).orderings:
 """
 
 
+# one pretraining step's forward and backward on a 100-row block
+BLOCK = """
+import hashlib
+import sys
+import nadek
+from nadek.checkpoint import decode_mean
+from nadek.training import backward
+params, config, meta = nadek.load_checkpoint(sys.argv[1])
+x = nadek.load_text_matrix(sys.argv[2]).samples
+m = nadek.load_text_matrix(sys.argv[3]).samples
+traj = nadek.forward(params, config, x, m, decode_mean(meta["mean"]))
+grads = backward(params, config, traj, x, "pretrain")
+for a in (*traj.v_states, grads.vector):
+    print(hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+
 def _python(argv, threads):
     """Run ``python argv`` with every BLAS thread variable set."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
@@ -128,3 +145,16 @@ def test_report_and_sample_bytes_equal_at_one_and_two_blas_threads(tmp_path):
         )
     assert len(outputs[1][3].split()) == 6
     assert outputs[1] == outputs[2]
+
+
+def test_forward_and_backward_bits_equal_at_one_and_two_blas_threads(tmp_path):
+    # the public entry points, called outside any command that pins BLAS
+    params, cfg = random_model(196, 100, k=2, seed=6)
+    model = str(tmp_path / "model.ckpt")
+    save_checkpoint(model, params, cfg, {"mean": encode_mean(np.full(196, 0.3))})
+    rows = _write_rows(tmp_path / "rows.amat", 100, 196, seed=7)
+    mask = _write_rows(tmp_path / "mask.amat", 100, 196, seed=8)
+    one = _python(["-c", BLOCK, model, rows, mask], 1)
+    two = _python(["-c", BLOCK, model, rows, mask], 2)
+    assert len(one.split()) == cfg.k + 2
+    assert one == two

@@ -14,6 +14,8 @@ from nadek import (
     StructureConfig,
     TrainConfig,
     draw_orderings,
+    ensemble_log_prob,
+    enumerate_distribution,
     evaluation,
     forward,
     init_params,
@@ -265,6 +267,10 @@ _ENTRY_POINTS = {
         p, cfg, x.ravel(), identity_ordering(4), mean
     ),
     "sample_from_mixture": lambda p, cfg, x, mean: sample_from_mixture(p, cfg, 2, mean, Rng(1)),
+    "ensemble_log_prob": lambda p, cfg, x, mean: ensemble_log_prob(p, cfg, x, draw_orderings(4, 2, 1), mean),
+    "enumerate_distribution": lambda p, cfg, x, mean: enumerate_distribution(
+        p, cfg, identity_ordering(4), mean
+    ),
 }
 
 
@@ -274,8 +280,9 @@ _ENTRY_POINTS = {
         pytest.param(entry, block, id=f"{entry}-{kind}")
         for kind, block in (("wrong-width", np.zeros((1, 3))), ("empty", np.zeros((0, 4))))
         for entry in _ENTRY_POINTS
-        # the sampler takes no block: only its mean, as wide as the narrow block, is wrong
-        if kind == "wrong-width" or entry != "sample_from_mixture"
+        # the sampler and the enumerator take no block: only their mean, as
+        # wide as the narrow block, is wrong
+        if kind == "wrong-width" or entry not in ("sample_from_mixture", "enumerate_distribution")
     ],
 )
 def test_wrong_width_and_empty_blocks_refused(entry, block):
