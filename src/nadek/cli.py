@@ -200,10 +200,9 @@ def cmd_sample(args) -> int:
         rows, cols = args.grid
         if rows * cols < args.count:
             raise UsageError(f"grid {rows}x{cols} too small for {args.count} samples")
-    if args.count == 0:
-        save_text_matrix(args.out, np.empty((0, config.D)))
-        return 0
-    vectors = sample_from_mixture(params, config, args.count, mean, Rng(args.seed), args.threads)
+    vectors = np.empty((0, config.D))
+    if args.count:
+        vectors = sample_from_mixture(params, config, args.count, mean, Rng(args.seed), args.threads)
     save_text_matrix(args.out, vectors)
     if args.pgm is not None:
         rows, cols = args.grid

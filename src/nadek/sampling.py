@@ -21,6 +21,7 @@ from .evaluation import Ordering
 from .model import ModelParams, StructureConfig, _check_mean, _check_rows, _conditionals, _Net
 from .model import _gather_columns, _step_buffers, _step_space
 from .numerics import BLOCK_ROWS, ContractError, Rng, _as_data, map_in_order
+from .numerics import _draws, _permutations, _to_unit
 
 __all__ = [
     "ancestral_sample",
@@ -60,9 +61,10 @@ def _walk(
     ``x`` is float64 or, for 0/1 data, uint8: a block's kept columns are
     widened to float64 where they are read.
     Row r takes one uniform per position from rngs[r] alone, all drawn
-    before the walk starts, and a bit is 1 when its uniform falls below the
-    conditional (``Rng.bernoulli``).  Rows walk in fixed blocks of
-    BLOCK_ROWS in index order, the unit of work for ``threads`` workers.
+    before the walk starts in one keyed draw for the block's rows, and a
+    bit is 1 when its uniform falls below the conditional
+    (``Rng.bernoulli``).  Rows walk in fixed blocks of BLOCK_ROWS in index
+    order, the unit of work for ``threads`` workers.
     Draws use the clamped conditional, so every produced vector has finite
     log-probability under evaluation.
 
@@ -86,7 +88,7 @@ def _walk(
 
     def block(lo: int) -> None:
         span = slice(lo, lo + BLOCK_ROWS)
-        u = np.array([rng.uniform_array(len(free)) for rng in rngs[span]])
+        u = _to_unit(_draws(rngs[span], len(free)))
         # live[j] is the coordinate at column j of the current slice, and
         # order holds each row's visit order as slice columns
         live, mu = free, mean[free]
@@ -158,7 +160,7 @@ def sample_from_mixture(
         raise ContractError("count must be >= 1")
     D = config.D
     subs = [rng.stream("sample", i) for i in range(count)]
-    orders = np.array([sub.permutation(D) for sub in subs])
+    orders = _permutations(subs, D)
     x, none = np.zeros((count, D)), np.empty(0, np.int64)
     return _walk(params, config, x, none, orders, mean, subs, threads)
 
@@ -192,10 +194,9 @@ def inpaint(
     observed = np.zeros(D, dtype=bool)
     observed[list(obs_indices)] = True
     mis = np.flatnonzero(~observed)
-    orders = np.empty((len(rngs), len(mis)), dtype=np.int64)
-    for r, rng in enumerate(rngs):
+    for rng in rngs:
         # skip the draws a shuffle of the observed indices takes, so every
         # seeded output keeps the bits of rows that visited them first
         rng.counter += max(len(obs_indices) - 1, 0)
-        orders[r] = mis[rng.permutation(len(mis))]
+    orders = mis[_permutations(rngs, len(mis))]
     return _walk(params, config, x, np.flatnonzero(observed), orders, mean, rngs)

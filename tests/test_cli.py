@@ -408,11 +408,21 @@ def test_main_dispatches_by_name(monkeypatch):
 
 class TestSample:
     def test_count_zero(self, tmp_path, capsys):
+        # no samples take the same path as any count: an empty text file,
+        # a blank image of the grid and the stdout line
         ckpt, _, _ = _checkpoint(tmp_path, D=4, hidden1=3, seed=26)
         out = tmp_path / "s.amat"
-        rc = main(["sample", "--model", str(ckpt), "--count", "0", "--out", str(out)])
+        img = tmp_path / "g.pgm"
+        rc = main(
+            [
+                "sample", "--model", str(ckpt), "--count", "0", "--out", str(out),
+                "--pgm", str(img), "--grid", "1x2", "--img-w", "2", "--img-h", "2",
+            ]
+        )
         assert rc == 0
         assert out.read_text() == ""
+        assert img.read_bytes() == b"P5\n4 2\n255\n" + bytes(8)
+        assert capsys.readouterr().out == f"samples {out}\n"
 
     def test_deterministic_binary_output(self, tmp_path, capsys):
         ckpt, _, _ = _checkpoint(tmp_path, D=4, hidden1=3, k=2, seed=27)

@@ -15,6 +15,8 @@ from nadek.numerics import (
     PROB_EPS,
     ContractError,
     Rng,
+    _draws,
+    _permutations,
     clamp_prob,
     log_sum_exp,
     sigmoid_vec,
@@ -209,6 +211,12 @@ class TestRng:
         rng.shuffle(items)
         assert sorted(items) == list(range(50))
         assert items != list(range(50))
+        # the same swaps as permutation(50), on any items
+        assert items == Rng(10).permutation(50).tolist()
+        labels = [f"item{i}" for i in range(50)]
+        Rng(10).shuffle(labels)
+        assert labels == [f"item{i}" for i in items]
+        assert rng.counter == 49
 
     def test_permutation(self):
         perm = Rng(11).permutation(30)
@@ -279,6 +287,46 @@ class TestRng:
         scalar = Rng(21)
         assert bulk.dtype == np.uint64
         assert bulk.tolist() == [scalar.next_uint64() for _ in range(n)]
+
+    @staticmethod
+    def _block_generators():
+        """Block generators and scalar twins at the same (seed, counter) states.
+
+        Seeds are distinct, one of them >= 2^63; a counter of 2^64 - 2 wraps
+        past 2^64 within a row; the first generator is listed again last.
+        """
+        states = [(21, 0), (2**63 + 5, 7), (2**64 - 1, 2**64 - 2), (0xDEADBEEF, 2**63)]
+        pairs = []
+        for seed, counter in states:
+            pair = Rng(seed), Rng(seed)
+            pair[0].counter = pair[1].counter = counter
+            pairs.append(pair)
+        pairs.append(pairs[0])
+        return [p[0] for p in pairs], [p[1] for p in pairs]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 785])
+    def test_block_uint64_equals_scalar(self, n):
+        # row r is the next n scalar draws of its generator, read in row order
+        rngs, scalars = self._block_generators()
+        block = _draws(rngs, n)
+        assert block.dtype == np.uint64
+        assert block.shape == (len(rngs), n)
+        assert block.tolist() == [[g.next_uint64() for _ in range(n)] for g in scalars]
+        assert [g.counter for g in rngs] == [g.counter for g in scalars]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 785])
+    def test_block_permutations_equal_scalar_fisher_yates(self, n):
+        rngs, scalars = self._block_generators()
+        block = _permutations(rngs, n)
+        assert block.dtype == np.int64
+        assert block.shape == (len(rngs), n)
+        for row, scalar in zip(block.tolist(), scalars):
+            items = list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = scalar.next_below(i + 1)
+                items[i], items[j] = items[j], items[i]
+            assert row == items
+        assert [g.counter for g in rngs] == [g.counter for g in scalars]
 
     @pytest.mark.parametrize("shape", [1, 17, (3, 4), (40, 25)])
     def test_bulk_floats_equal_scalar(self, shape):

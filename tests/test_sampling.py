@@ -81,6 +81,22 @@ class TestAncestral:
         counts = index_counts(ancestral_sample(params, cfg, o, mean, windows(rng, n, 3)))
         assert _tv(counts, table, n) < 0.02
 
+    def test_repeated_generator_takes_the_next_window(self):
+        # generators are read in row order: a generator listed again gives
+        # its later row the D draws after its earlier row's, not the same ones
+        D = 20
+        params, cfg = _zero_model(D, 2)
+        mean = np.full(D, 0.5)
+        o = identity_ordering(D)
+        a, b = Rng(57).stream("a"), Rng(57).stream("b")
+        x = ancestral_sample(params, cfg, o, mean, [a, b, a])
+        assert a.counter == 2 * D and b.counter == D
+        later = Rng(a.seed)
+        later.counter = D
+        fresh = [Rng(a.seed), Rng(b.seed), later]
+        assert np.array_equal(x, ancestral_sample(params, cfg, o, mean, fresh))
+        assert not np.array_equal(x[0], x[2])
+
     def test_wrong_ordering_length(self):
         params, cfg = random_model(4, 2, seed=48)
         with pytest.raises(ContractError):
