@@ -6,7 +6,7 @@ orderings, and ancestral sampling are all included.
 """
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import Dataset, binarize_by_sampling, empirical_mean, load_text_matrix
+from .data import binarize_by_sampling, load_text_matrix
 from .evaluation import (
     EnsembleSpec,
     EvalReport,
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContractError",
-    "Dataset",
     "EnsembleSpec",
     "EvalReport",
     "ModelParams",
@@ -39,7 +38,6 @@ __all__ = [
     "ancestral_sample",
     "binarize_by_sampling",
     "draw_orderings",
-    "empirical_mean",
     "ensemble_log_prob",
     "enumerate_distribution",
     "forward",

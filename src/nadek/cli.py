@@ -25,7 +25,7 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .data import DataError, Dataset, atomic_write, load_text_matrix, save_text_matrix
+from .data import DataError, atomic_write, load_text_matrix, save_text_matrix
 from .evaluation import (
     EvalReport,
     _fmt_aggregate,
@@ -36,7 +36,7 @@ from .evaluation import (
     render_report,
 )
 from .model import ModelParams, StructureConfig, forward
-from .numerics import BLOCK_ROWS, ContractError, Rng
+from .numerics import BLOCK_ROWS, ContractError, Rng, _is_binary
 from .sampling import inpaint, sample_from_mixture
 from .training import EPSILON, RHO, TrainConfig, train
 
@@ -68,9 +68,9 @@ def write_manifest(path: str, command: str, flags: dict, inputs: list[str]) -> N
         fh.write("\n")
 
 
-def _load_binary_dataset(path: str) -> Dataset:
+def _load_binary_dataset(path: str) -> np.ndarray:
     ds = load_text_matrix(path)
-    if not ds.is_binary:
+    if not _is_binary(ds):
         raise DataError(f"{path}: values must be binary 0/1 for this command")
     return ds
 
@@ -87,10 +87,10 @@ def _load_model(path: str) -> tuple[ModelParams, StructureConfig, dict, np.ndarr
     return params, config, metadata, mean
 
 
-def _check_dims(config: StructureConfig, ds: Dataset, path: str) -> None:
-    if ds.D != config.D:
+def _check_dims(config: StructureConfig, ds: np.ndarray, path: str) -> None:
+    if ds.shape[1] != config.D:
         raise DataError(
-            f"{path}: dataset width {ds.D} does not match model dimension {config.D}"
+            f"{path}: dataset width {ds.shape[1]} does not match model dimension {config.D}"
         )
 
 
@@ -121,12 +121,11 @@ def cmd_train(args) -> int:
         raise UsageError("--mode finetune-only conflicts with --pretrain-epochs > 0")
     train_ds = _load_binary_dataset(args.data)
     valid_ds = _load_binary_dataset(args.valid)
-    if valid_ds.D != train_ds.D:
-        raise DataError(
-            f"{args.valid}: width {valid_ds.D} does not match training width {train_ds.D}"
-        )
+    D = train_ds.shape[1]
+    if valid_ds.shape[1] != D:
+        raise DataError(f"{args.valid}: width {valid_ds.shape[1]} does not match training width {D}")
     structure = StructureConfig(
-        D=train_ds.D,
+        D=D,
         hidden1=args.hidden1,
         k=args.k,
         hidden2=args.hidden2,
@@ -142,7 +141,7 @@ def cmd_train(args) -> int:
         rho=args.rho,
         epsilon=args.epsilon,
     )
-    result = train(structure, train_ds.samples, valid_ds.samples, config)
+    result = train(structure, train_ds, valid_ds, config)
     for line in result.history:
         print(line)
     metadata = {
@@ -170,7 +169,7 @@ def _score(args, report_path: str, k_override: int | None) -> EvalReport:
     if k_override is not None:
         config = dataclasses.replace(config, k=k_override)
     spec = draw_orderings(config.D, args.orderings, args.seed)
-    report = ordering_stats(params, config, ds.samples, spec, mean, args.threads)
+    report = ordering_stats(params, config, ds, spec, mean, args.threads)
     with atomic_write(report_path) as fh:
         fh.write(render_report(report))
     return report
@@ -227,7 +226,7 @@ def cmd_inpaint(args) -> int:
     _check_dims(config, ds, args.data)
     obs = _read_obs_indices(args.obs_file)
     rngs = [Rng(args.seed).stream("inpaint", i) for i in range(len(ds))]
-    out_rows = inpaint(params, config, ds.samples, obs, mean, rngs)
+    out_rows = inpaint(params, config, ds, obs, mean, rngs)
     save_text_matrix(args.out, out_rows)
     if args.trace:
         # every intermediate reconstruction v_0 .. v_k of each row, run in
@@ -236,7 +235,7 @@ def cmd_inpaint(args) -> int:
         masks[:, obs] = 0.0
         with atomic_write(args.out + ".trace") as fh:
             for start in range(0, len(ds), BLOCK_ROWS):
-                rows = ds.samples[start : start + BLOCK_ROWS]
+                rows = ds[start : start + BLOCK_ROWS]
                 m = masks[: len(rows)]
                 traj = forward(params, config, rows, m, mean)
                 for r in range(len(rows)):

@@ -1,4 +1,4 @@
-"""Dataset ingestion and iteration for whitespace-separated text matrices.
+"""Ingestion and iteration of whitespace-separated text matrices.
 
 One sample per line, values in [0, 1], optionally gzip-compressed
 (by file extension).  Real-valued data can be binarized once up front by
@@ -14,17 +14,14 @@ import io
 import os
 import stat
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import ContractError, Rng, _as_data, _is_binary
 
 __all__ = [
-    "Dataset",
     "atomic_write",
     "binarize_by_sampling",
-    "empirical_mean",
     "load_text_matrix",
     "minibatches",
     "save_text_matrix",
@@ -38,32 +35,6 @@ _CHUNK_CHARS = 1 << 16
 
 class DataError(ValueError):
     """Malformed or out-of-contract dataset content."""
-
-
-@dataclass
-class Dataset:
-    """An immutable count x D matrix of values in [0, 1].
-
-    0/1 data read from plain text is uint8, one byte per value; the core
-    widens it to float64 a block at a time.
-    """
-
-    samples: np.ndarray
-    name: str
-
-    def __post_init__(self):
-        self.samples.setflags(write=False)
-
-    @property
-    def D(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def is_binary(self) -> bool:
-        return _is_binary(self.samples)
-
-    def __len__(self) -> int:
-        return self.samples.shape[0]
 
 
 @contextlib.contextmanager
@@ -93,8 +64,9 @@ def atomic_write(path: str, binary: bool = False):
         raise
 
 
-def load_text_matrix(path: str, name: str | None = None) -> Dataset:
-    """Parse a text matrix; errors carry the 1-based offending line number.
+def load_text_matrix(path: str) -> np.ndarray:
+    """The rows x D matrix of a text file, read-only; errors carry the
+    1-based offending line number.
 
     Blank lines are skipped but counted.  A field is any literal Python's
     ``float`` accepts.  The first failing line in file order is reported,
@@ -103,7 +75,8 @@ def load_text_matrix(path: str, name: str | None = None) -> Dataset:
 
     A file of plain 0/1 text (ASCII ``0`` and ``1`` fields, each one
     character, between spaces, tabs and newlines) loads as uint8, one byte
-    per value; any other file as float64.  A file in the layout
+    per value; any other file as float64.  The core takes either and
+    widens uint8 to float64 a block at a time.  A file in the layout
     :func:`save_text_matrix` writes for a 0/1 matrix is read from its bytes
     straight into the result (see :func:`_canonical_bits`).  Any other file
     is read a chunk of whole lines at a time: a chunk of plain 0/1 text is
@@ -116,7 +89,8 @@ def load_text_matrix(path: str, name: str | None = None) -> Dataset:
         samples = None if gz else _canonical_bits(fh)
         if samples is None:
             samples = _parsed_text(io.TextIOWrapper(fh), path)
-    return Dataset(samples=samples, name=name if name is not None else str(path))
+    samples.setflags(write=False)
+    return samples
 
 
 def _canonical_bits(fh) -> np.ndarray | None:
@@ -301,21 +275,16 @@ def _fmt_value(v: float) -> str:
     return repr(float(v))
 
 
-def binarize_by_sampling(data: Dataset, rng: Rng) -> Dataset:
-    """Replace each value by a Bernoulli draw with that probability.
+def binarize_by_sampling(samples: np.ndarray, rng: Rng) -> np.ndarray:
+    """Replace each value by a Bernoulli draw with that probability, as a read-only float64 matrix.
 
     One bulk draw scans the matrix row-major and entry i is 1 when its
     uniform falls below the value, so a fixed seed yields one fixed
-    binarized dataset.
+    binarized matrix.
     """
-    out = (rng.uniform_array(data.samples.shape) < data.samples).astype(np.float64)
-    return Dataset(samples=out, name=data.name + ":binarized")
-
-
-def empirical_mean(data: Dataset) -> np.ndarray:
-    if len(data) < 1:
-        raise ContractError("empirical mean of an empty dataset")
-    return data.samples.mean(axis=0)
+    out = (rng.uniform_array(samples.shape) < samples).astype(np.float64)
+    out.setflags(write=False)
+    return out
 
 
 def minibatches(count: int, size: int, rng: Rng) -> list[np.ndarray]:

@@ -248,9 +248,11 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _fnv1a64(data: bytes) -> int:
+@functools.lru_cache(maxsize=256)
+def _fnv1a64(name: str) -> int:
+    """FNV-1a of the name's UTF-8 bytes, computed once per name while it stays cached."""
     h = _FNV_OFFSET
-    for byte in data:
+    for byte in name.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
 
@@ -353,7 +355,7 @@ class Rng:
 
     def stream(self, name: str, index: int = 0) -> "Rng":
         """Derive an independent child generator for (name, index)."""
-        child = _splitmix64(_splitmix64(self.seed ^ _fnv1a64(name.encode("utf-8"))) ^ (index & _MASK64))
+        child = _splitmix64(_splitmix64(self.seed ^ _fnv1a64(name)) ^ (index & _MASK64))
         return Rng(child)
 
     def next_uint64(self) -> int:
@@ -391,18 +393,3 @@ class Rng:
         """Array of uniforms in [0, 1), filled in row-major order."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         return _to_unit(self.uint64_array(math.prod(shape))).reshape(shape)
-
-    def below_array(self, bounds) -> np.ndarray:
-        """Uniform integers in [0, bounds[i]) for each entry, in row-major order.
-
-        One draw per entry, each bounded as by :meth:`next_below`; every
-        bound must lie in [1, 2^32).  A broadcast view (``np.broadcast_to``
-        of one row of bounds) is bounded without expanding it.
-        """
-        bounds = np.asarray(bounds, dtype=np.int64)
-        u = self.uint64_array(bounds.size).reshape(bounds.shape)
-        if 0 in bounds.strides:
-            # a broadcast view repeats its entries along its zero-stride axes:
-            # check and convert one copy of them, and let it broadcast in _below
-            bounds = bounds[tuple(slice(0, 1) if s == 0 else slice(None) for s in bounds.strides)]
-        return _below(u, bounds).astype(np.int64)

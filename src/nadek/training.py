@@ -30,7 +30,7 @@ import numpy as np
 from .data import minibatches
 from .model import ModelParams, StructureConfig, Trajectory, _Buffers, _check_rows
 from .model import _forward, _trajectory_buffers, _widths, init_params
-from .numerics import BLOCK_ROWS, PROB_EPS, ContractError, Rng, _clamp, single_threaded_blas
+from .numerics import BLOCK_ROWS, PROB_EPS, ContractError, Rng, _below, _clamp, single_threaded_blas
 
 __all__ = [
     "AdaDeltaState",
@@ -137,7 +137,7 @@ def sample_mask(rng: Rng, D: int, rows: int) -> np.ndarray:
         return np.ones((0, D))
     # draw 0 of a row is bounded by D, draw 1 + i by D - i
     bounds = np.concatenate(([D], np.arange(D, 1, -1)))
-    draws = rng.below_array(np.broadcast_to(bounds, (rows, D)))
+    draws = _below(rng.uint64_array(rows * D).reshape(rows, D), bounds).astype(np.int64)
     # the result is allocated below the swap arrays, so that they leave one
     # free block behind them
     mask = np.ones((rows, D))
@@ -379,10 +379,17 @@ def add_weight_decay(grads: ModelParams, params: ModelParams, lam: float) -> Mod
     if not 0.0 <= lam < np.inf:
         raise ContractError("weight decay must be >= 0 and finite")
     if lam != 0.0:
-        grads.W[...] += 2.0 * lam * params.W
-        grads.V[...] += 2.0 * lam * params.V
+        weights = [(grads.W, params.W), (grads.V, params.V)]
         if grads.W2 is not None:
-            grads.W2[...] += 2.0 * lam * params.W2
+            weights.append((grads.W2, params.W2))
+        # a chunk at a time through one buffer, so no weight-sized temporary is made
+        n = min(_ADADELTA_CHUNK, max(w.size for _, w in weights))
+        space = np.empty(n)
+        for g, w in weights:
+            g, w = g.reshape(-1), w.reshape(-1)
+            for lo in range(0, w.size, n):
+                part = w[lo : lo + n]
+                g[lo : lo + n] += np.multiply(2.0 * lam, part, out=space[: part.size])
     return grads
 
 

@@ -168,10 +168,12 @@ def adadelta(state, params, grads, rho, eps):
 
 def sample_mask(rng, D, rows):
     """Mask block by a partial Fisher-Yates shuffle of each row's indices,
-    one fancy-indexed swap of every row per step."""
+    one fancy-indexed swap of every row per step; every draw is a scalar one."""
     # draw 0 of a row is bounded by D, draw 1 + i by D - i
     steps = np.arange(D - 1)
-    draws = rng.below_array(np.broadcast_to(np.concatenate(([D], D - steps)), (rows, D)))
+    bounds = [D, *range(D, 1, -1)]
+    draws = np.array([rng.next_below(n) for _ in range(rows) for n in bounds], np.int64)
+    draws = draws.reshape(rows, D)
     d = 1 + draws[:, 0]
     # swap i exchanges slots i and i + below(D - i); a row past its d-1
     # swaps only reorders slots >= i, which leaves its prefix as drawn

@@ -37,7 +37,7 @@ import numpy as np
 import nadek
 from nadek.checkpoint import decode_mean
 params, config, meta = nadek.load_checkpoint(sys.argv[1])
-rows = nadek.load_text_matrix(sys.argv[2]).samples
+rows = nadek.load_text_matrix(sys.argv[2])
 for o in nadek.draw_orderings(config.D, 2, seed=5).orderings:
     for x in rows:
         print(repr(nadek.log_prob_ordering(params, config, x, o, decode_mean(meta["mean"]))))
@@ -52,8 +52,8 @@ import nadek
 from nadek.checkpoint import decode_mean
 from nadek.training import backward
 params, config, meta = nadek.load_checkpoint(sys.argv[1])
-x = nadek.load_text_matrix(sys.argv[2]).samples
-m = nadek.load_text_matrix(sys.argv[3]).samples
+x = nadek.load_text_matrix(sys.argv[2])
+m = nadek.load_text_matrix(sys.argv[3])
 traj = nadek.forward(params, config, x, m, decode_mean(meta["mean"]))
 grads = backward(params, config, traj, x, "pretrain")
 for a in (*traj.v_states, grads.vector):

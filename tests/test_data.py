@@ -1,4 +1,4 @@
-"""Text matrix IO, binarization, and minibatch slicing."""
+"""Text matrix IO, binarization, the data mean, and minibatch slicing."""
 
 import gzip
 import os
@@ -14,15 +14,17 @@ import text_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nadek import Rng, binarize_by_sampling, empirical_mean, load_text_matrix
+from nadek import Rng, StructureConfig, TrainConfig, binarize_by_sampling, load_text_matrix, train
 from nadek import data
-from nadek.data import DataError, Dataset, atomic_write, minibatches, save_text_matrix
-from nadek.numerics import ContractError
+from nadek.data import DataError, atomic_write, minibatches, save_text_matrix
+from nadek.numerics import ContractError, _is_binary
 
 
-def _dataset(samples):
-    samples = np.asarray(samples, dtype=np.float64)
-    return Dataset(samples=samples, name="t")
+def _assert_read_only(samples):
+    """Writing into ``samples`` raises."""
+    assert not samples.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        samples[0, 0] = 1
 
 
 class TestLoad:
@@ -30,17 +32,16 @@ class TestLoad:
         p = tmp_path / "m.amat"
         p.write_text("0 1\n1 0\n")
         ds = load_text_matrix(p)
-        assert ds.D == 2
-        assert len(ds) == 2
-        assert ds.is_binary
-        assert np.array_equal(ds.samples, [[0.0, 1.0], [1.0, 0.0]])
+        assert ds.shape == (2, 2)
+        assert _is_binary(ds)
+        assert np.array_equal(ds, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_real_valued_matrix(self, tmp_path):
         p = tmp_path / "m.amat"
         p.write_text("0.5 1\n0.25 0\n")
         ds = load_text_matrix(p)
-        assert not ds.is_binary
-        assert ds.samples[0, 0] == 0.5
+        assert not _is_binary(ds)
+        assert ds[0, 0] == 0.5
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "m.amat"
@@ -78,19 +79,13 @@ class TestLoad:
         with pytest.raises(DataError):
             load_text_matrix(p)
 
-    def test_name_defaults_to_path(self, tmp_path):
-        p = tmp_path / "m.amat"
-        p.write_text("0 1\n")
-        assert load_text_matrix(p).name == str(p)
-        assert load_text_matrix(p, name="train").name == "train"
-
     def test_gzip_transparent(self, tmp_path):
         p = tmp_path / "m.amat.gz"
         with gzip.open(p, "wt") as fh:
             fh.write("1 0 1\n0 1 0\n")
         ds = load_text_matrix(p)
-        assert ds.D == 3
-        assert np.array_equal(ds.samples, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        assert ds.shape == (2, 3)
+        assert np.array_equal(ds, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
 
 VALID_FIELDS = st.one_of(
@@ -115,7 +110,7 @@ SEPARATORS = [" ", "\t", "  ", " \t", "\x0c", "\xa0", "\x1c", "\u2003"]
 def _outcome(load, path):
     """Shape and float64 bytes of the samples, or the DataError message."""
     try:
-        samples = load(path).samples
+        samples = load(path)
     except DataError as exc:
         return str(exc)
     return samples.shape, samples.astype(np.float64).tobytes()
@@ -130,12 +125,13 @@ def _plain(path):
 
 
 def _same_as_reference(path):
-    """The reference's values or message; plain 0/1 text loads as uint8, any other as float64."""
+    """The reference's values or message; plain 0/1 text loads as read-only uint8, any other as read-only float64."""
     expected = _outcome(text_reference.load_text_matrix, path)
     assert _outcome(load_text_matrix, path) == expected
     if not isinstance(expected, str):
-        dtype = np.uint8 if _plain(path) else np.float64
-        assert load_text_matrix(path).samples.dtype == dtype
+        samples = load_text_matrix(path)
+        assert samples.dtype == (np.uint8 if _plain(path) else np.float64)
+        _assert_read_only(samples)
     return expected
 
 
@@ -324,10 +320,11 @@ class TestCanonicalLayout:
         bits = (np.random.default_rng(seed).random((rows, D)) < 0.4).astype(np.uint8)
         path = tmp_path_factory.mktemp("canonical") / "m.amat"
         path.write_text(_canonical_text(bits))
-        want = text_reference.load_text_matrix(path).samples
+        want = text_reference.load_text_matrix(path)
         with mock.patch.object(data, "_CHUNK_CHARS", chunk), _no_text_parse():
-            got = load_text_matrix(path).samples
+            got = load_text_matrix(path)
         assert got.dtype == np.uint8 and got.shape == (rows, D)
+        _assert_read_only(got)
         assert got.astype(np.float64).tobytes() == want.tobytes()
         assert np.array_equal(got, bits)
 
@@ -336,7 +333,7 @@ class TestCanonicalLayout:
         path = tmp_path / "m.amat"
         save_text_matrix(path, bits.astype(np.float64))
         with _no_text_parse():
-            assert np.array_equal(load_text_matrix(path).samples, bits)
+            assert np.array_equal(load_text_matrix(path), bits)
 
     @pytest.mark.parametrize(
         "name, text",
@@ -369,7 +366,7 @@ class TestCanonicalLayout:
         script = (
             "import sys\n"
             "from nadek import load_text_matrix\n"
-            "samples = load_text_matrix(sys.argv[1]).samples\n"
+            "samples = load_text_matrix(sys.argv[1])\n"
             "print(samples.dtype, samples.tolist())\n"
         )
         proc = _python(script, path)
@@ -391,7 +388,7 @@ class TestCanonicalLayout:
             "from nadek import load_text_matrix\n"
             "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "before = peak()\n"
-            "samples = load_text_matrix(sys.argv[1]).samples\n"
+            "samples = load_text_matrix(sys.argv[1])\n"
             "print(peak() - before, samples.dtype, samples.shape)\n"
         )
         proc = _python(script, path)
@@ -433,21 +430,21 @@ class TestSave:
         mat = np.array([[0.0, 1.0], [1.0, 1.0]])
         save_text_matrix(p, mat)
         assert p.read_text() == "0 1\n1 1\n"
-        assert np.array_equal(load_text_matrix(p).samples, mat)
+        assert np.array_equal(load_text_matrix(p), mat)
 
     def test_round_trip_real_exact(self, tmp_path):
         # repr round trip keeps float64 values bit-exact
         p = tmp_path / "m.amat"
         mat = np.array([[1.0 / 3.0, 0.1], [0.7, 2.0 ** -40]])
         save_text_matrix(p, mat)
-        back = load_text_matrix(p).samples
+        back = load_text_matrix(p)
         assert np.array_equal(back, mat)
 
     def test_round_trip_gzip(self, tmp_path):
         p = tmp_path / "m.amat.gz"
         mat = np.array([[1.0, 0.0, 1.0]])
         save_text_matrix(p, mat)
-        assert np.array_equal(load_text_matrix(p).samples, mat)
+        assert np.array_equal(load_text_matrix(p), mat)
 
     @pytest.mark.parametrize(
         "samples",
@@ -545,45 +542,56 @@ class TestAtomicWrite:
 
 class TestBinarize:
     def test_extremes_pass_through(self):
-        ds = _dataset([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
-        out = binarize_by_sampling(ds, Rng(1).stream("bin"))
-        assert np.array_equal(out.samples, ds.samples)
-        assert out.is_binary
-        assert out.name == "t:binarized"
+        samples = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        out = binarize_by_sampling(samples, Rng(1).stream("bin"))
+        assert out.dtype == np.float64
+        assert np.array_equal(out, samples)
+        assert _is_binary(out)
+        _assert_read_only(out)
 
     def test_deterministic(self):
-        ds = _dataset(np.full((4, 5), 0.3))
-        a = binarize_by_sampling(ds, Rng(2).stream("bin"))
-        b = binarize_by_sampling(ds, Rng(2).stream("bin"))
-        assert np.array_equal(a.samples, b.samples)
-        assert np.all((a.samples == 0.0) | (a.samples == 1.0))
+        samples = np.full((4, 5), 0.3)
+        a = binarize_by_sampling(samples, Rng(2).stream("bin"))
+        b = binarize_by_sampling(samples, Rng(2).stream("bin"))
+        assert np.array_equal(a, b)
+        # the values this seed has always given
+        want = [[1, 0, 0, 0, 1], [0, 0, 0, 0, 1], [0, 1, 1, 0, 0], [1, 0, 1, 0, 0]]
+        assert a.dtype == np.float64
+        assert np.array_equal(a, want)
+        _assert_read_only(a)
 
     def test_threshold_statistics(self):
         # p=0.3 per entry; over 1e6 entries the empirical rate sits well
         # inside 3 sigma (~0.0014)
-        ds = _dataset(np.full((1, 1000000), 0.3))
-        out = binarize_by_sampling(ds, Rng(3).stream("bin"))
-        assert abs(float(out.samples.mean()) - 0.3) < 0.002
+        out = binarize_by_sampling(np.full((1, 1000000), 0.3), Rng(3).stream("bin"))
+        assert abs(float(out.mean()) - 0.3) < 0.002
+
+
+def _mean(samples, valid=None):
+    """The training mean a run with no epochs stores for ``samples``."""
+    structure = StructureConfig(D=samples.shape[1], hidden1=1, k=1)
+    valid = samples[:1] if valid is None else valid
+    return train(structure, samples, valid, TrainConfig(finetune_epochs=0)).mean
 
 
 class TestMean:
+    """The mean :func:`train` returns, which the CLI stores in a checkpoint."""
+
     def test_known_values(self):
-        ds = _dataset([[0.0, 1.0], [1.0, 1.0]])
-        assert np.array_equal(empirical_mean(ds), [0.5, 1.0])
+        assert np.array_equal(_mean(np.array([[0.0, 1.0], [1.0, 1.0]])), [0.5, 1.0])
 
     def test_empty_rejected(self):
-        ds = Dataset(samples=np.zeros((0, 3)), name="t")
         with pytest.raises(ContractError):
-            empirical_mean(ds)
+            _mean(np.zeros((0, 3)), valid=np.zeros((1, 3)))
 
     @pytest.mark.parametrize("rows", [1, 7, 5000, 50000])
     def test_bytes_give_the_float64_bits(self, rows):
         bits = np.random.default_rng(rows).integers(0, 2, size=(rows, 784), dtype=np.uint8)
-        got = empirical_mean(Dataset(samples=bits, name="bytes"))
+        got = _mean(bits)
         # each column's mean is its own reduction, so the float64 matrix is
         # widened a slice of columns at a time
         want = np.concatenate([
-            empirical_mean(_dataset(bits[:, lo : lo + 98])) for lo in range(0, 784, 98)
+            _mean(bits[:, lo : lo + 98].astype(np.float64)) for lo in range(0, 784, 98)
         ])
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -619,12 +627,15 @@ class TestMinibatches:
 
 
 class TestDataset:
-    def test_samples_read_only(self):
-        ds = _dataset(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            ds.samples[0, 0] = 1.0
+    """A dataset is its matrix: read-only, uint8 for plain 0/1 text."""
+
+    def test_samples_read_only(self, tmp_path):
+        p = tmp_path / "m.amat"
+        p.write_text("0 1\n1 0.5\n")
+        _assert_read_only(load_text_matrix(p))
+        _assert_read_only(binarize_by_sampling(load_text_matrix(p), Rng(4).stream("bin")))
 
     def test_is_binary_on_bytes(self):
-        assert Dataset(samples=np.eye(3, dtype=np.uint8), name="t").is_binary
-        assert not Dataset(samples=np.full((2, 2), 2, np.uint8), name="t").is_binary
-        assert Dataset(samples=np.zeros((0, 2), np.uint8), name="t").is_binary
+        assert _is_binary(np.eye(3, dtype=np.uint8))
+        assert not _is_binary(np.full((2, 2), 2, np.uint8))
+        assert _is_binary(np.zeros((0, 2), np.uint8))

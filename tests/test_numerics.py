@@ -15,6 +15,7 @@ from nadek.numerics import (
     PROB_EPS,
     ContractError,
     Rng,
+    _below,
     _draws,
     _permutations,
     clamp_prob,
@@ -183,6 +184,20 @@ class TestRng:
         y = Rng(9).stream("masks").next_uint64()
         assert x == y
 
+    def test_stream_seeds_follow_the_docstring_formula(self):
+        # the Rng docstring's formula, with the name's hash computed here;
+        # every name is derived twice, and there are more names than the
+        # package's cache of name hashes holds
+        names = ["inpaint", "sample", "", "\u00fc-stream"] + [f"name{i}" for i in range(600)]
+        for seed in (0, 7, 2**63 + 5, M64):
+            root = Rng(seed)
+            for _ in range(2):
+                for n, name in enumerate(names):
+                    key = splitmix64(seed ^ fnv1a64(name.encode("utf-8")))
+                    indices = [*range(300), 2**63, M64] if n < 4 else [n]
+                    for i in indices:
+                        assert root.stream(name, i).seed == splitmix64(key ^ i)
+
     def test_float_range(self):
         rng = Rng(42)
         for _ in range(2000):
@@ -339,14 +354,14 @@ class TestRng:
     def test_bulk_bounded_equal_scalar(self, shape):
         bounds = np.array([1, 2, 3, 7, 1000, 2**31 + 1, 2**32 - 2, 2**32 - 1] * 40)
         if shape == "rows":
-            # one row of bounds repeated down 6 rows, as a mask draw passes it
-            bounds = np.broadcast_to(bounds[:40], (6, 40))
+            # one row of bounds broadcast down 6 rows, as a mask draw passes it
+            bounds, shape = bounds[:40], (6, 40)
         elif shape == "columns":
-            bounds = np.broadcast_to(bounds[:8, None], (8, 5))
+            bounds, shape = bounds[:8, None], (8, 5)
         else:
             bounds = bounds[: math.prod(shape)].reshape(shape)
-        shape = bounds.shape
-        bulk = Rng(23).below_array(bounds)
+        bulk = _below(Rng(23).uint64_array(math.prod(shape)).reshape(shape), bounds)
+        bounds = np.broadcast_to(bounds, shape)
         scalar = Rng(23)
         assert bulk.shape == shape
         assert bulk.reshape(-1).tolist() == [scalar.next_below(int(n)) for n in bounds.reshape(-1)]
@@ -374,7 +389,7 @@ class TestRng:
         assert rng.next_uint64() == draw(25, n)
         rng.uniform_array((2, 3))
         assert rng.next_uint64() == draw(25, n + 7)
-        rng.below_array(np.full((3, 2), 5))
+        _below(rng.uint64_array(6).reshape(3, 2), np.full(2, 5))
         assert rng.next_uint64() == draw(25, n + 14)
 
     def test_bounds_outside_32_bits_rejected(self):
@@ -384,9 +399,10 @@ class TestRng:
                 rng.next_below(n)
         for bounds in ([2, 2**32, 5], [2, 0, 5]):
             with pytest.raises(ContractError):
-                rng.below_array(np.array(bounds))
+                _below(rng.uint64_array(3), np.array(bounds))
             with pytest.raises(ContractError):
-                rng.below_array(np.broadcast_to(np.array(bounds), (4, 3)))
+                # one row of bounds broadcast down 4 rows
+                _below(rng.uint64_array(12).reshape(4, 3), np.array(bounds))
 
     @pytest.mark.parametrize("chunk", [3, 10, model._INIT_CHUNK])
     def test_init_fill_equals_scalar_uniforms(self, monkeypatch, chunk):

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import row_reference
-from conftest import random_model
+from conftest import random_model, traced_peak
 
 from nadek import (
     ModelParams,
@@ -26,7 +26,7 @@ from nadek.cli import main
 from nadek.data import save_text_matrix
 from nadek.evaluation import Ordering
 from nadek.model import Trajectory
-from nadek.numerics import BLOCK_ROWS, ContractError
+from nadek.numerics import BLOCK_ROWS, ContractError, _below
 from nadek.training import (
     AdaDeltaState,
     TrainConfig,
@@ -135,11 +135,16 @@ class TestSampleMask:
     def test_equals_fisher_yates_reference(self, D, rows):
         for seed in range(5):
             self._same_as_reference(Rng(40 + seed).stream("masks"), D, rows)
+        # a seed of 2^63 or more, and a block whose counters pass 2^64, where
+        # the bulk draw's products wrap as the scalar draws' masks do
+        rng = Rng(2**63 + 40)
+        rng.counter = 2**64 - 1 - rows * D // 2
+        self._same_as_reference(rng, D, rows)
 
     @pytest.mark.parametrize("D, rows", [(2, 7), (3, 7), (16, 1), (784, 1)])
     def test_reference_when_every_d_is_one(self, D, rows):
         # row r's d comes from draw counter + r*D: start where all are 1
-        first = Rng(7).stream("masks").below_array(np.full(20000, D))
+        first = _below(Rng(7).stream("masks").uint64_array(20000), D)
         starts = [
             c for c in range(len(first) - rows * D)
             if not first[c : c + rows * D : D].any()
@@ -152,7 +157,7 @@ class TestSampleMask:
 
     @pytest.mark.parametrize("D, rows", [(2, 1), (16, 7), (784, 25), (784, 100)])
     def test_reference_when_a_row_has_d_equal_to_D(self, D, rows):
-        first = Rng(8).stream("masks").below_array(np.full(20000, D))
+        first = _below(Rng(8).stream("masks").uint64_array(20000), D)
         starts = np.flatnonzero(first == D - 1)[:5].tolist()
         assert len(starts) == 5
         for c in starts:
@@ -371,6 +376,19 @@ class TestWeightDecay:
         params, _ = random_model(3, 2, seed=93)
         with pytest.raises(ContractError):
             add_weight_decay(params.zeros_like(), params, lam)
+
+    def test_paper_shape_takes_one_chunk_buffer(self):
+        # W and V hold 392,000 values each, W2 150,000: the penalty goes in
+        # _ADADELTA_CHUNK values at a time, with the plain expression's bits
+        params, _ = random_model(784, 500, hidden2=300, seed=94)
+        grads = params.zeros_like()
+        grads.vector[...] = Rng(95).stream("grads").uniform_array(grads.vector.size) - 0.5
+        want = grads.copy()
+        for name in ("W", "V", "W2"):
+            getattr(want, name)[...] += 2.0 * 0.0068 * getattr(params, name)
+        _, peak = traced_peak(add_weight_decay, grads, params, 0.0068)
+        assert np.array_equal(grads.vector.view(np.int64), want.vector.view(np.int64))
+        assert peak < 2 * training._ADADELTA_CHUNK * 8
 
 
 def _unit_params():

@@ -16,10 +16,10 @@ import io
 
 import numpy as np
 
-from nadek.data import DataError, Dataset
+from nadek.data import DataError
 
 
-def load_text_matrix(path: str, name: str | None = None) -> Dataset:
+def load_text_matrix(path: str) -> np.ndarray:
     """Parse a text matrix; errors carry the 1-based offending line number."""
     rows: list[np.ndarray] = []
     width = None
@@ -45,7 +45,7 @@ def load_text_matrix(path: str, name: str | None = None) -> Dataset:
             rows.append(row)
     if not rows:
         raise DataError(f"{path}: empty dataset")
-    return Dataset(samples=np.vstack(rows), name=name if name is not None else str(path))
+    return np.vstack(rows)
 
 
 def save_text_matrix(path: str, samples: np.ndarray) -> None:
