@@ -68,14 +68,17 @@ def write_manifest(path: str, command: str, flags: dict, inputs: list[str]) -> N
         fh.write("\n")
 
 
-def _load_binary_dataset(path: str) -> np.ndarray:
+def _load_binary_dataset(path: str, D: int | None = None) -> np.ndarray:
+    """The 0/1 matrix in ``path``, checked to be D columns wide when D is given."""
     ds = load_text_matrix(path)
     if not _is_binary(ds):
         raise DataError(f"{path}: values must be binary 0/1 for this command")
+    if D is not None and ds.shape[1] != D:
+        raise DataError(f"{path}: dataset width {ds.shape[1]} does not match model dimension {D}")
     return ds
 
 
-def _load_model(path: str) -> tuple[ModelParams, StructureConfig, dict, np.ndarray]:
+def _load_model(path: str) -> tuple[ModelParams, StructureConfig, np.ndarray]:
     params, config, metadata = load_checkpoint(path)
     if "mean" not in metadata:
         raise CheckpointError(f"{path}: checkpoint metadata lacks the training mean")
@@ -84,14 +87,7 @@ def _load_model(path: str) -> tuple[ModelParams, StructureConfig, dict, np.ndarr
         raise CheckpointError(f"{path}: stored mean length does not match D")
     if not np.all((mean >= 0.0) & (mean <= 1.0)):
         raise CheckpointError(f"{path}: stored mean must be finite and within [0, 1]")
-    return params, config, metadata, mean
-
-
-def _check_dims(config: StructureConfig, ds: np.ndarray, path: str) -> None:
-    if ds.shape[1] != config.D:
-        raise DataError(
-            f"{path}: dataset width {ds.shape[1]} does not match model dimension {config.D}"
-        )
+    return params, config, mean
 
 
 def write_pgm(path: str, pixels: np.ndarray) -> None:
@@ -163,9 +159,8 @@ def cmd_train(args) -> int:
 
 def _score(args, report_path: str, k_override: int | None) -> EvalReport:
     """Score every (row, ordering) pair of the data and write the report."""
-    params, config, _, mean = _load_model(args.model)
-    ds = _load_binary_dataset(args.data)
-    _check_dims(config, ds, args.data)
+    params, config, mean = _load_model(args.model)
+    ds = _load_binary_dataset(args.data, config.D)
     if k_override is not None:
         config = dataclasses.replace(config, k=k_override)
     spec = draw_orderings(config.D, args.orderings, args.seed)
@@ -184,7 +179,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    params, config, _, mean = _load_model(args.model)
+    params, config, mean = _load_model(args.model)
     if args.count < 0:
         raise UsageError("--count must be >= 0")
     if args.pgm is not None:
@@ -221,9 +216,8 @@ def _read_obs_indices(path: str) -> list[int]:
 
 
 def cmd_inpaint(args) -> int:
-    params, config, _, mean = _load_model(args.model)
-    ds = _load_binary_dataset(args.data)
-    _check_dims(config, ds, args.data)
+    params, config, mean = _load_model(args.model)
+    ds = _load_binary_dataset(args.data, config.D)
     obs = _read_obs_indices(args.obs_file)
     rngs = [Rng(args.seed).stream("inpaint", i) for i in range(len(ds))]
     out_rows = inpaint(params, config, ds, obs, mean, rngs)
@@ -255,7 +249,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_enumcheck(args) -> int:
-    params, config, _, mean = _load_model(args.model)
+    params, config, mean = _load_model(args.model)
     table = enumerate_distribution(params, config, identity_ordering(config.D), mean)
     residual = abs(float(table.sum()) - 1.0)
     print(f"normalization_residual {residual:.3e}")

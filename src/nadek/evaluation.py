@@ -195,7 +195,7 @@ class _Staircase:
             net = _Net(W[:, start:], c, self.V_o[start:], self.b_o[start:], params.W2, params.c2)
             out = _step_buffers(config, self.space, n, D - start)
             # step 1's pre-activations, in the buffer that step 1 overwrites
-            a1 = out.h[0][0]
+            a1 = out.h_states[0][0]
             a1[0] = 0.0
             step = np.multiply(self.WT_o[start : end - 1], dx[start : end - 1, None], out=a1[1:])
             np.cumsum(step, axis=0, out=step)

@@ -178,11 +178,15 @@ class Trajectory:
     (one array for n=2, two for n=3).
     Observed coordinates of every v_t for t >= 1 equal the input bit
     exactly; missing coordinates are sigmoid outputs in (0, 1).
+
+    It is the one record an inference pass writes into and returns;
+    ``mask`` is None until the pass sets it.  A staircase or a walk
+    repeats one set of arrays for every step (see :func:`_step_buffers`).
     """
 
     v_states: list[np.ndarray]
     h_states: list[tuple[np.ndarray, ...]]
-    mask: np.ndarray
+    mask: np.ndarray | None
 
     @property
     def k_used(self) -> int:
@@ -257,7 +261,8 @@ def forward(
         raise ContractError(f"mask{m.shape} does not match input{x.shape}")
     mean = _check_mean(mean, config.D)
     with single_threaded_blas():
-        return _forward(params, config, x, m, mean, _trajectory_buffers(config, len(x)), np.empty(x.shape))
+        out = _trajectory_buffers(config, len(x))
+        return _forward(params, config, x, m, mean, out, np.empty(x.shape), None)
 
 
 def _forward(
@@ -266,44 +271,35 @@ def _forward(
     x: np.ndarray,
     m: np.ndarray,
     mean: np.ndarray,
-    out: _Buffers,
+    out: Trajectory,
     keep_x: np.ndarray,
+    e: np.ndarray | None,
 ) -> Trajectory:
     """The body of :func:`forward`, unchecked: the caller has checked what it checks.
 
-    The trajectory is written into ``out`` (see :func:`_trajectory_buffers`),
-    and ``keep_x``, a block shaped like ``x``, is free again on return, as
-    is ``out.e`` when given.
+    The pass is written into ``out`` (see :func:`_trajectory_buffers`),
+    whose mask becomes ``m``, and ``out`` is returned.  ``keep_x`` and
+    ``e``, blocks shaped like ``x``, are free again on return; ``e`` takes
+    the sigmoid's temporary, as in :func:`_decode`.
     """
     np.subtract(1.0, m, out=keep_x)
     keep_x *= x
     # v_0: the mean at missing coordinates, x at observed ones
-    v = np.multiply(m, mean, out=out.v[0])
+    v = np.multiply(m, mean, out=out.v_states[0])
     v += keep_x
-    a1 = np.matmul(v, params.W.T, out=out.h[0][0])
+    a1 = np.matmul(v, params.W.T, out=out.h_states[0][0])
     a1 += params.c
-    top = _steps(params, config, a1, m, keep_x, out)
-    _decode(params, top, m, keep_x, out.v[-1], out.e)
-    return Trajectory(v_states=list(out.v), h_states=list(out.h), mask=m)
+    top = _steps(params, config, a1, m, keep_x, out, e)
+    _decode(params, top, m, keep_x, out.v_states[-1], e)
+    out.mask = m
+    return out
 
 
-class _Buffers(NamedTuple):
-    """Where the steps write: ``h[t]`` takes step t's hidden activations
-    (one block per hidden layer, steps counted from 0), ``v[t]`` the state
-    v_t that step t reads, decoded before it for t >= 1, and ``e`` the
-    sigmoid's temporary, shaped like a state, or None for a new one at
-    each decode.  A trajectory gives each state and step its own arrays,
-    v_0 .. v_k; a staircase or a walk repeats one set for every step."""
-
-    h: list[tuple[np.ndarray, ...]]
-    v: list[np.ndarray]
-    e: np.ndarray | None
-
-
-def _trajectory_buffers(config: StructureConfig, rows: int, e: np.ndarray | None = None) -> _Buffers:
-    """New buffers for the trajectory of a ``rows``-row block, with ``e`` as the sigmoid's temporary."""
+def _trajectory_buffers(config: StructureConfig, rows: int) -> Trajectory:
+    """A new record for the pass of a ``rows``-row block, with arrays of its
+    own for each state and step; its mask is None until :func:`_forward` sets it."""
     blocks = [tuple(np.empty((rows, w)) for w in _widths(config)) for _ in range(config.k)]
-    return _Buffers(blocks, [np.empty((rows, config.D)) for _ in range(config.k + 1)], e)
+    return Trajectory([np.empty((rows, config.D)) for _ in range(config.k + 1)], blocks, None)
 
 
 def _widths(config: StructureConfig) -> tuple[int, ...]:
@@ -331,11 +327,12 @@ def _gather_columns(source: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np
     return out
 
 
-def _step_buffers(config: StructureConfig, space: list[np.ndarray], rows: int, cols: int) -> _Buffers:
-    """One set of C-contiguous buffers for a ``rows`` x ``cols`` block,
-    cut from the front of ``space`` and repeated for every step."""
+def _step_buffers(config: StructureConfig, space: list[np.ndarray], rows: int, cols: int) -> Trajectory:
+    """A record for the steps of a ``rows`` x ``cols`` block that repeats one
+    set of C-contiguous buffers, cut from the front of ``space``, for every
+    step and state; its mask stays None."""
     *hidden, v = (flat[: rows * w].reshape(rows, w) for flat, w in zip(space, (*_widths(config), cols)))
-    return _Buffers([tuple(hidden)] * config.k, [v] * config.k, None)
+    return Trajectory([v] * config.k, [tuple(hidden)] * config.k, None)
 
 
 def _decode(
@@ -364,14 +361,16 @@ def _steps(
     a1: np.ndarray,
     m: np.ndarray,
     keep_x: np.ndarray,
-    out: _Buffers,
+    out: Trajectory,
+    e: np.ndarray | None,
 ) -> np.ndarray:
     """The config.k steps from step 1's hidden pre-activation ``a1``, unchecked.
 
-    Step t writes its hidden activations into out.h[t], after decoding the
-    state v_t between steps into out.v[t] when t >= 1.  ``a1`` may be
-    out.h[0][0] itself.  Returns the last step's top activations; that
-    step is not decoded, so a caller reads it only where it needs it.
+    Step t writes its hidden activations into out.h_states[t], after
+    decoding the state v_t between steps into out.v_states[t] when t >= 1,
+    with ``e`` as the sigmoid's temporary (see :func:`_decode`).  ``a1`` may
+    be out.h_states[0][0] itself.  Returns the last step's top activations;
+    that step is not decoded, so a caller reads it only where it needs it.
     ``params`` may be a _Net, the model restricted to the coordinates still
     in play: its ``c`` then carries the contribution of the coordinates
     left out because they are observed throughout, as one vector or one
@@ -379,9 +378,9 @@ def _steps(
     """
     phi = np.tanh if config.activation == "tanh" else sigmoid_vec
     a, top = a1, None
-    for t, hidden in enumerate(out.h):
+    for t, hidden in enumerate(out.h_states):
         if t:
-            v = _decode(params, top, m, keep_x, out.v[t], out.e)
+            v = _decode(params, top, m, keep_x, out.v_states[t], e)
             a = np.matmul(v, params.W.T, out=hidden[0])
             a += params.c
         top = phi(a, out=hidden[0])
@@ -398,7 +397,7 @@ def _conditionals(
     a1: np.ndarray,
     m: np.ndarray,
     keep_x: np.ndarray,
-    out: _Buffers,
+    out: Trajectory,
     cols: np.ndarray,
 ) -> np.ndarray:
     """Clamped P(x = 1) of row r at coordinate cols[r], after the k steps into ``out``.
@@ -406,6 +405,6 @@ def _conditionals(
     The last step is decoded at that one coordinate per row, as the row-wise
     dot product V[cols[r]] . h_k[r] + b[cols[r]].
     """
-    top = _steps(params, config, a1, m, keep_x, out)
+    top = _steps(params, config, a1, m, keep_x, out, None)
     z = np.einsum("ij,ij->i", params.V[cols], top) + params.b[cols]
     return clamp_prob(sigmoid_vec(z))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import minibatches
-from .model import ModelParams, StructureConfig, Trajectory, _Buffers, _check_rows
+from .model import ModelParams, StructureConfig, Trajectory, _check_rows
 from .model import _forward, _trajectory_buffers, _widths, init_params
 from .numerics import BLOCK_ROWS, PROB_EPS, ContractError, Rng, _below, _clamp, single_threaded_blas
 
@@ -248,7 +248,7 @@ class _Workspace:
     shorter block.  ``x`` takes a block widened to float64, ``out`` its
     trajectory and ``gamma`` its row scale.  The three rows x D blocks of
     ``work`` serve in turn: in the forward pass work[0] and work[1] hold
-    keep_x and the sigmoid's temporary (out.e), in the loss its two
+    keep_x and the sigmoid's temporary, in the loss its two
     temporaries, while a validation chunk's widened mask sits in work[2];
     in backward they are dz, dv and tmp; in the AdaDelta update the front
     of ``flat``, the array behind them, holds its two chunk temporaries
@@ -268,7 +268,7 @@ class _Workspace:
         self.flat = np.empty(max(3 * rows * config.D, spare))
         self.work = list(self.flat[: 3 * rows * config.D].reshape(3, rows, config.D))
         self.x = np.empty((rows, config.D))
-        self.out = _trajectory_buffers(config, rows, self.work[1])
+        self.out = _trajectory_buffers(config, rows)
         self.clamp_tests = np.empty((2, rows, config.D), dtype=bool)
         self.dh = [np.empty((rows, w)) for w in _widths(config)]
         self.da = [np.empty((rows, w)) for w in _widths(config)]
@@ -282,8 +282,8 @@ class _Workspace:
         cut = copy.copy(self)
         cut.x, cut.gamma, cut.clamp_tests = self.x[:n], self.gamma[:n], self.clamp_tests[:, :n]
         cut.work, cut.dh, cut.da = ([a[:n] for a in arrays] for arrays in (self.work, self.dh, self.da))
-        h, v = self.out.h, self.out.v
-        cut.out = _Buffers([tuple(a[:n] for a in step) for step in h], [a[:n] for a in v], cut.work[1])
+        v, h = self.out.v_states, self.out.h_states
+        cut.out = Trajectory([a[:n] for a in v], [tuple(a[:n] for a in step) for step in h], None)
         return cut
 
 
@@ -506,7 +506,7 @@ def _validation_loss(
         x, m = w.x, w.work[2]
         np.copyto(x, data[start : start + BLOCK_ROWS])
         np.copyto(m, masks[start : start + BLOCK_ROWS])
-        traj = _forward(params, structure, x, m, mean, w.out, w.work[0])
+        traj = _forward(params, structure, x, m, mean, w.out, *w.work[:2])
         total += _loss(traj, x, "finetune", _row_scale(m, w.gamma), *w.work[:2])
     return total / len(data)
 
@@ -526,7 +526,7 @@ def _block_step(
     Every block the step writes is a buffer of ``ws``, and the row scale
     is computed once for the loss and the gradient.
     """
-    traj = _forward(params, structure, x, m, mean, ws.out, ws.work[0])
+    traj = _forward(params, structure, x, m, mean, ws.out, *ws.work[:2])
     gamma = _row_scale(m, ws.gamma)
     loss = _loss(traj, x, objective, gamma, *ws.work[:2])
     _backward(params, structure, traj, x, objective, gamma, grads, ws)
@@ -618,8 +618,10 @@ def train(
                 if not np.isfinite(grads.vector).all():
                     raise _diverged(phase, epoch, f"block {b} gradient non-finite")
                 _adadelta(state, params, grads, ws.flat)
-            # the epoch's masks go before the next epoch draws its own
+            # the epoch's masks go before the next epoch draws its own, the
+            # last one from the workspace's record too
             del m
+            ws.out.mask = None
             train_loss = total / n_train
             valid_loss = _validation_loss(params, structure, valid_data, valid_masks, mean, ws)
             if not math.isfinite(valid_loss):

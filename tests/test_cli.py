@@ -651,3 +651,19 @@ class TestModelLoading:
         assert rc == 1
         assert "mean" in capsys.readouterr().err
         assert not (tmp_path / "r.txt").exists() and not (tmp_path / "s.amat").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "stats", "inpaint"])
+    def test_data_width_differs_from_model(self, tmp_path, capsys, command):
+        ckpt, _, _ = _checkpoint(tmp_path, D=5, hidden1=3, seed=40)
+        data = _write_data(tmp_path / "d.amat", [[1, 0, 1, 0]])
+        (tmp_path / "obs.txt").write_text("0\n")
+        argv = {
+            "eval": ["--report", str(tmp_path / "r.txt")],
+            "stats": ["--out", str(tmp_path / "r.txt")],
+            "inpaint": ["--obs-file", str(tmp_path / "obs.txt"), "--out", str(tmp_path / "r.txt")],
+        }[command]
+        rc = main([command, "--model", str(ckpt), "--data", str(data)] + argv)
+        assert rc == 1
+        want = f"error: {data}: dataset width 4 does not match model dimension 5\n"
+        assert capsys.readouterr().err == want
+        assert not (tmp_path / "r.txt").exists()

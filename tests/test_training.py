@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -809,6 +810,28 @@ class TestWorkspace:
         train(structure, rows[:300], rows[300:], config)
         assert len(peaks) == 6
         assert max(peaks) < 100 * 200 * 8
+
+    def test_no_mask_outlives_its_epoch(self, monkeypatch):
+        # a mask kept alive past its epoch sits beside the next epoch's draw;
+        # a validation set smaller than a minibatch leaves the run's own
+        # record to the minibatches
+        structure = StructureConfig(D=50, hidden1=8, k=2)
+        rows = (Rng(16).stream("rows").uniform_array((260, 50)) < 0.3).astype(np.uint8)
+        step, valid, last, alive = training._block_step, training._validation_loss, [], []
+
+        def kept(params, structure, x, m, *args):
+            last[:] = [weakref.ref(m)]
+            return step(params, structure, x, m, *args)
+
+        def checked(*args):
+            alive.append(last[0]() is not None)
+            return valid(*args)
+
+        monkeypatch.setattr(training, "_block_step", kept)
+        monkeypatch.setattr(training, "_validation_loss", checked)
+        config = TrainConfig(minibatch_size=100, pretrain_epochs=1, finetune_epochs=1, seed=17)
+        train(structure, rows[:200], rows[200:], config)
+        assert alive == [False, False]
 
     def test_forward_calls_share_no_memory(self):
         params, cfg = random_model(7, 6, k=3, hidden2=5, seed=14)

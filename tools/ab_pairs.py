@@ -17,9 +17,12 @@ process; the base runs first in even pairs and second in odd ones, so a
 drift of the host's speed falls on both sides.  Progress goes to standard
 error.  Standard output is one JSON object: for every end-to-end metric of
 BENCHMARK.json, each side's median and quartiles, the ratio of the medians
-(working tree over base), and the pairs the working tree won (strictly
-better, in the metric's direction), plus each side's raw values and failed
-operation counts.
+(working tree over base), the pairs the working tree won (strictly
+better, in the metric's direction), and whether those support a claimed
+gain, plus each side's raw values and failed operation counts.  A gain
+holds when the working tree won at least 9 of every 10 pairs and its
+median beats the base's, in the metric's direction, by more than the
+base's interquartile range.
 """
 
 from __future__ import annotations
@@ -90,12 +93,16 @@ def summary(results: dict[str, list[dict]], better: dict[str, str]) -> dict:
         base = [r["metrics"][name]["value"] for r in results["base"]]
         new = [r["metrics"][name]["value"] for r in results["new"]]
         sign = 1.0 if direction == "higher" else -1.0
+        wins = sum(sign * (n - b) > 0 for b, n in zip(base, new))
+        gap = sign * (statistics.median(new) - statistics.median(base))
+        base_spread = spread(base)
         metrics[name] = {
             "better": direction,
-            "base": spread(base),
+            "base": base_spread,
             "new": spread(new),
             "ratio": statistics.median(new) / statistics.median(base),
-            "wins": sum(sign * (n - b) > 0 for b, n in zip(base, new)),
+            "wins": wins,
+            "gain_holds": 10 * wins >= 9 * len(base) and gap > base_spread["q3"] - base_spread["q1"],
             "values": {"base": base, "new": new},
         }
     return metrics
