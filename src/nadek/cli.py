@@ -28,7 +28,6 @@ from .checkpoint import (
 from .data import DataError, atomic_write, load_text_matrix, save_text_matrix
 from .evaluation import (
     EvalReport,
-    _fmt_aggregate,
     draw_orderings,
     enumerate_distribution,
     identity_ordering,
@@ -242,9 +241,7 @@ def cmd_inpaint(args) -> int:
 
 def cmd_stats(args) -> int:
     report = _score(args, args.out, None)
-    print(f"mean {report.mean:.6f}")
-    print(f"sd_over_orderings {_fmt_aggregate(report.sd_over_orderings)}")
-    print(f"sd_over_samples {_fmt_aggregate(report.sd_over_samples)}")
+    print("\n".join(report.aggregate_lines()))
     return 0
 
 

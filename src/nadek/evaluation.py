@@ -218,18 +218,47 @@ def ensemble_log_prob(
     return ordering_stats(params, config, np.atleast_2d(x), spec, mean).ensemble_mean()
 
 
-@dataclass
 class EvalReport:
-    """Per-(sample, ordering) log-probs plus the three spread aggregates.
+    """Per-(sample, ordering) log-probs, from which the aggregates derive.
 
-    A variance aggregate is None when its direction has fewer than two
-    entries to difference.
+    The matrix is held as float64 and must be 2-D and non-empty.  The
+    aggregates use unbiased (n-1) variances: ``sd_over_orderings`` is the
+    square root of the mean over samples of the across-ordering variance,
+    ``sd_over_samples`` that of the mean over orderings of the
+    across-sample variance.  Each is None when its direction has fewer
+    than two entries to difference.
     """
 
-    matrix: np.ndarray
-    mean: float
-    sd_over_orderings: float | None
-    sd_over_samples: float | None
+    def __init__(self, matrix: np.ndarray):
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.size == 0:
+            raise ContractError("log-prob matrix must be 2-D and non-empty")
+        self.matrix = matrix
+
+    @property
+    def mean(self) -> float:
+        return float(self.matrix.mean())
+
+    @property
+    def sd_over_orderings(self) -> float | None:
+        if self.matrix.shape[1] < 2:
+            return None
+        return float(math.sqrt(np.mean(np.var(self.matrix, axis=1, ddof=1))))
+
+    @property
+    def sd_over_samples(self) -> float | None:
+        if self.matrix.shape[0] < 2:
+            return None
+        return float(math.sqrt(np.mean(np.var(self.matrix, axis=0, ddof=1))))
+
+    def aggregate_lines(self) -> list[str]:
+        """One ``name value`` line per aggregate; an absent one reads ``absent``."""
+        values = {
+            "mean": self.mean,
+            "sd_over_orderings": self.sd_over_orderings,
+            "sd_over_samples": self.sd_over_samples,
+        }
+        return [f"{name} {'absent' if v is None else f'{v:.6f}'}" for name, v in values.items()]
 
     def ensemble_mean(self) -> float:
         """Mean over samples of the uniform-mixture log-prob."""
@@ -240,23 +269,6 @@ class EvalReport:
         return float(np.mean(per_sample))
 
 
-def stats_from_matrix(matrix: np.ndarray) -> EvalReport:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.size == 0:
-        raise ContractError("log-prob matrix must be 2-D and non-empty")
-    n_samples, n_orderings = matrix.shape
-    mean = float(matrix.mean())
-    sd_o = None
-    if n_orderings >= 2:
-        sd_o = float(math.sqrt(np.mean(np.var(matrix, axis=1, ddof=1))))
-    sd_x = None
-    if n_samples >= 2:
-        sd_x = float(math.sqrt(np.mean(np.var(matrix, axis=0, ddof=1))))
-    return EvalReport(
-        matrix=matrix, mean=mean, sd_over_orderings=sd_o, sd_over_samples=sd_x
-    )
-
-
 def ordering_stats(
     params: ModelParams,
     config: StructureConfig,
@@ -265,21 +277,15 @@ def ordering_stats(
     mean: np.ndarray,
     threads: int = 1,
 ) -> EvalReport:
-    """Fill the log-prob matrix over samples x orderings and aggregate it.
+    """The report of the log-prob matrix over samples x orderings.
 
     The pairs are scored in ordering-major order on up to ``threads``
     workers (see :func:`_log_probs`), so the matrix is the same at any
-    thread count.  Aggregates use unbiased (n-1) variances: the mean over
-    samples of the across-ordering variance, and the mean over orderings
-    of the across-sample variance, each reported as a square root.
+    thread count.
     """
     logs = _log_probs(params, config, samples, spec.orderings, mean, threads)
     # in C order: the aggregates' sums follow memory order, and so do their bits
-    return stats_from_matrix(np.ascontiguousarray(logs.reshape(len(spec.orderings), -1).T))
-
-
-def _fmt_aggregate(value: float | None) -> str:
-    return "absent" if value is None else f"{value:.6f}"
+    return EvalReport(np.ascontiguousarray(logs.reshape(len(spec.orderings), -1).T))
 
 
 def render_report(report: EvalReport) -> str:
@@ -288,9 +294,7 @@ def render_report(report: EvalReport) -> str:
     lines = ["sample\t" + "\t".join(f"o{j}" for j in range(n_orderings))]
     for si, row in enumerate(report.matrix):
         lines.append(str(si) + "\t" + "\t".join(f"{v:.6f}" for v in row))
-    lines.append(f"# mean {report.mean:.6f}")
-    lines.append(f"# sd_over_orderings {_fmt_aggregate(report.sd_over_orderings)}")
-    lines.append(f"# sd_over_samples {_fmt_aggregate(report.sd_over_samples)}")
+    lines += [f"# {line}" for line in report.aggregate_lines()]
     return "\n".join(lines) + "\n"
 
 

@@ -39,6 +39,9 @@ __all__ = [
 
 ACTIVATIONS = ("tanh", "sigmoid")
 
+#: ModelParams' tensors in canonical (serialization) order; W2 and c2 exist for n=3 only.
+_TENSOR_ORDER = ("W", "c", "W2", "c2", "V", "b")
+
 
 @dataclass(frozen=True)
 class StructureConfig:
@@ -106,13 +109,8 @@ class ModelParams:
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Named tensors in canonical (serialization) order."""
-        out = {"W": self.W, "c": self.c}
-        if self.W2 is not None:
-            out["W2"] = self.W2
-            out["c2"] = self.c2
-        out["V"] = self.V
-        out["b"] = self.b
-        return out
+        present = ((name, getattr(self, name)) for name in _TENSOR_ORDER)
+        return {name: t for name, t in present if t is not None}
 
     def zeros_like(self) -> "ModelParams":
         """Zero tensors of the same shapes, e.g. optimizer state.
@@ -159,29 +157,29 @@ def _tile(vector: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, n
 
 
 def expected_shapes(config: StructureConfig) -> dict[str, tuple[int, ...]]:
-    last_hidden = config.hidden2 if config.n == 3 else config.hidden1
-    shapes = {"W": (config.hidden1, config.D), "c": (config.hidden1,)}
-    if config.n == 3:
-        shapes["W2"] = (config.hidden2, config.hidden1)
-        shapes["c2"] = (config.hidden2,)
-    shapes["V"] = (config.D, last_hidden)
-    shapes["b"] = (config.D,)
-    return shapes
+    """The shape of each tensor ``config`` has, in canonical order."""
+    D, h1, h2 = config.D, config.hidden1, config.hidden2
+    shapes = {"W": (h1, D), "c": (h1,), "W2": (h2, h1), "c2": (h2,), "V": (D, _widths(config)[-1]), "b": (D,)}
+    # without a second hidden layer, W2 and c2 have no width and do not exist
+    return {name: shapes[name] for name in _TENSOR_ORDER if None not in shapes[name]}
 
 
 @dataclass
 class Trajectory:
     """Full unrolled state of one inference run, kept for backprop.
 
-    ``v_states`` holds v_0 .. v_k (k+1 B x D blocks, shaped like the
-    input); ``h_states`` holds one tuple of hidden activations per step
-    (one array for n=2, two for n=3).
-    Observed coordinates of every v_t for t >= 1 equal the input bit
-    exactly; missing coordinates are sigmoid outputs in (0, 1).
+    In a record of :func:`_trajectory_buffers`, ``v_states`` holds
+    v_0 .. v_k (k+1 B x D blocks, shaped like the input) and ``h_states``
+    one tuple of hidden activations per step (one array for n=2, two for
+    n=3).  Observed coordinates of every v_t for t >= 1 equal the input
+    bit exactly; missing coordinates are sigmoid outputs in (0, 1).
 
     It is the one record an inference pass writes into and returns;
-    ``mask`` is None until the pass sets it.  A staircase or a walk
-    repeats one set of arrays for every step (see :func:`_step_buffers`).
+    ``mask`` is None until the pass sets it.  A staircase or a walk keeps
+    no states past the step it is on: its record, from
+    :func:`_step_buffers`, has k entries in ``v_states`` and in
+    ``h_states``, each the same rows x cols buffer (and hidden tuple),
+    with cols narrowed to the coordinates in play, not D.
     """
 
     v_states: list[np.ndarray]
@@ -330,7 +328,12 @@ def _gather_columns(source: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np
 def _step_buffers(config: StructureConfig, space: list[np.ndarray], rows: int, cols: int) -> Trajectory:
     """A record for the steps of a ``rows`` x ``cols`` block that repeats one
     set of C-contiguous buffers, cut from the front of ``space``, for every
-    step and state; its mask stays None."""
+    step; its mask stays None.
+
+    ``v_states`` is k entries (not k+1) that are all one ``rows`` x ``cols``
+    buffer, where ``cols`` counts the coordinates in play, and each of the k
+    ``h_states`` entries is one tuple of ``rows``-row hidden buffers.
+    """
     *hidden, v = (flat[: rows * w].reshape(rows, w) for flat, w in zip(space, (*_widths(config), cols)))
     return Trajectory([v] * config.k, [tuple(hidden)] * config.k, None)
 

@@ -108,7 +108,10 @@ class TrainResult:
     history: list[str] = field(default_factory=list)
     mean: np.ndarray | None = None
     best_valid: float | None = None
-    epochs_run: int = 0
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.history)
 
 
 def sample_mask(rng: Rng, D: int, rows: int) -> np.ndarray:
@@ -640,5 +643,4 @@ def train(
         history=history,
         mean=mean,
         best_valid=best_valid if best_epoch else None,
-        epochs_run=len(history),
     )

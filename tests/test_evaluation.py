@@ -20,7 +20,7 @@ from nadek import (
     ordering_stats,
 )
 from nadek import evaluation
-from nadek.evaluation import identity_ordering, render_report, stats_from_matrix
+from nadek.evaluation import EvalReport, identity_ordering, render_report
 from nadek.numerics import ContractError
 
 
@@ -182,22 +182,22 @@ class TestEnsemble:
 
 class TestStats:
     def test_hand_matrix(self):
-        report = stats_from_matrix(np.array([[-1.0, -3.0], [-2.0, -4.0]]))
+        report = EvalReport(np.array([[-1.0, -3.0], [-2.0, -4.0]]))
         assert report.mean == -2.5
         assert abs(report.sd_over_orderings - math.sqrt(2.0)) < 1e-12
         assert abs(report.sd_over_samples - math.sqrt(0.5)) < 1e-12
 
     def test_constant_matrix(self):
-        report = stats_from_matrix(np.full((3, 4), -2.0))
+        report = EvalReport(np.full((3, 4), -2.0))
         assert report.mean == -2.0
         assert report.sd_over_orderings == 0.0
         assert report.sd_over_samples == 0.0
 
     def test_absent_aggregates(self):
-        one_col = stats_from_matrix(np.array([[-1.0], [-2.0]]))
+        one_col = EvalReport(np.array([[-1.0], [-2.0]]))
         assert one_col.sd_over_orderings is None
         assert one_col.sd_over_samples is not None
-        one_row = stats_from_matrix(np.array([[-1.0, -2.0]]))
+        one_row = EvalReport(np.array([[-1.0, -2.0]]))
         assert one_row.sd_over_orderings is not None
         assert one_row.sd_over_samples is None
 
@@ -243,14 +243,14 @@ class TestStats:
         from nadek.numerics import log_sum_exp
 
         matrix = np.array([[-1.0, -2.0], [-3.0, -2.5]])
-        report = stats_from_matrix(matrix)
+        report = EvalReport(matrix)
         want = np.mean(
             [float(log_sum_exp(row) - math.log(2.0)) for row in matrix]
         )
         assert abs(report.ensemble_mean() - want) < 1e-15
 
     def test_render_report(self):
-        report = stats_from_matrix(np.array([[-1.0, -3.0], [-2.0, -4.0]]))
+        report = EvalReport(np.array([[-1.0, -3.0], [-2.0, -4.0]]))
         text = render_report(report)
         lines = text.splitlines()
         assert lines[0] == "sample\to0\to1"
@@ -261,14 +261,31 @@ class TestStats:
         assert lines[5] == "# sd_over_samples 0.707107"
 
     def test_render_absent(self):
-        report = stats_from_matrix(np.array([[-1.5]]))
+        report = EvalReport(np.array([[-1.5]]))
         text = render_report(report)
         assert "# sd_over_orderings absent" in text
         assert "# sd_over_samples absent" in text
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
-            stats_from_matrix(np.empty((0, 3)))
+            EvalReport(np.empty((0, 3)))
+        for shape in [(3,), (1, 2, 2)]:
+            with pytest.raises(ContractError, match="2-D and non-empty"):
+                EvalReport(np.zeros(shape))
+
+    def test_aggregates_derive_from_the_matrix(self):
+        report = EvalReport([[-1, -3], [-2, -4]])
+        assert report.matrix.dtype == np.float64
+        assert report.aggregate_lines() == [
+            "mean -2.500000", "sd_over_orderings 1.414214", "sd_over_samples 0.707107",
+        ]
+        assert EvalReport([[-1.5]]).aggregate_lines()[1:] == [
+            "sd_over_orderings absent", "sd_over_samples absent",
+        ]
+        with pytest.raises(AttributeError):
+            report.mean = 0.0
+        with pytest.raises(TypeError):
+            EvalReport(report.matrix, mean=-2.5)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_workers_hold_the_only_weight_copies(self, threads):

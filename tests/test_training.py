@@ -520,6 +520,15 @@ class TestTrainLoop:
         for name, t in res.params.tensors().items():
             assert np.array_equal(t, fresh.tensors()[name])
 
+    def test_epochs_run_is_the_history_length(self):
+        params, _ = random_model(4, 3, seed=18)
+        res = training.TrainResult(params=params, history=["epoch 1", "epoch 2"])
+        assert res.epochs_run == 2
+        with pytest.raises(AttributeError):
+            res.epochs_run = 3
+        with pytest.raises(TypeError):
+            training.TrainResult(params=params, epochs_run=2)
+
     def test_deterministic_history(self):
         td, vd = self._toy()
         cfg = StructureConfig(D=4, hidden1=6, k=2)
